@@ -133,15 +133,18 @@ let timed name f =
    walls: a counter rewrite can regress its per-call latency (what its
    acceptance criteria are stated in) while hiding inside a section's
    wall-clock noise, so the two counting distributions are first-class
-   gate subjects.  The gated statistic is the *median*: with ~32-100
-   calls per section the p99 is the single slowest sample, and one
-   scheduler or major-GC hiccup moves it 5-6x run-to-run on a shared
-   host (observed on sections whose code hadn't changed at all), while
-   the median is stable within ~1.3x yet still moves by the full
-   rewrite factor when an optimization is reverted.  The p99 ratio is
-   printed alongside for the record, unvetoed.  Keys absent from
-   either run are skipped. *)
-let gated_latency_keys = [ "counter.count.approx_ms"; "counter.count.exact_ms" ]
+   gate subjects.  So are positive enumeration and the dataset
+   generation around it, the layer that dominated the tables while
+   enumeration still ran a SAT loop.  The gated statistic is the
+   *median*: with ~32-100 calls per section the p99 is the single
+   slowest sample, and one scheduler or major-GC hiccup moves it 5-6x
+   run-to-run on a shared host (observed on sections whose code hadn't
+   changed at all), while the median is stable within ~1.3x yet still
+   moves by the full rewrite factor when an optimization is reverted.
+   The p99 ratio is printed alongside for the record, unvetoed.  Keys
+   absent from either run are skipped. *)
+let gated_latency_keys =
+  [ "counter.count.approx_ms"; "counter.count.exact_ms"; "sat.enumerate"; "pipeline.generate" ]
 
 (* Per-section baseline wall times — and the p99 of every gated latency
    key the section carries — out of a previous --json summary (a

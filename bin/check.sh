@@ -40,6 +40,28 @@ for p in Antisymmetric Bijective Connex Equivalence Function Functional \
 done
 echo "   32/32 exact counts identical to brute enumeration"
 
+echo "== enumeration gate: solutions listed == exact count =="
+# positives come from walking the compiled trace, so the number of
+# solutions mcml enumerate lists must equal the count of the same CNF,
+# on every property at scope 4, with and without symmetry breaking
+for p in Antisymmetric Bijective Connex Equivalence Function Functional \
+  Injective Irreflexive NonStrictOrder PartialOrder PreOrder Reflexive \
+  StrictOrder Surjective TotalOrder Transitive; do
+  for flags in "" "--symmetry"; do
+    # shellcheck disable=SC2086
+    n="$("$MCML" enumerate -p "$p" -s 4 --limit 1000000 $flags \
+      | tail -n 1 | sed -n 's/^\([0-9]*\) solution(s)$/\1/p')"
+    # shellcheck disable=SC2086
+    c="$("$MCML" count -p "$p" -s 4 --backend exact $flags \
+      | sed -n 's/^count = \([0-9]*\) .*/\1/p')"
+    [ -n "$n" ] && [ "$n" = "$c" ] || {
+      echo "FAIL: enumerate listed '$n', exact count '$c' for $p scope 4 $flags" >&2
+      exit 1
+    }
+  done
+done
+echo "   32/32 enumerations list exactly the exact count"
+
 echo "== approx incremental gate: one solver per round vs scratch per query =="
 # the incremental path (native parity rows behind activation literals,
 # model replay, learnt-clause reuse) must not change a single estimate:

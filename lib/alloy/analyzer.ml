@@ -48,15 +48,36 @@ let formula ?(negate = false) ?(symmetry = false) t ~pred =
 let cnf ?negate ?symmetry t ~pred =
   Tseitin.cnf_of ~nprimary:(nprimary t) (formula ?negate ?symmetry t ~pred)
 
-let enumerate_core ?symmetry ?limit t ~pred =
-  let c = cnf ?symmetry t ~pred in
-  let outcome = Mcml_sat.Enumerate.run ?limit c in
-  let instances =
-    List.rev_map
-      (fun bits -> Instance.of_bits t.spec ~scope:t.scope bits)
-      outcome.Mcml_sat.Enumerate.models
+(* Compile once, then walk the trace: the positives come out in its
+   deterministic depth-first order, with no SAT call and no blocking
+   clause.  [complete] is decided by the exact count, not by running
+   the walk to exhaustion. *)
+let enumerate_core ?symmetry ?(limit = max_int) t ~pred =
+  let dnnf = Mcml_counting.Exact.Dnnf.compile (cnf ?symmetry t ~pred) in
+  let complete =
+    Bignat.compare (Mcml_counting.Exact.Dnnf.model_count dnnf) (Bignat.of_int limit) <= 0
   in
-  (instances, outcome.Mcml_sat.Enumerate.complete)
+  let sp = Mcml_obs.Obs.start "sat.enumerate" in
+  let t0 = if Mcml_obs.Obs.enabled () then Mcml_obs.Obs.monotonic_s () else 0.0 in
+  let instances = ref [] in
+  Mcml_counting.Exact.Dnnf.iter_models ~limit dnnf (fun bits ->
+      instances := Instance.of_bits t.spec ~scope:t.scope bits :: !instances);
+  let instances = List.rev !instances in
+  if Mcml_obs.Obs.enabled () then begin
+    let open Mcml_obs in
+    let n = List.length instances in
+    let dt = Obs.monotonic_s () -. t0 in
+    Obs.add "enumerate.models" n;
+    Obs.finish sp
+      ~attrs:
+        [
+          ("models", Obs.Int n);
+          ("dnnf_nodes", Obs.Int (Mcml_counting.Exact.Dnnf.size dnnf));
+          ("complete", Obs.Bool complete);
+          ("models_per_sec", Obs.Float (if dt > 0.0 then float_of_int n /. dt else 0.0));
+        ]
+  end;
+  (instances, complete)
 
 let enumerate ?symmetry ?limit t ~pred =
   if not (Mcml_obs.Obs.enabled ()) then enumerate_core ?symmetry ?limit t ~pred
@@ -74,7 +95,6 @@ let enumerate ?symmetry ?limit t ~pred =
           ("scope", Obs.Int t.scope);
           ("symmetry", Obs.Bool (Option.value symmetry ~default:false));
           ("solutions", Obs.Int n);
-          ("blocking_clauses", Obs.Int n);
           ("complete", Obs.Bool complete);
           ("solutions_per_sec", Obs.Float (if dt > 0.0 then float_of_int n /. dt else 0.0));
         ];

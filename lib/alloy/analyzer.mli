@@ -5,8 +5,9 @@
     exact scope, into (a) a hash-consed propositional formula over the
     primary variables, (b) a CNF (via the count-preserving Tseitin
     transform) whose projection set is the primary variables, and it
-    (c) enumerates all solutions with the CDCL backend and (d) counts
-    them with a chosen model counter.  Symmetry breaking mirrors
+    (c) enumerates all solutions off the compiled decision-DNNF
+    ({!Mcml_counting.Exact.Dnnf}) and (d) counts them with a chosen
+    model counter.  Symmetry breaking mirrors
     Alloy's default partial scheme and can be toggled, as the study
     requires. *)
 
@@ -42,8 +43,13 @@ val cnf : ?negate:bool -> ?symmetry:bool -> t -> pred:string -> Cnf.t
 
 val enumerate :
   ?symmetry:bool -> ?limit:int -> t -> pred:string -> Instance.t list * bool
-(** All solutions of the predicate (the positive samples of the study);
-    the boolean is [true] when enumeration completed. *)
+(** The first [limit] (default: all) solutions of the predicate — the
+    positive samples of the study — in the depth-first order of
+    {!Mcml_counting.Exact.Dnnf.iter_models}, which is deterministic.
+    The boolean is [true] when the solution count is at most [limit].
+    The CNF is compiled in full before the first solution comes out,
+    so a small [limit] at a large scope still pays the whole
+    compilation. *)
 
 val evaluate : t -> pred:string -> Instance.t -> bool
 (** The Alloy Evaluator: checks a concrete instance by constant

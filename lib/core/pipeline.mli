@@ -31,7 +31,8 @@ type generated = {
 
 val generate : Mcml_props.Props.t -> data_config -> generated
 (** Positives: all solutions of the property's predicate at the scope
-    (up to the cap), via the analyzer's SAT enumeration.  Negatives:
+    (up to the cap, the first ones in the analyzer's depth-first
+    enumeration order).  Negatives:
     uniformly random instances filtered by the property's direct
     checker (the Alloy-Evaluator fast path), deduplicated, one per
     positive. *)

@@ -25,13 +25,20 @@ module D = struct
   type node =
     | True
     | False
-    | Decision of { var : int; hi : int; lo : int }
+    | Decision of {
+        var : int;
+        hi : int;
+        lo : int;
+        hi_fixed : Lit.t array;
+        lo_fixed : Lit.t array;
+      }
     | Decomp of int array
-    | Free of { vars : int; child : int }
+    | Free of { vars : int array; child : int }
 
-  type t = { nodes : node array; root : int }
+  type t = { nodes : node array; root : int; fixed : Lit.t array; projection : int array }
 
   let root t = t.root
+  let root_fixed t = t.fixed
   let size t = Array.length t.nodes
   let node t i = t.nodes.(i)
 
@@ -48,12 +55,78 @@ module D = struct
             | Decision { hi; lo; _ } -> Bignat.add (go hi) (go lo)
             | Decomp kids ->
                 Array.fold_left (fun acc k -> Bignat.mul acc (go k)) Bignat.one kids
-            | Free { vars; child } -> Bignat.shift_left (go child) vars
+            | Free { vars; child } -> Bignat.shift_left (go child) (Array.length vars)
           in
           memo.(i) <- Some c;
           c
     in
     go t.root
+
+  (* Depth-first enumeration in continuation-passing style over one
+     shared assignment: every node sets exactly the projection
+     variables below it (both branches of a decision cover the same
+     component), so overwriting in place is sound.  Nodes with no
+     model are pruned up front, so every walk into a node yields at
+     least one model and the cost is proportional to the output. *)
+  let iter_models ?(limit = max_int) t f =
+    let n = Array.length t.projection in
+    let pos = Array.make (Array.fold_left max 0 t.projection + 1) (-1) in
+    Array.iteri (fun i v -> pos.(v) <- i) t.projection;
+    let cur = Array.make n false in
+    let set = Array.iter (fun l -> cur.(pos.(Lit.var l)) <- Lit.sign l) in
+    let live = Array.make (Array.length t.nodes) None in
+    let rec has_model i =
+      match live.(i) with
+      | Some b -> b
+      | None ->
+          let b =
+            match t.nodes.(i) with
+            | True -> true
+            | False -> false
+            | Decision { hi; lo; _ } -> has_model hi || has_model lo
+            | Decomp kids -> Array.for_all has_model kids
+            | Free { child; _ } -> has_model child
+          in
+          live.(i) <- Some b;
+          b
+    in
+    let emitted = ref 0 in
+    let exception Stop in
+    let emit () =
+      f (Array.copy cur);
+      incr emitted;
+      if !emitted >= limit then raise Stop
+    in
+    let rec walk i k =
+      if has_model i then
+        match t.nodes.(i) with
+        | False -> ()
+        | True -> k ()
+        | Decision { hi; lo; hi_fixed; lo_fixed; _ } ->
+            set hi_fixed;
+            walk hi k;
+            set lo_fixed;
+            walk lo k
+        | Decomp kids ->
+            let rec product j =
+              if j = Array.length kids then k () else walk kids.(j) (fun () -> product (j + 1))
+            in
+            product 0
+        | Free { vars; child } -> walk child (fun () -> spread vars 0 k)
+    and spread vars j k =
+      if j = Array.length vars then k ()
+      else begin
+        let p = pos.(vars.(j)) in
+        cur.(p) <- true;
+        spread vars (j + 1) k;
+        cur.(p) <- false;
+        spread vars (j + 1) k
+      end
+    in
+    if limit > 0 then begin
+      set t.fixed;
+      try walk t.root emit with Stop -> ()
+    end
 end
 
 (* Component signatures: an int array, one word [(ci << 31) | mask of
@@ -92,6 +165,7 @@ type state = {
   pos_occ : int array array; (* var -> clauses with the positive literal *)
   neg_occ : int array array; (* var -> clauses with the negative literal *)
   is_proj : bool array;
+  proj : int array; (* the projection variables, ascending *)
   assign : int array; (* var -> -1 / 0 / 1 *)
   trail : int Vec.t; (* assigned vars, in order *)
   n_false : int array; (* clause -> # falsified literals *)
@@ -330,12 +404,38 @@ let emit st node =
       Vec.push vec node;
       Vec.size vec - 1
 
-let mk_free st k child = if k = 0 then child else emit st (D.Free { vars = k; child })
+(* [k] is the number of vanished variables; only the tracing mode
+   names them in [vars] (the counting mode passes [[||]]). *)
+let mk_free st k vars child = if k = 0 then child else emit st (D.Free { vars; child })
 
 let mk_decomp st = function
   | [] -> node_true
   | [ c ] -> c
   | cs -> emit st (D.Decomp (Array.of_list cs))
+
+(* What makes the trace enumerable, gathered in the tracing mode only so
+   that [count] allocates nothing more.  A cached node stays valid
+   wherever its signature recurs: both depend only on the residual
+   clauses.  [fixed_since st mark] is the projection literals assigned
+   since [mark] (a branch's decision first, then what propagation
+   forced); [vanished st pvars stamp k] is the [k] unassigned variables
+   of [pvars] no occurrence carries [stamp] for. *)
+let fixed_since st mark =
+  if st.nodes = None then [||]
+  else begin
+    let acc = ref [] in
+    for i = Vec.size st.trail - 1 downto mark do
+      let v = Vec.get st.trail i in
+      if st.is_proj.(v) then acc := Lit.make v (st.assign.(v) = 1) :: !acc
+    done;
+    Array.of_list !acc
+  end
+
+let vanished st pvars stamp k =
+  if k = 0 || st.nodes = None then [||]
+  else
+    Array.of_seq
+      (Seq.filter (fun u -> st.assign.(u) = -1 && st.pv_stamp.(u) <> stamp) (Array.to_seq pvars))
 
 (* Distinct unassigned projection variables occurring in [comp] (all
    active), and the VSADS branch choice: maximal activity + occurrence
@@ -420,21 +520,22 @@ let rec count_component st depth (comp : int array) : Bignat.t * int =
           else (Bignat.zero, node_false)
         else begin
           if depth > st.max_depth then st.max_depth <- depth;
-          let chi, nhi = branch st depth comp pvars best true in
-          let clo, nlo = branch st depth comp pvars best false in
-          (Bignat.add chi clo, emit st (D.Decision { var = best; hi = nhi; lo = nlo }))
+          let chi, hi, hi_fixed = branch st depth comp pvars best true in
+          let clo, lo, lo_fixed = branch st depth comp pvars best false in
+          (Bignat.add chi clo, emit st (D.Decision { var = best; hi; lo; hi_fixed; lo_fixed }))
         end
       in
       if st.use_cache then Cache.replace st.cache key result;
       result
 
-and branch st depth (comp : int array) (pvars : int array) v phase : Bignat.t * int =
+and branch st depth (comp : int array) (pvars : int array) v phase : Bignat.t * int * Lit.t array =
   let mark = Vec.size st.trail in
   match propagate st [ Lit.make v phase ] with
   | exception Conflict ->
       undo_to st mark;
-      (Bignat.zero, node_false)
+      (Bignat.zero, node_false, [||])
   | () ->
+      let fixed = fixed_since st mark in
       let active = active_of st comp in
       (* Projection vars of [comp] (other than [v]) still unassigned
          but no longer occurring in an active clause were freed by
@@ -454,6 +555,7 @@ and branch st depth (comp : int array) (pvars : int array) v phase : Bignat.t * 
       Array.iter
         (fun u -> if st.assign.(u) = -1 && st.pv_stamp.(u) <> stamp then incr freed)
         pvars;
+      let freed_vars = vanished st pvars stamp !freed in
       let comps = split_components st active in
       let total = ref Bignat.one in
       let children = ref [] in
@@ -464,7 +566,9 @@ and branch st depth (comp : int array) (pvars : int array) v phase : Bignat.t * 
           children := nd :: !children)
         comps;
       undo_to st mark;
-      (Bignat.shift_left !total !freed, mk_free st !freed (mk_decomp st (List.rev !children)))
+      ( Bignat.shift_left !total !freed,
+        mk_free st !freed freed_vars (mk_decomp st (List.rev !children)),
+        fixed )
 
 let make_state ~tracing ~use_cache ~deadline (cnf : Cnf.t) : state =
   let clauses = cnf.Cnf.clauses in
@@ -480,8 +584,9 @@ let make_state ~tracing ~use_cache ~deadline (cnf : Cnf.t) : state =
         else neg_build.(v) <- ci :: neg_build.(v))
       clauses.(ci)
   done;
+  let proj = Cnf.projection_vars cnf in
   let is_proj = Array.make (nvars + 1) false in
-  Array.iter (fun v -> is_proj.(v) <- true) (Cnf.projection_vars cnf);
+  Array.iter (fun v -> is_proj.(v) <- true) proj;
   let nodes = if tracing then Some (Vec.create ~dummy:D.True ()) else None in
   (match nodes with
   | Some vec ->
@@ -494,6 +599,7 @@ let make_state ~tracing ~use_cache ~deadline (cnf : Cnf.t) : state =
     pos_occ = Array.map Array.of_list pos_build;
     neg_occ = Array.map Array.of_list neg_build;
     is_proj;
+    proj;
     assign = Array.make (nvars + 1) (-1);
     trail = Vec.create ~dummy:0 ();
     n_false = Array.make nclauses 0;
@@ -547,9 +653,10 @@ let count_root st nclauses : Bignat.t * int =
               st.clauses.(ci))
           active;
         let free = ref 0 in
-        for v = 1 to Array.length st.is_proj - 1 do
-          if st.is_proj.(v) && st.assign.(v) = -1 && st.pv_stamp.(v) <> stamp then incr free
-        done;
+        Array.iter
+          (fun v -> if st.assign.(v) = -1 && st.pv_stamp.(v) <> stamp then incr free)
+          st.proj;
+        let free_vars = vanished st st.proj stamp !free in
         let comps = split_components st active in
         let total = ref Bignat.one in
         let children = ref [] in
@@ -559,7 +666,8 @@ let count_root st nclauses : Bignat.t * int =
             total := Bignat.mul !total c;
             children := nd :: !children)
           comps;
-        (Bignat.shift_left !total !free, mk_free st !free (mk_decomp st (List.rev !children)))
+        ( Bignat.shift_left !total !free,
+          mk_free st !free free_vars (mk_decomp st (List.rev !children)) )
   end
 
 (* Shared driver: inprocess (optional), build state, compile.  The
@@ -639,10 +747,13 @@ module Dnnf = struct
   let compile ?budget ?(inprocess = true) cnf : t =
     let st_out = ref None in
     let _, root = run_engine ~tracing:true ~budget ~inprocess ~cache:true ~st_out cnf in
-    let nodes =
+    let nodes, fixed =
       match !st_out with
-      | Some { nodes = Some vec; _ } -> Array.init (Vec.size vec) (Vec.get vec)
-      | _ -> [| False; True |]
+      (* the search undoes every branch, so the trail ends holding
+         exactly what the root forced *)
+      | Some ({ nodes = Some vec; _ } as st) ->
+          (Array.init (Vec.size vec) (Vec.get vec), fixed_since st 0)
+      | _ -> ([| False; True |], [||])
     in
-    { nodes; root }
+    { nodes; root; fixed; projection = Cnf.projection_vars cnf }
 end

@@ -70,21 +70,32 @@ val count_opt :
   ?budget:float -> ?inprocess:bool -> ?cache:bool -> Cnf.t -> Bignat.t option
 (** Like {!count}, but [None] on timeout. *)
 
-(** The decision-DNNF trace of a compilation run, exposed for tests,
-    docs, and tooling.  The hot counting path ({!count}) only keeps
-    node {e counts}; {!Dnnf.compile} additionally retains the nodes. *)
+(** The decision-DNNF trace of a compilation run.  The hot counting
+    path ({!count}) only keeps node {e counts}; {!Dnnf.compile}
+    additionally retains the nodes together with the literals each
+    branch fixed, which makes the trace enumerable ({!Dnnf.iter_models})
+    as well as countable. *)
 module Dnnf : sig
   type node =
     | True  (** the empty conjunction: one model (of no variables) *)
     | False  (** an unsatisfiable residual: zero models *)
-    | Decision of { var : int; hi : int; lo : int }
+    | Decision of {
+        var : int;
+        hi : int;
+        lo : int;
+        hi_fixed : Lit.t array;
+        lo_fixed : Lit.t array;
+      }
         (** branch on projection variable [var]: count(hi) + count(lo),
-            where [hi] is the [var = true] child *)
+            where [hi] is the [var = true] child.  [hi_fixed] /
+            [lo_fixed] are the projection literals the branch fixed:
+            the decision literal first, then those unit propagation
+            forced (empty when the branch is [False]). *)
     | Decomp of int array
         (** variable-disjoint conjunction: counts multiply *)
-    | Free of { vars : int; child : int }
-        (** [vars] projection variables vanished unconstrained:
-            count(child) × [2{^vars}] *)
+    | Free of { vars : int array; child : int }
+        (** the projection variables [vars] vanished unconstrained:
+            count(child) × [2{^|vars|}] *)
 
   type t
   (** A trace: a DAG of nodes (ids index into the node table; node [0]
@@ -98,6 +109,10 @@ module Dnnf : sig
   val root : t -> int
   (** Root node id. *)
 
+  val root_fixed : t -> Lit.t array
+  (** The projection literals unit propagation forced at the root,
+      before any decision. *)
+
   val size : t -> int
   (** Number of nodes in the trace (leaves included). *)
 
@@ -107,4 +122,14 @@ module Dnnf : sig
   val model_count : t -> Bignat.t
   (** Evaluate the trace bottom-up.  Agrees with {!count} on the same
       CNF by construction (asserted in the test suite). *)
+
+  val iter_models : ?limit:int -> t -> (bool array -> unit) -> unit
+  (** [iter_models t f] calls [f] once on each projected model — a
+      fresh array over the projection variables, in the order of
+      {!Mcml_logic.Cnf.projection_vars} — stopping after [limit]
+      (default: unlimited).  The walk is depth-first: [hi] before
+      [lo], the children of a [Decomp] as a nested product, and the
+      variables of a [Free] node over all [2{^k}] values ([true]
+      first).  It makes no SAT calls; its cost is proportional to its
+      output. *)
 end

@@ -145,13 +145,22 @@ module Histogram = struct
       vsum = a.vsum +. b.vsum;
     }
 
+  (* The window's max is [later.vmax] only when that grew; otherwise it
+     was observed before the window, and the window's own max is known
+     only up to the upper edge of its highest occupied bucket. *)
   let diff later earlier =
+    let buckets =
+      Array.init bucket_count (fun i -> max 0 (later.buckets.(i) - earlier.buckets.(i)))
+    in
+    let rec top i =
+      if i < 0 then neg_infinity else if buckets.(i) > 0 then bucket_upper i else top (i - 1)
+    in
     {
-      buckets =
-        Array.init bucket_count (fun i ->
-            max 0 (later.buckets.(i) - earlier.buckets.(i)));
+      buckets;
       n = max 0 (later.n - earlier.n);
-      vmax = later.vmax;
+      vmax =
+        (if later.vmax > earlier.vmax then later.vmax
+         else Float.min later.vmax (top (bucket_count - 1)));
       vsum = Float.max 0.0 (later.vsum -. earlier.vsum);
     }
 
@@ -504,7 +513,7 @@ let with_context ctx f =
 let remote_context ~trace_id ~pid ~span =
   { cx_span = None; cx_trace = Some trace_id; cx_remote = Some (pid, span) }
 
-(* 63-bit nonzero trace ids: a splitmix64 finalizer over (time-of-first-
+(* Positive trace ids: a splitmix64 finalizer over (time-of-first-
    use, pid, counter), so ids from concurrently started processes don't
    collide the way a bare counter would.  Not global [Random] — trace id
    generation must not perturb any seeded experiment. *)
@@ -527,7 +536,8 @@ let fresh_trace_id () =
     splitmix64
       (Int64.add (Lazy.force trace_id_seed) (Int64.of_int ((n * 2) + 1)))
   in
-  let id = Int64.to_int (Int64.shift_right_logical z 1) in
+  (* the low 62 bits: a non-negative OCaml int on every 64-bit host *)
+  let id = Int64.to_int (Int64.logand z 0x3FFF_FFFF_FFFF_FFFFL) in
   if id = 0 then 1 else id
 
 let with_new_trace f =

@@ -353,8 +353,10 @@ module Histogram : sig
   (** [diff later earlier] is the distribution of the observations
       recorded in [later] but not in [earlier], assuming [earlier] is
       a prefix snapshot of [later] (bucket-wise subtraction).  The
-      [max] of the result is the max of [later] — an over-approximation
-      when the true per-interval max was smaller. *)
+      [max] of the result is exact when the interval raised [later]'s
+      max; otherwise it is the upper edge of the interval's highest
+      occupied bucket, which over-approximates by less than one
+      bucket. *)
 
   val copy : t -> t
 

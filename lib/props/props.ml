@@ -222,26 +222,18 @@ let find_exn name =
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Props.find_exn: unknown property %S" name)
 
-let count_positives prop ~scope ~symmetry =
-  let a = analyzer ~scope in
-  let insts, complete =
-    Mcml_alloy.Analyzer.enumerate ~symmetry a ~pred:prop.pred
-  in
-  if not complete then invalid_arg "Props.count_positives: enumeration interrupted";
-  List.length insts
-
 let select_scope prop ~symmetry ~threshold ~max_scope =
   let rec go scope =
     if scope >= max_scope then max_scope
     else begin
-      let enough =
-        if not symmetry then
-          match prop.closed_form scope with
-          | Some c -> Bignat.compare c (Bignat.of_int threshold) >= 0
-          | None -> count_positives prop ~scope ~symmetry:false >= threshold
-        else count_positives prop ~scope ~symmetry:true >= threshold
+      let count =
+        match if symmetry then None else prop.closed_form scope with
+        | Some c -> c
+        | None ->
+            Mcml_counting.Exact.count
+              (Mcml_alloy.Analyzer.cnf ~symmetry (analyzer ~scope) ~pred:prop.pred)
       in
-      if enough then scope else go (scope + 1)
+      if Bignat.compare count (Bignat.of_int threshold) >= 0 then scope else go (scope + 1)
     end
   in
   if not (Mcml_obs.Obs.enabled ()) then go 1

@@ -41,12 +41,12 @@ val find_exn : string -> t
 val analyzer : scope:int -> Mcml_alloy.Analyzer.t
 (** Analyzer over the shared spec at the given scope. *)
 
-val count_positives : t -> scope:int -> symmetry:bool -> int
-(** Number of positive instances by exhaustive enumeration (the
-    "Valid-SymBr (Alloy)" column of Table 1 when [symmetry]). *)
-
 val select_scope : t -> symmetry:bool -> threshold:int -> max_scope:int -> int
 (** Smallest scope (≤ [max_scope]) with at least [threshold] positive
     solutions — the paper's scope-selection rule (10 000 with symmetry
     breaking, 90 000 without; ours parameterizes the threshold).
-    Returns [max_scope] when no smaller scope qualifies. *)
+    Each candidate scope is decided by an exact count — the closed
+    form when there is one and no symmetry breaking, the d-DNNF
+    counter ({!Mcml_counting.Exact.count}) otherwise — never by
+    enumerating.  Returns [max_scope] when no smaller scope
+    qualifies. *)

@@ -4,10 +4,11 @@
     toolchain: conflict-driven clause learning with two-watched-literal
     propagation, first-UIP learning, exponential VSIDS variable
     activities, phase saving, Luby restarts and activity-based deletion
-    of learnt clauses.  The solver is used (a) by the Alloy analyzer
-    substrate to enumerate all solutions of a relational spec within a
-    scope, and (b) by the approximate model counter for bounded
-    counting under XOR hash constraints.
+    of learnt clauses.  The solver is used by the approximate model
+    counter for bounded counting under XOR hash constraints (positive
+    enumeration walks the exact counter's compiled trace instead; the
+    test suite keeps a blocking-clause loop over this solver as its
+    reference).
 
     {b Thread safety.}  A solver value is mutable single-owner state:
     it must be used from one domain at a time.  There is no global

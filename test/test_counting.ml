@@ -152,14 +152,76 @@ let ddnnf_trace_shape () =
     (Bignat.to_string (Exact.Dnnf.model_count t));
   (match Exact.Dnnf.node t (Exact.Dnnf.root t) with
   | Exact.Dnnf.Free { vars; child } -> (
-      check Alcotest.int "one var freed at the root" 1 vars;
+      check Alcotest.(array int) "x2 freed at the root" [| 2 |] vars;
       match Exact.Dnnf.node t child with
-      | Exact.Dnnf.Decision _ -> ()
+      | Exact.Dnnf.Decision { hi_fixed; lo_fixed; _ } ->
+          (* one of x3 / x4 is decided; its lo branch forces the other *)
+          check Alcotest.int "hi fixes the decision only" 1 (Array.length hi_fixed);
+          check Alcotest.int "lo fixes the decision and the forced literal" 2
+            (Array.length lo_fixed)
       | _ -> Alcotest.fail "expected a decision under the root")
   | _ -> Alcotest.fail "expected a Free root");
+  check Alcotest.bool "x1 forced at the root" true
+    (Exact.Dnnf.root_fixed t = [| Lit.pos 1 |]);
+  let models = ref [] in
+  Exact.Dnnf.iter_models t (fun m -> models := m :: !models);
+  check
+    Alcotest.(list (array bool))
+    "models in DFS order: hi before lo, Free true first"
+    [
+      [| true; true; true; true |];
+      [| true; false; true; true |];
+      [| true; true; true; false |];
+      [| true; false; true; false |];
+      [| true; true; false; true |];
+      [| true; false; false; true |];
+    ]
+    (List.rev !models);
   (* shared leaves at fixed positions *)
   check Alcotest.bool "leaf 0 is False" true (Exact.Dnnf.node t 0 = Exact.Dnnf.False);
   check Alcotest.bool "leaf 1 is True" true (Exact.Dnnf.node t 1 = Exact.Dnnf.True)
+
+(* The projected models of [cnf] by its truth table, sorted: every
+   assignment of all variables, kept by [Cnf.eval], restricted to the
+   projection. *)
+let truth_table_models (cnf : Cnf.t) =
+  let n = cnf.Cnf.nvars in
+  let proj = Cnf.projection_vars cnf in
+  let seen = Hashtbl.create 64 in
+  for mask = 0 to (1 lsl n) - 1 do
+    let a = Array.init (n + 1) (fun v -> v > 0 && mask land (1 lsl (v - 1)) <> 0) in
+    if Cnf.eval cnf a then Hashtbl.replace seen (Array.map (fun v -> a.(v)) proj) ()
+  done;
+  List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen))
+
+let trace_models ?inprocess ?limit cnf =
+  let acc = ref [] in
+  Exact.Dnnf.iter_models ?limit (Exact.Dnnf.compile ?inprocess cnf) (fun m -> acc := m :: !acc);
+  List.rev !acc
+
+let ddnnf_models_match_brute =
+  qtest ~count:300 "trace enumeration = brute-force model set (inprocess on and off)"
+    projected_cnf_gen (fun cnf ->
+      let truth = truth_table_models cnf in
+      let brute = Bignat.to_int_opt (Brute.count cnf) in
+      List.for_all
+        (fun inprocess ->
+          let models = trace_models ~inprocess cnf in
+          brute = Some (List.length models) && List.sort compare models = truth)
+        [ true; false ])
+
+let ddnnf_models_match_count =
+  qtest ~count:200 "unlimited walk yields exactly model_count models; a limit cuts a prefix"
+    QCheck2.Gen.(pair projected_cnf_gen (int_range 0 20))
+    (fun (cnf, limit) ->
+      let t = Exact.Dnnf.compile cnf in
+      let n = ref 0 in
+      Exact.Dnnf.iter_models t (fun _ -> incr n);
+      let all = trace_models cnf in
+      let cut = trace_models ~limit cnf in
+      Bignat.equal (Bignat.of_int !n) (Exact.Dnnf.model_count t)
+      && List.length cut = min limit !n
+      && List.filteri (fun i _ -> i < limit) all = cut)
 
 let ddnnf_torn_budget () =
   (* a timed-out run leaves no residue: a torn run followed by full
@@ -345,6 +407,8 @@ let () =
           ddnnf_inprocess_invariance;
           ddnnf_trace_evaluates;
           Alcotest.test_case "trace shape (worked example)" `Quick ddnnf_trace_shape;
+          ddnnf_models_match_brute;
+          ddnnf_models_match_count;
           Alcotest.test_case "torn-budget determinism" `Slow ddnnf_torn_budget;
         ] );
       ( "approx",

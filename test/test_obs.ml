@@ -328,6 +328,40 @@ let hist_merge_diff () =
   (* the copy is independent of the original *)
   check Alcotest.int "copy unaffected" 50 (H.count snap)
 
+(* A per-section window (bench's [timed]) must read like a histogram fed
+   only that window: every percentile and the max within one bucket,
+   whichever of the two periods held the larger values. *)
+let hist_diff_matches_window =
+  let module H = Obs.Histogram in
+  let values =
+    QCheck2.Gen.(
+      list_size (int_range 0 60) (map (fun k -> float_of_int k /. 100.0) (int_range 1 10_000_000)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"diff percentiles = window-only percentiles (within a bucket)"
+       QCheck2.Gen.(pair values values)
+       (fun (before, window) ->
+         let h = H.create () and w = H.create () in
+         List.iter (H.observe h) before;
+         let snap = H.copy h in
+         List.iter
+           (fun v ->
+             H.observe h v;
+             H.observe w v)
+           window;
+         let d = H.diff h snap in
+         let near a b = abs (H.bucket_of a - H.bucket_of b) <= 1 in
+         match (H.stats d, H.stats w) with
+         | None, None -> true
+         | Some sd, Some sw ->
+             sd.Obs.count = sw.Obs.count
+             && near sd.Obs.p50 sw.Obs.p50
+             && near sd.Obs.p90 sw.Obs.p90
+             && near sd.Obs.p99 sw.Obs.p99
+             && near sd.Obs.max sw.Obs.max
+         | _ -> false))
+
 let hist_sum () =
   let module H = Obs.Histogram in
   let h = H.create () in
@@ -1055,6 +1089,7 @@ let () =
           Alcotest.test_case "bucket boundaries" `Quick hist_bucket_boundaries;
           Alcotest.test_case "percentiles" `Quick hist_percentiles;
           Alcotest.test_case "merge/diff/copy" `Quick hist_merge_diff;
+          hist_diff_matches_window;
           Alcotest.test_case "sum" `Quick hist_sum;
           Alcotest.test_case "observe and flush" `Quick observe_and_flush_histograms;
         ] );

@@ -1,5 +1,6 @@
 (* Tests for the 16-property registry: checkers vs the Alloy evaluator,
-   closed forms vs exhaustive enumeration, scope selection. *)
+   closed forms vs exhaustive enumeration, trace enumeration vs the SAT
+   oracle, scope selection. *)
 
 open Mcml_logic
 open Mcml_props
@@ -59,19 +60,88 @@ let closed_form_vs_truth prop =
       | Some cf -> check Alcotest.string "count" (string_of_int !count) (Bignat.to_string cf)
       | None -> Alcotest.skip ())
 
-(* enumeration through the full SAT pipeline agrees with the closed form
-   at scope 4 *)
+(* Number of positive instances by exhaustive enumeration (the
+   "Valid-SymBr (Alloy)" column of Table 1 when [symmetry]). *)
+let count_positives prop ~scope ~symmetry =
+  let insts, complete =
+    Mcml_alloy.Analyzer.enumerate ~symmetry (Props.analyzer ~scope) ~pred:prop.Props.pred
+  in
+  if not complete then Alcotest.failf "%s: enumeration incomplete" prop.Props.name;
+  List.length insts
+
+(* enumeration through the full pipeline agrees with the closed form at
+   scope 4 *)
 let enumeration_vs_closed_form prop =
   Alcotest.test_case
-    (Printf.sprintf "SAT enumeration matches closed form: %s" prop.Props.name)
+    (Printf.sprintf "enumeration matches closed form: %s" prop.Props.name)
     `Slow
     (fun () ->
       let scope = 4 in
       match prop.Props.closed_form scope with
       | None -> Alcotest.skip ()
       | Some cf ->
-          let n = Props.count_positives prop ~scope ~symmetry:false in
+          let n = count_positives prop ~scope ~symmetry:false in
           check Alcotest.string "count" (Bignat.to_string cf) (string_of_int n))
+
+let bits_of = List.map Mcml_alloy.Instance.to_bits
+
+(* the walk over the compiled trace and the blocking-clause oracle
+   produce the same set of positives, with and without symmetry
+   breaking, at every scope up to 4 *)
+let enumeration_vs_oracle prop =
+  Alcotest.test_case
+    (Printf.sprintf "trace enumeration = SAT oracle (scopes 1-4): %s" prop.Props.name)
+    `Slow
+    (fun () ->
+      List.iter
+        (fun scope ->
+          List.iter
+            (fun symmetry ->
+              let a = Props.analyzer ~scope in
+              let pred = prop.Props.pred in
+              let insts, complete = Mcml_alloy.Analyzer.enumerate ~symmetry a ~pred in
+              let oracle = Enum_oracle.all (Mcml_alloy.Analyzer.cnf ~symmetry a ~pred) in
+              let label = Printf.sprintf "scope %d sym %b" scope symmetry in
+              check Alcotest.bool (label ^ ": complete") true complete;
+              check
+                Alcotest.(list (array bool))
+                (label ^ ": same positives")
+                (List.sort compare oracle)
+                (List.sort compare (bits_of insts)))
+            [ false; true ])
+        [ 1; 2; 3; 4 ])
+
+(* the capped enumeration the tables use: exactly min(count, 3000)
+   distinct positives, every one a positive by the direct checker *)
+let capped_enumeration prop =
+  Alcotest.test_case
+    (Printf.sprintf "capped enumeration at scope 5: %s" prop.Props.name)
+    `Slow
+    (fun () ->
+      let scope = 5 and limit = 3000 in
+      List.iter
+        (fun symmetry ->
+          let a = Props.analyzer ~scope in
+          let insts, complete =
+            Mcml_alloy.Analyzer.enumerate ~symmetry ~limit a ~pred:prop.Props.pred
+          in
+          let count =
+            Mcml_counting.Exact.count (Mcml_alloy.Analyzer.cnf ~symmetry a ~pred:prop.Props.pred)
+          in
+          let want = min limit (Option.get (Bignat.to_int_opt count)) in
+          let bits = bits_of insts in
+          let label = Printf.sprintf "sym %b" symmetry in
+          check Alcotest.int (label ^ ": min(count, limit)") want (List.length bits);
+          check Alcotest.int (label ^ ": distinct") want
+            (List.length (List.sort_uniq compare bits));
+          check Alcotest.bool (label ^ ": complete iff count <= limit")
+            (Bignat.compare count (Bignat.of_int limit) <= 0)
+            complete;
+          List.iter
+            (fun b ->
+              if not (prop.Props.check ~scope b) then Alcotest.failf "%s: a non-positive" label)
+            bits)
+        [ false; true ])
 
 (* exact counter agrees with closed forms at scope 4 as well *)
 let exact_count_vs_closed_form prop =
@@ -94,8 +164,8 @@ let symmetry_reduces_counts () =
   List.iter
     (fun name ->
       let prop = Props.find_exn name in
-      let full = Props.count_positives prop ~scope:4 ~symmetry:false in
-      let broken = Props.count_positives prop ~scope:4 ~symmetry:true in
+      let full = count_positives prop ~scope:4 ~symmetry:false in
+      let broken = count_positives prop ~scope:4 ~symmetry:true in
       if broken > full then
         Alcotest.failf "%s: symmetry breaking increased count %d -> %d" name full broken;
       if broken = 0 then Alcotest.failf "%s: symmetry breaking removed everything" name;
@@ -111,7 +181,19 @@ let select_scope_respects_threshold () =
   check Alcotest.int "threshold 20 -> scope 3" 3
     (Props.select_scope prop ~symmetry:false ~threshold:20 ~max_scope:7);
   check Alcotest.int "cap respected" 2
-    (Props.select_scope prop ~symmetry:false ~threshold:1_000_000 ~max_scope:2)
+    (Props.select_scope prop ~symmetry:false ~threshold:1_000_000 ~max_scope:2);
+  (* with symmetry breaking the count decides: Equivalence keeps 2, 3
+     and 5 positives at scopes 2, 3 and 4 (one per partition shape) *)
+  let prop = Props.find_exn "Equivalence" in
+  List.iter
+    (fun scope ->
+      check Alcotest.int
+        (Printf.sprintf "symmetric threshold = count at scope %d" scope)
+        scope
+        (Props.select_scope prop ~symmetry:true
+           ~threshold:(count_positives prop ~scope ~symmetry:true)
+           ~max_scope:7))
+    [ 2; 3; 4 ]
 
 let specific_closed_forms () =
   let expect name scope value =
@@ -145,6 +227,8 @@ let () =
       ("checker-vs-evaluator", List.map checker_vs_evaluator Props.all);
       ("closed-form-vs-truth", List.map closed_form_vs_truth Props.all);
       ("enumeration-vs-closed-form", List.map enumeration_vs_closed_form Props.all);
+      ("enumeration-vs-oracle", List.map enumeration_vs_oracle Props.all);
+      ("capped-enumeration", List.map capped_enumeration Props.all);
       ("exact-count-vs-closed-form", List.map exact_count_vs_closed_form Props.all);
       ( "scopes-and-symmetry",
         [

@@ -1,4 +1,5 @@
-(* Tests for the CDCL solver, solution enumeration, and XOR encoding. *)
+(* Tests for the CDCL solver, the reference enumeration oracle, and XOR
+   encoding. *)
 
 open Mcml_logic
 open Mcml_sat
@@ -253,29 +254,22 @@ let solver_assumptions_agree_with_units =
 (* --- enumeration -------------------------------------------------------------- *)
 
 let enumeration_count_matches_brute =
-  qtest ~count:300 "enumeration finds exactly the brute-force models" cnf_gen
+  qtest ~count:300 "oracle enumeration finds exactly the brute-force models" cnf_gen
     (fun cnf ->
-      let n, complete = Enumerate.count cnf in
-      complete && n = brute_count cnf)
+      let models, complete = Enum_oracle.run cnf in
+      complete && List.length models = brute_count cnf)
 
 let enumeration_models_distinct_and_valid =
-  qtest ~count:150 "enumerated projections are distinct and satisfiable" cnf_gen
-    (fun cnf ->
-      let outcome = Enumerate.run cnf in
-      let models = outcome.Enumerate.models in
-      let keys =
-        List.map
-          (fun m -> String.concat "" (List.map (fun b -> if b then "1" else "0") (Array.to_list m)))
-          models
-      in
-      List.length (List.sort_uniq Stdlib.compare keys) = List.length keys)
+  qtest ~count:150 "oracle enumerated projections are distinct" cnf_gen (fun cnf ->
+      let models, _ = Enum_oracle.run cnf in
+      List.length (List.sort_uniq Stdlib.compare models) = List.length models)
 
 let enumeration_limit () =
   (* free space over 4 vars: 16 models; limit 5 must stop early *)
   let cnf = Cnf.make ~nvars:4 [ [| Lit.pos 1; Lit.neg_of_var 1 |] ] in
-  let outcome = Enumerate.run ~limit:5 cnf in
-  check Alcotest.int "limited" 5 (List.length outcome.Enumerate.models);
-  check Alcotest.bool "incomplete" false outcome.Enumerate.complete
+  let models, complete = Enum_oracle.run ~limit:5 cnf in
+  check Alcotest.int "limited" 5 (List.length models);
+  check Alcotest.bool "incomplete" false complete
 
 let enumeration_projected () =
   (* x1 xor-free: clauses (1 2)(−1 2): 2 over full space {x2=1}x{x1};
@@ -284,48 +278,9 @@ let enumeration_projected () =
     Cnf.make ~projection:[| 2 |] ~nvars:2
       [ [| Lit.pos 1; Lit.pos 2 |]; [| Lit.neg_of_var 1; Lit.pos 2 |] ]
   in
-  let n, complete = Enumerate.count cnf in
+  let models, complete = Enum_oracle.run cnf in
   check Alcotest.bool "complete" true complete;
-  check Alcotest.int "one projected model" 1 n
-
-let enumeration_keep_models () =
-  (* free space over 4 vars: all 16 models stream to on_model but none
-     are retained *)
-  let cnf = Cnf.make ~nvars:4 [ [| Lit.pos 1; Lit.neg_of_var 1 |] ] in
-  let seen = ref 0 in
-  let outcome = Enumerate.run ~keep_models:false ~on_model:(fun _ -> incr seen) cnf in
-  check Alcotest.bool "complete" true outcome.Enumerate.complete;
-  check Alcotest.bool "status Complete" true (outcome.Enumerate.status = Enumerate.Complete);
-  check Alcotest.int "no models retained" 0 (List.length outcome.Enumerate.models);
-  check Alcotest.int "all 16 streamed" 16 !seen
-
-(* pigeonhole as a [Cnf.t] (the solver-level [pigeonhole] above builds
-   its clauses directly) *)
-let php_cnf pigeons holes =
-  let var p h = (p * holes) + h + 1 in
-  let clauses = ref [] in
-  for p = 0 to pigeons - 1 do
-    clauses := Array.of_list (List.init holes (fun h -> Lit.pos (var p h))) :: !clauses
-  done;
-  for h = 0 to holes - 1 do
-    for p1 = 0 to pigeons - 1 do
-      for p2 = p1 + 1 to pigeons - 1 do
-        clauses := [| Lit.neg_of_var (var p1 h); Lit.neg_of_var (var p2 h) |] :: !clauses
-      done
-    done
-  done;
-  Cnf.make ~nvars:(pigeons * holes) !clauses
-
-let enumeration_unknown () =
-  (* a 1-conflict budget cannot decide php(6,5): the enumeration must
-     say so instead of posing as the end of the space *)
-  let outcome = Enumerate.run ~max_conflicts:1 (php_cnf 6 5) in
-  check Alcotest.bool "status Unknown" true (outcome.Enumerate.status = Enumerate.Unknown);
-  check Alcotest.bool "not complete" false outcome.Enumerate.complete;
-  (* whereas a limit-stop is reported as Limit, not Unknown *)
-  let cnf = Cnf.make ~nvars:4 [ [| Lit.pos 1; Lit.neg_of_var 1 |] ] in
-  let limited = Enumerate.run ~limit:5 cnf in
-  check Alcotest.bool "status Limit" true (limited.Enumerate.status = Enumerate.Limit)
+  check Alcotest.int "one projected model" 1 (List.length models)
 
 (* --- xor ------------------------------------------------------------------------- *)
 
@@ -362,13 +317,13 @@ let xor_semantics =
         Cnf.make ~projection:(Array.init k (fun i -> i + 1)) ~nvars:!fresh_counter
           (List.map Array.of_list clauses)
       in
-      let outcome = Enumerate.run cnf in
+      let models, _ = Enum_oracle.run cnf in
       List.for_all
         (fun m ->
           let parity = Array.fold_left (fun acc b -> if b then not acc else acc) false m in
           parity = rhs)
-        outcome.Enumerate.models
-      && List.length outcome.Enumerate.models = if k = 0 then 0 else 1 lsl (k - 1))
+        models
+      && List.length models = if k = 0 then 0 else 1 lsl (k - 1))
 
 let xor_empty () =
   let s = Solver.create ~nvars:1 () in
@@ -558,8 +513,6 @@ let () =
           enumeration_models_distinct_and_valid;
           Alcotest.test_case "limit" `Quick enumeration_limit;
           Alcotest.test_case "projection" `Quick enumeration_projected;
-          Alcotest.test_case "keep_models off" `Quick enumeration_keep_models;
-          Alcotest.test_case "unknown status" `Quick enumeration_unknown;
         ] );
       ( "xor",
         [
