@@ -134,8 +134,8 @@ let timed name f =
    acceptance criteria are stated in) while hiding inside a section's
    wall-clock noise, so the two counting distributions are first-class
    gate subjects.  So are positive enumeration and the dataset
-   generation around it, the layer that dominated the tables while
-   enumeration still ran a SAT loop.  The gated statistic is the
+   generation around it, which every table pays for.  The gated
+   statistic is the
    *median*: with ~32-100 calls per section the p99 is the single
    slowest sample, and one scheduler or major-GC hiccup moves it 5-6x
    run-to-run on a shared host (observed on sections whose code hadn't
