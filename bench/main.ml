@@ -135,14 +135,13 @@ let timed name f =
    wall-clock noise, so the two counting distributions are first-class
    gate subjects.  So are positive enumeration and the dataset
    generation around it, which every table pays for.  The gated
-   statistic is the
-   *median*: with ~32-100 calls per section the p99 is the single
-   slowest sample, and one scheduler or major-GC hiccup moves it 5-6x
-   run-to-run on a shared host (observed on sections whose code hadn't
-   changed at all), while the median is stable within ~1.3x yet still
-   moves by the full rewrite factor when an optimization is reverted.
-   The p99 ratio is printed alongside for the record, unvetoed.  Keys
-   absent from either run are skipped. *)
+   statistic is the *median*: with ~32-100 calls per section the p99
+   is the single slowest sample, and one scheduler or major-GC hiccup
+   moves it 5-6x run-to-run on a shared host (observed on sections
+   whose code hadn't changed at all), while the median is stable
+   within ~1.3x yet still moves by the full rewrite factor when an
+   optimization is reverted.  The p99 ratio is printed alongside for
+   the record, unvetoed.  Keys absent from either run are skipped. *)
 let gated_latency_keys =
   [ "counter.count.approx_ms"; "counter.count.exact_ms"; "sat.enumerate"; "pipeline.generate" ]
 
