@@ -48,20 +48,21 @@ let formula ?(negate = false) ?(symmetry = false) t ~pred =
 let cnf ?negate ?symmetry t ~pred =
   Tseitin.cnf_of ~nprimary:(nprimary t) (formula ?negate ?symmetry t ~pred)
 
-(* Compile once, then walk the trace: the positives come out in its
-   deterministic depth-first order, with no SAT call and no blocking
-   clause.  [complete] is decided by the exact count, not by running
-   the walk to exhaustion. *)
-let enumerate_core ?symmetry ?(limit = max_int) t ~pred =
-  let dnnf = Mcml_counting.Exact.Dnnf.compile (cnf ?symmetry t ~pred) in
-  let complete =
-    Bignat.compare (Mcml_counting.Exact.Dnnf.model_count dnnf) (Bignat.of_int limit) <= 0
-  in
+(* Compile once, then read the trace, with no SAT call and no blocking
+   clause.  [complete] is decided by the exact count: a complete set is
+   walked in the trace's deterministic depth-first order, and a capped
+   one is a uniform sample, because a DFS prefix shares the decisions
+   near the root and would skew the training sets built from it. *)
+let enumerate_core ?symmetry ?(limit = max_int) ?(seed = 0) t ~pred =
+  let module Dnnf = Mcml_counting.Exact.Dnnf in
+  let dnnf = Dnnf.compile (cnf ?symmetry t ~pred) in
+  let complete = Bignat.compare (Dnnf.model_count dnnf) (Bignat.of_int limit) <= 0 in
   let sp = Mcml_obs.Obs.start "sat.enumerate" in
   let t0 = if Mcml_obs.Obs.enabled () then Mcml_obs.Obs.monotonic_s () else 0.0 in
   let instances = ref [] in
-  Mcml_counting.Exact.Dnnf.iter_models ~limit dnnf (fun bits ->
-      instances := Instance.of_bits t.spec ~scope:t.scope bits :: !instances);
+  let emit bits = instances := Instance.of_bits t.spec ~scope:t.scope bits :: !instances in
+  if complete then Dnnf.iter_models dnnf emit
+  else Dnnf.sample_models ~rng:(Splitmix.create seed) ~limit dnnf emit;
   let instances = List.rev !instances in
   if Mcml_obs.Obs.enabled () then begin
     let open Mcml_obs in
@@ -72,20 +73,20 @@ let enumerate_core ?symmetry ?(limit = max_int) t ~pred =
       ~attrs:
         [
           ("models", Obs.Int n);
-          ("dnnf_nodes", Obs.Int (Mcml_counting.Exact.Dnnf.size dnnf));
+          ("dnnf_nodes", Obs.Int (Dnnf.size dnnf));
           ("complete", Obs.Bool complete);
           ("models_per_sec", Obs.Float (if dt > 0.0 then float_of_int n /. dt else 0.0));
         ]
   end;
   (instances, complete)
 
-let enumerate ?symmetry ?limit t ~pred =
-  if not (Mcml_obs.Obs.enabled ()) then enumerate_core ?symmetry ?limit t ~pred
+let enumerate ?symmetry ?limit ?seed t ~pred =
+  if not (Mcml_obs.Obs.enabled ()) then enumerate_core ?symmetry ?limit ?seed t ~pred
   else begin
     let open Mcml_obs in
     let sp = Obs.start "alloy.enumerate" in
     let t0 = Obs.monotonic_s () in
-    let ((instances, complete) as r) = enumerate_core ?symmetry ?limit t ~pred in
+    let ((instances, complete) as r) = enumerate_core ?symmetry ?limit ?seed t ~pred in
     let n = List.length instances in
     let dt = Obs.monotonic_s () -. t0 in
     Obs.finish sp

@@ -42,14 +42,17 @@ val cnf : ?negate:bool -> ?symmetry:bool -> t -> pred:string -> Cnf.t
 (** CNF of {!formula} with projection onto the primary variables. *)
 
 val enumerate :
-  ?symmetry:bool -> ?limit:int -> t -> pred:string -> Instance.t list * bool
-(** The first [limit] (default: all) solutions of the predicate — the
-    positive samples of the study — in the depth-first order of
-    {!Mcml_counting.Exact.Dnnf.iter_models}, which is deterministic.
-    The boolean is [true] when the solution count is at most [limit].
-    The CNF is compiled in full before the first solution comes out,
-    so a small [limit] at a large scope still pays the whole
-    compilation. *)
+  ?symmetry:bool -> ?limit:int -> ?seed:int -> t -> pred:string -> Instance.t list * bool
+(** Up to [limit] (default: all) solutions of the predicate — the
+    positive samples of the study.  The boolean is [true] when the
+    solution count is at most [limit]; then every solution is returned,
+    in the depth-first order of {!Mcml_counting.Exact.Dnnf.iter_models}.
+    Otherwise the [limit] solutions are a uniform sample without
+    replacement ({!Mcml_counting.Exact.Dnnf.sample_models}) drawn from
+    a SplitMix64 stream seeded with [seed] (default [0]).  Both orders
+    are deterministic.  The CNF is compiled in full before the first
+    solution comes out, so a small [limit] at a large scope still pays
+    the whole compilation. *)
 
 val evaluate : t -> pred:string -> Instance.t -> bool
 (** The Alloy Evaluator: checks a concrete instance by constant

