@@ -950,9 +950,7 @@ let run_ablations cfg =
   banner "Ablations";
   Report.symmetry_ablation fmt (Experiments.symmetry_ablation cfg);
   Format.pp_print_newline fmt ();
-  Report.accmc_style_ablation fmt (Experiments.accmc_style_ablation cfg);
-  Format.pp_print_newline fmt ();
-  Report.approx_mode_ablation fmt (Experiments.approx_mode_ablation cfg)
+  Report.accmc_style_ablation fmt (Experiments.accmc_style_ablation cfg)
 
 (* ---------------------------------------------------------------------- *)
 
@@ -969,7 +967,6 @@ let () =
   let json_path = ref "" in
   let jobs = ref 1 in
   let no_cache = ref false in
-  let approx_scratch = ref false in
   let baseline_path = ref "" in
   let gate_factor = ref 0.0 in
   let args =
@@ -999,12 +996,6 @@ let () =
       ( "--no-count-cache",
         Arg.Set no_cache,
         "  disable the content-addressed count cache" );
-      ( "--approx-scratch",
-        Arg.Set approx_scratch,
-        "  approx backend debug path: a fresh solver per XOR-cell query \
-         instead of one assumption-driven solver per round (estimates are \
-         bit-identical; this is the A in the A/B the incremental win is \
-         measured against)" );
       ( "--json",
         Arg.Set_string json_path,
         "PATH  write a machine-readable summary (wall time and counters per section)" );
@@ -1050,15 +1041,6 @@ let () =
       pool;
       cache;
     }
-  in
-  let cfg =
-    if not !approx_scratch then cfg
-    else
-      {
-        cfg with
-        Experiments.approx_config =
-          { cfg.Experiments.approx_config with Mcml_counting.Approx.scratch = true };
-      }
   in
   let t0 = Mcml_obs.Obs.monotonic_s () in
   if !serve_only && !fleet then

@@ -203,15 +203,6 @@ let list_cmd =
 
 let count_cmd =
   let negate = Arg.(value & flag & info [ "negate" ] ~doc:"Count the negation.") in
-  let approx_scratch =
-    Arg.(
-      value & flag
-      & info [ "approx-scratch" ]
-          ~doc:
-            "Debug path for the approx backend: a fresh solver per XOR-cell \
-             query instead of one assumption-driven solver per round. Same \
-             estimates (check.sh byte-diffs them), no learnt-clause reuse.")
-  in
   let approx_rounds =
     Arg.(
       value
@@ -219,18 +210,13 @@ let count_cmd =
       & info [ "approx-rounds" ] ~docv:"T"
           ~doc:"Override the approx backend's number of median rounds.")
   in
-  let run () prop scope symmetry negate backend budget approx_scratch approx_rounds =
+  let run () prop scope symmetry negate backend budget approx_rounds =
     let backend =
-      match backend with
-      | Mcml_counting.Counter.Approx c ->
-          let c = { c with Mcml_counting.Approx.scratch = approx_scratch } in
-          let c =
-            match approx_rounds with
-            | None -> c
-            | Some _ -> { c with Mcml_counting.Approx.max_rounds = approx_rounds }
-          in
-          Mcml_counting.Counter.Approx c
-      | b -> b
+      match (backend, approx_rounds) with
+      | Mcml_counting.Counter.Approx c, Some _ ->
+          Mcml_counting.Counter.Approx
+            { c with Mcml_counting.Approx.max_rounds = approx_rounds }
+      | b, _ -> b
     in
     let scope = Option.value scope ~default:(default_scope prop ~symmetry) in
     let analyzer = Props.analyzer ~scope in
@@ -256,7 +242,7 @@ let count_cmd =
     (Cmd.info "count" ~doc:"Model-count a property at a scope.")
     Term.(
       const run $ obs_term $ prop_arg $ scope_arg $ symmetry_arg $ negate $ backend_arg
-      $ budget_arg $ approx_scratch $ approx_rounds)
+      $ budget_arg $ approx_rounds)
 
 (* --- enumerate --------------------------------------------------------------- *)
 
@@ -1203,34 +1189,53 @@ let client_cmd =
             "Base delay between connection retries; doubles per attempt \
              (capped at 5s) with up to 25% random jitter added.")
   in
+  (* Run [attempt] until it returns [Ok]; an [Error (`Retry _)] sleeps
+     retry_ms·2^k (capped at 5 s) plus up to 25% random jitter and tries
+     again while [retries] remain.  The last error comes back with the
+     number of attempts made. *)
+  let with_retries ~retries ~retry_ms attempt =
+    let rng = lazy (Random.State.make_self_init ()) in
+    let rec go n delay_ms =
+      match attempt () with
+      | Error (`Retry _) when n < retries ->
+          let jitter =
+            Random.State.float (Lazy.force rng) (float_of_int delay_ms *. 0.25)
+          in
+          Unix.sleepf ((float_of_int delay_ms +. jitter) /. 1000.0);
+          go (n + 1) (min (delay_ms * 2) 5000)
+      | Ok v -> Ok v
+      | Error e -> Error (e, n + 1)
+    in
+    go 0 (max 1 retry_ms)
+  in
+  let fail ~retries ?attempts (code, msg) =
+    Printf.eprintf "mcml client: %s%s\n" msg
+      (match attempts with
+      | Some n when retries > 0 -> Printf.sprintf " (after %d attempt(s))" n
+      | _ -> "");
+    exit code
+  in
   (* Only connect refusal retries: ECONNREFUSED (socket exists, nobody
      accepting) and ENOENT (socket not bound yet).  Anything else —
      permissions, a non-socket path — fails immediately however many
      retries remain. *)
+  let connect path =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> Ok fd
+    | exception Unix.Unix_error (e, _, _) -> (
+        Unix.close fd;
+        let msg =
+          Printf.sprintf "cannot connect to %s: %s" path (Unix.error_message e)
+        in
+        match e with
+        | Unix.ECONNREFUSED | Unix.ENOENT -> Error (`Retry (2, msg))
+        | _ -> Error (`Fatal (2, msg)))
+  in
   let connect_with_retry path ~retries ~retry_ms =
-    let rng = lazy (Random.State.make_self_init ()) in
-    let rec go attempt delay_ms =
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect fd (Unix.ADDR_UNIX path) with
-      | () -> fd
-      | exception Unix.Unix_error (e, _, _) ->
-          Unix.close fd;
-          (match e with
-          | (Unix.ECONNREFUSED | Unix.ENOENT) when attempt < retries ->
-              let jitter =
-                Random.State.float (Lazy.force rng) (float_of_int delay_ms *. 0.25)
-              in
-              Unix.sleepf ((float_of_int delay_ms +. jitter) /. 1000.0);
-              go (attempt + 1) (min (delay_ms * 2) 5000)
-          | _ ->
-              Printf.eprintf "mcml client: cannot connect to %s: %s%s\n" path
-                (Unix.error_message e)
-                (if retries > 0 then
-                   Printf.sprintf " (after %d attempt(s))" (attempt + 1)
-                 else "");
-              exit 2)
-    in
-    go 0 (max 1 retry_ms)
+    match with_retries ~retries ~retry_ms (fun () -> connect path) with
+    | Ok fd -> fd
+    | Error ((`Retry e | `Fatal e), attempts) -> fail ~retries ~attempts e
   in
   (* One-shot scrape: send a metrics request, unwrap the exposition
      text from the JSON envelope, return it raw (greppable, and exactly
@@ -1244,20 +1249,8 @@ let client_cmd =
      failures (a bad response, an error body) are fatal immediately:
      retrying them would just repeat the answer. *)
   let scrape_with_retry path ~retries ~retry_ms =
-    let rng = lazy (Random.State.make_self_init ()) in
     let attempt_once () =
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect fd (Unix.ADDR_UNIX path) with
-      | exception Unix.Unix_error (e, _, _) ->
-          Unix.close fd;
-          let msg =
-            Printf.sprintf "cannot connect to %s: %s" path
-              (Unix.error_message e)
-          in
-          (match e with
-          | Unix.ECONNREFUSED | Unix.ENOENT -> Error (`Retry (2, msg))
-          | _ -> Error (`Fatal (2, msg)))
-      | () ->
+      Result.bind (connect path) (fun fd ->
           Fun.protect
             ~finally:(fun () ->
               try Unix.close fd with Unix.Unix_error _ -> ())
@@ -1287,32 +1280,12 @@ let client_cmd =
                       | _ ->
                           Error
                             (`Fatal
-                               (1, "metrics response without exposition text")))))
+                               (1, "metrics response without exposition text"))))))
     in
-    let rec go attempt delay_ms =
-      match attempt_once () with
-      | Ok text -> text
-      | Error (`Fatal (code, msg)) ->
-          Printf.eprintf "mcml client: %s\n" msg;
-          exit code
-      | Error (`Retry (code, msg)) ->
-          if attempt < retries then begin
-            let jitter =
-              Random.State.float (Lazy.force rng)
-                (float_of_int delay_ms *. 0.25)
-            in
-            Unix.sleepf ((float_of_int delay_ms +. jitter) /. 1000.0);
-            go (attempt + 1) (min (delay_ms * 2) 5000)
-          end
-          else begin
-            Printf.eprintf "mcml client: %s%s\n" msg
-              (if retries > 0 then
-                 Printf.sprintf " (after %d attempt(s))" (attempt + 1)
-               else "");
-            exit code
-          end
-    in
-    go 0 (max 1 retry_ms)
+    match with_retries ~retries ~retry_ms attempt_once with
+    | Ok text -> text
+    | Error (`Fatal e, _) -> fail ~retries e
+    | Error (`Retry e, attempts) -> fail ~retries ~attempts e
   in
   let check_arg =
     Arg.(

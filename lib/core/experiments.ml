@@ -350,51 +350,6 @@ let accmc_style_ablation cfg : style_row list =
       })
     cfg.properties
 
-type approx_row = {
-  a_prop : string;
-  a_scope : int;
-  a_estimate : string;
-  a_incremental : float option;
-  a_scratch : float option;
-  a_identical : bool;
-}
-
-let approx_mode_ablation cfg : approx_row list =
-  exp_span "exp.approx_mode_ablation" @@ fun () ->
-  (* rows fan out, but each measured count takes the uncached path on
-     purpose: the two modes are keyed apart in the cache, yet a shared
-     cache would still hide the build-vs-reuse cost this ablation
-     exists to show *)
-  pmap cfg
-    (fun prop ->
-      prop_span prop @@ fun () ->
-      let scope = scope_for cfg prop ~symmetry:true in
-      let analyzer = Props.analyzer ~scope in
-      let run scratch =
-        Mcml_alloy.Analyzer.count ~budget:cfg.budget
-          ~backend:(Counter.Approx { cfg.approx_config with Approx.scratch })
-          analyzer ~pred:prop.Props.pred
-      in
-      let incremental = run false in
-      let scratch = run true in
-      let time = Option.map (fun (o : Counter.outcome) -> o.Counter.time) in
-      {
-        a_prop = prop.Props.name;
-        a_scope = scope;
-        a_estimate =
-          (match incremental with
-          | Some o -> Bignat.to_string o.Counter.count
-          | None -> "-");
-        a_incremental = time incremental;
-        a_scratch = time scratch;
-        a_identical =
-          (match (incremental, scratch) with
-          | Some a, Some b -> Bignat.equal a.Counter.count b.Counter.count
-          | None, None -> true
-          | _ -> false);
-      })
-    cfg.properties
-
 let class_ratio_study cfg ~prop : t9_row list =
   exp_span "exp.class_ratio_study" @@ fun () ->
   prop_span prop @@ fun () ->

@@ -148,21 +148,3 @@ type style_row = {
 val accmc_style_ablation : config -> style_row list
 (** Timing comparison of the two AccMC computation styles (the counts
     themselves are asserted equal in the test suite). *)
-
-type approx_row = {
-  a_prop : string;
-  a_scope : int;
-  a_estimate : string;  (** the incremental estimate ("-" on timeout) *)
-  a_incremental : float option;
-      (** seconds with one guarded solver per round (the default) *)
-  a_scratch : float option;  (** seconds with a fresh solver per query *)
-  a_identical : bool;
-      (** incremental and scratch estimates are bit-identical (must
-          always hold — check.sh gates on it) *)
-}
-
-val approx_mode_ablation : config -> approx_row list
-(** Timing comparison of the approximate counter's incremental
-    (assumption-based, one solver per round) and scratch (fresh solver
-    per XOR-cell query) modes on the full space of each property, with
-    the bit-identity of the two estimates recorded per row. *)

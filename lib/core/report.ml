@@ -120,31 +120,6 @@ let accmc_style_ablation fmt (rows : Experiments.style_row list) =
     rows;
   hr fmt 64
 
-let approx_mode_ablation fmt (rows : Experiments.approx_row list) =
-  Format.fprintf fmt
-    "Ablation: approx counter solving mode (one guarded solver per round@.";
-  Format.fprintf fmt
-    "vs a fresh solver per XOR-cell query; estimates must be identical)@.";
-  hr fmt 86;
-  Format.fprintf fmt "%-16s %5s %14s %8s %10s %8s %9s@." "Property" "Scope" "Estimate"
-    "Incr[s]" "Scratch[s]" "Speedup" "Identical";
-  hr fmt 86;
-  List.iter
-    (fun (r : Experiments.approx_row) ->
-      let cell = function Some t -> Printf.sprintf "%.2f" t | None -> "timeout" in
-      let speedup =
-        match (r.a_incremental, r.a_scratch) with
-        | Some i, Some s when i > 0.0 -> Printf.sprintf "%.1fx" (s /. i)
-        | _ -> "-"
-      in
-      Format.fprintf fmt "%-16s %5d %14s %8s %10s %8s %9s@." r.a_prop r.a_scope
-        r.a_estimate
-        (cell r.a_incremental)
-        (cell r.a_scratch) speedup
-        (if r.a_identical then "yes" else "DIVERGED"))
-    rows;
-  hr fmt 86
-
 let class_ratio fmt (rows : Experiments.t9_row list) =
   Format.fprintf fmt
     "Table 9: traditional vs MCML precision across training class ratios@.";

@@ -20,6 +20,3 @@ val symmetry_ablation : Format.formatter -> Experiments.sym_row list -> unit
 
 val accmc_style_ablation : Format.formatter -> Experiments.style_row list -> unit
 (** Render the AccMC counting-style ablation. *)
-
-val approx_mode_ablation : Format.formatter -> Experiments.approx_row list -> unit
-(** Render the approx incremental-vs-scratch solving-mode ablation. *)

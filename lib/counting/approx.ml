@@ -7,7 +7,6 @@ type config = {
   seed : int;
   max_rounds : int option;
   max_conflicts : int;
-  scratch : bool;
 }
 
 let default =
@@ -17,14 +16,13 @@ let default =
     seed = 1;
     max_rounds = None;
     max_conflicts = 0;
-    scratch = false;
   }
 
 exception Timeout
 exception Inconclusive
 
-let pivot_of_epsilon epsilon =
-  2 * int_of_float (ceil (4.92 *. ((1.0 +. (1.0 /. epsilon)) ** 2.0)))
+let pivot config =
+  2 * int_of_float (ceil (4.92 *. ((1.0 +. (1.0 /. config.epsilon)) ** 2.0)))
 
 (* Number of median rounds for confidence 1-δ (ApproxMC's table-driven
    choice, conservatively ⌈17 log₂(3/δ)⌉ capped to keep runtimes sane;
@@ -33,6 +31,91 @@ let rounds_of_delta delta =
   let t = int_of_float (ceil (17.0 *. log (3.0 /. delta) /. log 2.0)) in
   let t = max 1 (min t 33) in
   if t mod 2 = 0 then t + 1 else t
+
+let search config ~proj ~cells =
+  let rng = Splitmix.create config.seed in
+  let n = Array.length proj in
+  let pivot = pivot config in
+  (* One round's pool of parity constraints, drawn up-front so the RNG is
+     consumed identically no matter which prefixes [m] the search probes
+     (an explicit loop: the evaluation order of [Array.init] is
+     unspecified). *)
+  let draw_pool () =
+    let pool = Array.make (max n 1) ([], false) in
+    for i = 0 to n - 1 do
+      let vars =
+        Array.to_list proj |> List.filter (fun _ -> Splitmix.bool rng)
+      in
+      let rhs = Splitmix.bool rng in
+      pool.(i) <- (vars, rhs)
+    done;
+    pool
+  in
+  (* quick exact path: if the formula has at most [pivot] solutions,
+     the probe is already an exact count *)
+  let c0 = cells [||] 0 in
+  if c0 <= pivot then Bignat.of_int c0
+  else begin
+    let rounds =
+      match config.max_rounds with
+      | Some r -> max 1 r
+      | None -> rounds_of_delta config.delta
+    in
+    let estimates = ref [] in
+    let prev_m = ref (max 1 (n / 2)) in
+    for _round = 1 to rounds do
+      (* binary search for the smallest m with cell count <= pivot;
+         cell counts decrease (in expectation) as m grows *)
+      let pool = draw_pool () in
+      let query_raw = cells pool in
+      let cell_count = Hashtbl.create 16 in
+      let query m =
+        match Hashtbl.find_opt cell_count m with
+        | Some c -> c
+        | None ->
+            let c = query_raw m in
+            Hashtbl.add cell_count m c;
+            c
+      in
+      (* gallop from the previous round's m to bracket the crossover *)
+      let lo = ref 0 and hi = ref n in
+      let m = ref (max 1 (min n !prev_m)) in
+      if query !m > pivot then begin
+        (* need more constraints *)
+        lo := !m;
+        let step = ref 1 in
+        while !m + !step < n && query (!m + !step) > pivot do
+          lo := !m + !step;
+          step := !step * 2
+        done;
+        hi := min n (!m + !step)
+      end
+      else begin
+        hi := !m;
+        let step = ref 1 in
+        while !m - !step > 0 && query (!m - !step) <= pivot do
+          hi := !m - !step;
+          step := !step * 2
+        done;
+        lo := max 0 (!m - !step)
+      end;
+      (* invariant: query lo > pivot (or lo = 0), query hi <= pivot *)
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        if query mid > pivot then lo := mid else hi := mid
+      done;
+      let m_star = !hi in
+      prev_m := m_star;
+      let c = query m_star in
+      if c > 0 && c <= pivot then
+        estimates := Bignat.shift_left (Bignat.of_int c) m_star :: !estimates
+    done;
+    match List.sort Bignat.compare !estimates with
+    | [] -> Bignat.zero (* every round failed: report the degenerate estimate *)
+    | sorted ->
+        let k = List.length sorted in
+        List.nth sorted (k / 2)
+  end
 
 let count ?budget ?(config = default) (cnf : Cnf.t) : Bignat.t =
   let deadline =
@@ -45,20 +128,15 @@ let count ?budget ?(config = default) (cnf : Cnf.t) : Bignat.t =
     | Some d when Mcml_obs.Obs.monotonic_s () > d -> raise Timeout
     | _ -> ()
   in
-  let rng = Splitmix.create config.seed in
   let proj = Cnf.projection_vars cnf in
   let n = Array.length proj in
-  let pivot = pivot_of_epsilon config.epsilon in
+  let pivot = pivot config in
   (* telemetry: work done so far, reported even on timeout *)
   let queries = ref 0 in
-  let rounds_done = ref 0 in
+  let rounds = ref 0 in
   let solver_builds = ref 0 in
   let replayed_models = ref 0 in
   let free_queries = ref 0 in
-  let build () =
-    incr solver_builds;
-    Solver.of_cnf cnf
-  in
   (* Model store for the incremental path.  Every model the call has
      ever enumerated is a projected assignment of the base CNF, stored
      as a bool array aligned with [proj].  Whether such an assignment
@@ -89,26 +167,26 @@ let count ?budget ?(config = default) (cnf : Cnf.t) : Bignat.t =
     !ok
   in
   (* Count the projected models of [s]'s current constraint system up to
-     [thresh + 1] by blocking enumeration under [assumptions].  Each
-     model found is excluded by a blocking clause over the sampling set;
-     with [block_guard = Some b] the block only bites while [b] is
-     assumed, so it retires together with the cell.  The result —
-     min(|cell|, thresh + 1) — is the cardinality of a set of projected
-     assignments, so it does not depend on the order models are found
-     in; that is what keeps incremental and scratch estimates
-     bit-identical.  A [Solver.Unknown] (per-query conflict budget
-     exhausted) would otherwise masquerade as an undercount: surface it. *)
-  let bounded_count ?(replayed = 0) ?on_model ~s ~assumptions ~block_guard thresh =
+     [pivot + 1] by blocking enumeration under [assumptions], adding
+     each model found to the store.  Each model is excluded by a
+     blocking clause over the sampling set; with [block_guard = Some b]
+     the block only bites while [b] is assumed, so it retires together
+     with the cell.  The result — min(|cell|, pivot + 1) — is the
+     cardinality of a set of projected assignments, so it does not
+     depend on the order models are found in.  A [Solver.Unknown]
+     (per-query conflict budget exhausted) would otherwise masquerade as
+     an undercount: surface it. *)
+  let bounded_count ?(replayed = 0) ~s ~assumptions ~block_guard () =
     incr queries;
     let found = ref replayed in
     let continue = ref true in
-    while !continue && !found <= thresh do
+    while !continue && !found <= pivot do
       check_time ();
       match Solver.solve ~max_conflicts:config.max_conflicts ~assumptions s with
       | Solver.Sat ->
           incr found;
           let sigma = Array.map (fun v -> Solver.model_value s v) proj in
-          (match on_model with Some f -> f sigma | None -> ());
+          store := sigma :: !store;
           let blocking = lits_of sigma in
           let blocking =
             match block_guard with
@@ -121,37 +199,19 @@ let count ?budget ?(config = default) (cnf : Cnf.t) : Bignat.t =
     done;
     !found
   in
-  (* One round's pool of parity constraints, drawn up-front so both the
-     incremental and the scratch path consume the RNG identically no
-     matter which prefixes [m] the search probes (an explicit loop: the
-     evaluation order of [Array.init] is unspecified). *)
-  let draw_pool () =
-    let pool = Array.make (max n 1) ([], false) in
-    for i = 0 to n - 1 do
-      let vars =
-        Array.to_list proj |> List.filter (fun _ -> Splitmix.bool rng)
-      in
-      let rhs = Splitmix.bool rng in
-      pool.(i) <- (vars, rhs)
-    done;
-    pool
-  in
-  (* The per-round query function: count the cell of the first [m] pool
-     constraints.  Incrementally, one solver carries all [n] XORs behind
-     activation literals and the search toggles them by assumption, so
-     learnt clauses survive the whole galloping/binary search; from
-     scratch, every query pays for a fresh solver (the debug path the
-     incremental estimates are asserted against). *)
-  let make_query pool =
-    if config.scratch then fun m ->
-      let s = build () in
-      for i = 0 to m - 1 do
-        let vars, rhs = pool.(i) in
-        Xor.add_to_solver s ~vars ~rhs
-      done;
-      bounded_count ~s ~assumptions:[] ~block_guard:None pivot
+  (* The cell counter handed to [search].  The exactness probe runs on a
+     plain solver and seeds the model store.  Each round keeps one solver
+     carrying all [n] pool XORs behind activation literals; a query
+     toggles them by assumption, so learnt clauses survive the whole
+     galloping/binary search. *)
+  let cells pool =
+    check_time ();
+    incr solver_builds;
+    let s = Solver.of_cnf cnf in
+    if Array.length pool = 0 then fun _ ->
+      bounded_count ~s ~assumptions:[] ~block_guard:None ()
     else begin
-      let s = build () in
+      incr rounds;
       let guards = Array.make n 0 in
       if n <= Solver.parity_max_vars then begin
         (* native parity rows: one bitmask equation per pool constraint,
@@ -198,9 +258,7 @@ let count ?budget ?(config = default) (cnf : Cnf.t) : Bignat.t =
                    if i < m then Lit.pos guards.(i) else Lit.neg_of_var guards.(i))
           in
           let c =
-            bounded_count ~replayed
-              ~on_model:(fun sigma -> store := sigma :: !store)
-              ~s ~assumptions ~block_guard:(Some cell) pivot
+            bounded_count ~replayed ~s ~assumptions ~block_guard:(Some cell) ()
           in
           (* retire the cell: its blocking clauses are satisfied forever *)
           Solver.add_clause s [ Lit.neg_of_var cell ];
@@ -208,85 +266,7 @@ let count ?budget ?(config = default) (cnf : Cnf.t) : Bignat.t =
         end
     end
   in
-  let run () =
-    (* quick exact path: if the formula has at most [pivot] solutions,
-       the enumeration is already an exact count *)
-    let c0 =
-      let s = build () in
-      (* seed the model store from the exactness probe: these are plain
-         projected models, so later rounds replay them against their own
-         XOR pools (scratch mode stays the unseeded reference path) *)
-      let on_model =
-        if config.scratch then None
-        else Some (fun sigma -> store := sigma :: !store)
-      in
-      bounded_count ?on_model ~s ~assumptions:[] ~block_guard:None pivot
-    in
-    if c0 <= pivot then Bignat.of_int c0
-    else begin
-      let rounds =
-        match config.max_rounds with
-        | Some r -> max 1 r
-        | None -> rounds_of_delta config.delta
-      in
-      let estimates = ref [] in
-      let prev_m = ref (max 1 (n / 2)) in
-      for _round = 1 to rounds do
-        check_time ();
-        (* binary search for the smallest m with cell count <= pivot;
-           cell counts decrease (in expectation) as m grows *)
-        let pool = draw_pool () in
-        let query_raw = make_query pool in
-        let cell_count = Hashtbl.create 16 in
-        let query m =
-          match Hashtbl.find_opt cell_count m with
-          | Some c -> c
-          | None ->
-              let c = query_raw m in
-              Hashtbl.add cell_count m c;
-              c
-        in
-        (* gallop from the previous round's m to bracket the crossover *)
-        let lo = ref 0 and hi = ref n in
-        let m = ref (max 1 (min n !prev_m)) in
-        if query !m > pivot then begin
-          (* need more constraints *)
-          lo := !m;
-          let step = ref 1 in
-          while !m + !step < n && query (!m + !step) > pivot do
-            lo := !m + !step;
-            step := !step * 2
-          done;
-          hi := min n (!m + !step)
-        end
-        else begin
-          hi := !m;
-          let step = ref 1 in
-          while !m - !step > 0 && query (!m - !step) <= pivot do
-            hi := !m - !step;
-            step := !step * 2
-          done;
-          lo := max 0 (!m - !step)
-        end;
-        (* invariant: query lo > pivot (or lo = 0), query hi <= pivot *)
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if query mid > pivot then lo := mid else hi := mid
-        done;
-        let m_star = !hi in
-        prev_m := m_star;
-        let c = query m_star in
-        if c > 0 && c <= pivot then
-          estimates := Bignat.shift_left (Bignat.of_int c) m_star :: !estimates;
-        incr rounds_done
-      done;
-      match List.sort Bignat.compare !estimates with
-      | [] -> Bignat.zero (* every round failed: report the degenerate estimate *)
-      | sorted ->
-          let k = List.length sorted in
-          List.nth sorted (k / 2)
-    end
-  in
+  let run () = search config ~proj ~cells in
   if not (Mcml_obs.Obs.enabled ()) then run ()
   else begin
     let open Mcml_obs in
@@ -295,9 +275,8 @@ let count ?budget ?(config = default) (cnf : Cnf.t) : Bignat.t =
     let attrs outcome =
       [
         ("outcome", Obs.Str outcome);
-        ("mode", Obs.Str (if config.scratch then "scratch" else "incremental"));
         ("pivot", Obs.Int pivot);
-        ("rounds", Obs.Int !rounds_done);
+        ("rounds", Obs.Int !rounds);
         ("sat_queries", Obs.Int !queries);
         ("solver_builds", Obs.Int !solver_builds);
         ("replayed_models", Obs.Int !replayed_models);
@@ -309,7 +288,7 @@ let count ?budget ?(config = default) (cnf : Cnf.t) : Bignat.t =
     in
     let account () =
       Obs.add "count.approx.calls" 1;
-      Obs.add "count.approx.rounds" !rounds_done;
+      Obs.add "count.approx.rounds" !rounds;
       Obs.add "count.approx.sat_queries" !queries;
       Obs.add "count.approx.solver_builds" !solver_builds;
       Obs.add "count.approx.replayed_models" !replayed_models;

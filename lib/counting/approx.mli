@@ -16,17 +16,18 @@
     particular, independent of how calls interleave across domains and
     of which [m] values the galloping search happens to probe.
 
-    By default each round keeps {e one persistent solver}: the pool's
-    XORs sit behind activation literals ({!Mcml_sat.Xor.add_guarded})
-    toggled per query via [Solver.solve ~assumptions], per-cell
-    blocking clauses are guarded so they retire when the cell changes,
-    and learnt clauses survive the whole binary search.  Because a
-    cell count is the cardinality of a set of projected assignments —
-    min(|cell|, pivot+1), independent of the order models are
-    enumerated in — the estimates are {e bit-identical} to the
-    scratch-solver path ([config.scratch = true], a fresh solver per
-    query) under the same seed; `bin/check.sh` and the test suite
-    assert exactly that.
+    The search ({!search}) is separate from the cell counter.  The one
+    {!count} supplies keeps {e one persistent solver} per round: the
+    pool's XORs sit behind activation literals toggled per query via
+    [Solver.solve ~assumptions], per-cell blocking clauses are guarded
+    so they retire when the cell changes, learnt clauses survive the
+    whole search, and every model found is replayed into later cells it
+    lies in.  Because a cell count is the cardinality of a set of
+    projected assignments, any cell counter meeting {!search}'s
+    contract yields the same estimate under the same seed; the test
+    suite asserts that against reference cells that conjoin the XOR
+    prefix as CNF and count it with the exact counter or by brute
+    force.
 
     {b Thread safety.}  Each [count] call owns its solvers, RNG, and
     search state; concurrent calls from different domains do not
@@ -43,14 +44,11 @@ type config = {
   max_conflicts : int;
       (** per-SAT-query conflict budget, 0 = unlimited; exhaustion
           raises {!Inconclusive} instead of silently undercounting *)
-  scratch : bool;
-      (** debug path: fresh solver per query instead of one guarded
-          solver per round; same estimates, no learnt-clause reuse *)
 }
 
 val default : config
 (** ε = 0.8, δ = 0.2, seed 1, rounds as dictated by δ, unlimited
-    conflicts, incremental (non-scratch) solving. *)
+    conflicts. *)
 
 exception Timeout
 
@@ -68,3 +66,20 @@ val count : ?budget:float -> ?config:config -> Cnf.t -> Bignat.t
 
 val count_opt : ?budget:float -> ?config:config -> Cnf.t -> Bignat.t option
 (** [None] on {!Timeout}; {!Inconclusive} still escapes. *)
+
+val pivot : config -> int
+(** The cell-size threshold 2⌈4.92 (1 + 1/ε)²⌉ (50 at ε = 0.8). *)
+
+val search :
+  config -> proj:int array -> cells:((int list * bool) array -> int -> int) -> Bignat.t
+(** [search config ~proj ~cells] runs the ApproxMC search over the
+    sampling set [proj] and returns the estimate {!count} would.
+
+    A pool is an array of parity constraints [(vars, rhs)], each
+    meaning [x1 xor ... xor xk = rhs] over [vars ⊆ proj].  [cells pool]
+    is applied once per median round, and the result is then queried
+    for several [m]; [cells pool m] must return
+    min(|projected models of F ∧ the first [m] pool XORs|, pivot + 1)
+    for the formula [F] being counted.  The exactness probe, made
+    first, is [cells [||] 0]: if it is at most the pivot it is returned
+    as the exact count and no pool is drawn. *)

@@ -1,25 +1,19 @@
 open Mcml_logic
+open Mcml_sat
 
 let count_core (cnf : Cnf.t) : Bignat.t =
   let proj = Cnf.projection_vars cnf in
   let k = Array.length proj in
   if k > 24 then invalid_arg "Brute.count: projection set too large";
-  let clauses = Array.to_list cnf.Cnf.clauses in
+  (* one solver decides every assignment of the projection variables,
+     passed as assumptions; learnt clauses carry over between them *)
+  let s = Solver.of_cnf cnf in
   let total = ref 0 in
   for mask = 0 to (1 lsl k) - 1 do
-    (* fix the projected variables, then check the residual *)
-    let rec fix i clauses =
-      match clauses with
-      | None -> None
-      | Some cs ->
-          if i = k then Some cs
-          else
-            let l = Lit.make proj.(i) (mask land (1 lsl i) <> 0) in
-            fix (i + 1) (Dpll.restrict cs l)
+    let assumptions =
+      List.init k (fun i -> Lit.make proj.(i) (mask land (1 lsl i) <> 0))
     in
-    match fix 0 (Some clauses) with
-    | None -> ()
-    | Some residual -> if Dpll.sat residual then incr total
+    if Solver.solve ~assumptions s = Solver.Sat then incr total
   done;
   Bignat.of_int !total
 

@@ -54,25 +54,21 @@ let cache_stats = Memo.stats
 
 (* The key serializes everything the outcome depends on: the backend
    and all its parameters (for Approx: epsilon, delta, seed,
-   max_rounds, max_conflicts, scratch — two configs differing only in
-   seed may legitimately return different estimates; scratch and
-   incremental produce identical estimates but are keyed apart so the
-   equivalence gate in check.sh never reads one through the other's
-   cache slot), the budget, and the full CNF content
-   (nvars, projection set — distinguishing [None] from an explicit
-   set — and every literal of every clause, in order).  Floats are
-   printed with %h so distinct budgets never collide. *)
+   max_rounds, max_conflicts — two configs differing only in seed may
+   legitimately return different estimates), the budget, and the full
+   CNF content (nvars, projection set — distinguishing [None] from an
+   explicit set — and every literal of every clause, in order).  Floats
+   are printed with %h so distinct budgets never collide. *)
 let cache_key ~budget ~backend (cnf : Cnf.t) =
   let buf = Buffer.create (64 + (8 * Cnf.num_literals cnf)) in
   (match backend with
   | Exact -> Buffer.add_string buf "exact"
   | Brute -> Buffer.add_string buf "brute"
-  | Approx { Approx.epsilon; delta; seed; max_rounds; max_conflicts; scratch } ->
+  | Approx { Approx.epsilon; delta; seed; max_rounds; max_conflicts } ->
       Buffer.add_string buf
-        (Printf.sprintf "approx(%h,%h,%d,%s,%d,%c)" epsilon delta seed
+        (Printf.sprintf "approx(%h,%h,%d,%s,%d)" epsilon delta seed
            (match max_rounds with None -> "-" | Some r -> string_of_int r)
-           max_conflicts
-           (if scratch then 's' else 'i')));
+           max_conflicts));
   Buffer.add_string buf (Printf.sprintf "|b=%h|n=%d|p=" budget cnf.Cnf.nvars);
   (match cnf.Cnf.projection with
   | None -> Buffer.add_char buf '*'

@@ -5,10 +5,11 @@
     propagation, first-UIP learning, exponential VSIDS variable
     activities, phase saving, Luby restarts and activity-based deletion
     of learnt clauses.  The solver is used by the approximate model
-    counter for bounded counting under XOR hash constraints (positive
-    enumeration walks the exact counter's compiled trace instead; the
-    test suite keeps a blocking-clause loop over this solver as its
-    reference).
+    counter for bounded counting under XOR hash constraints, and by the
+    brute-force reference counter to decide each projected assignment
+    under assumptions (positive enumeration walks the exact counter's
+    compiled trace instead; the test suite keeps a blocking-clause loop
+    over this solver as its reference).
 
     {b Thread safety.}  A solver value is mutable single-owner state:
     it must be used from one domain at a time.  There is no global

@@ -53,14 +53,6 @@ let clauses_of ~fresh ~vars ~rhs =
       go vars rhs;
       !clauses
 
-let add_to_solver s ~vars ~rhs =
-  let cs = clauses_of ~fresh:(fun () -> Solver.new_var s) ~vars ~rhs in
-  if Mcml_obs.Obs.enabled () then begin
-    Mcml_obs.Obs.add "xor.constraints" 1;
-    Mcml_obs.Obs.add "xor.clauses" (List.length cs)
-  end;
-  List.iter (Solver.add_clause s) cs
-
 let add_guarded s ~vars ~rhs =
   let g = Solver.new_var s in
   let aux = ref [] in

@@ -9,22 +9,18 @@
 
 open Mcml_logic
 
-val add_to_solver : Solver.t -> vars:int list -> rhs:bool -> unit
-(** [add_to_solver s ~vars ~rhs] asserts [x1 xor ... xor xk = rhs].
-    An empty [vars] with [rhs = true] makes the instance unsatisfiable. *)
+val clauses_of : fresh:(unit -> int) -> vars:int list -> rhs:bool -> Lit.t list list
+(** [clauses_of ~fresh ~vars ~rhs] encodes [x1 xor ... xor xk = rhs],
+    calling [fresh] for chain variables.  An empty [vars] with
+    [rhs = true] yields the empty clause (unsatisfiable). *)
 
 val add_guarded : Solver.t -> vars:int list -> rhs:bool -> int
-(** Like {!add_to_solver}, but every emitted clause carries the negation
-    of a fresh {e activation variable} [g] (returned).  The parity
-    constraint is active only under the assumption [g] ([Lit.pos g] in
-    [Solver.solve ~assumptions]) and inert under [Lit.neg_of_var g]; add
-    the unit clause [¬g] to retire it permanently.  This is how the
-    incremental approximate counter toggles XORs without rebuilding the
-    solver.  Note the caveat of {!add_to_solver} does not apply: an empty
-    [vars] with [rhs = true] yields the unit clause [¬g], i.e. the
-    constraint is unsatisfiable exactly when activated. *)
-
-val clauses_of : fresh:(unit -> int) -> vars:int list -> rhs:bool -> Lit.t list list
-(** Pure variant: returns the clauses, calling [fresh] for chain
-    variables. *)
-
+(** Add the clauses of {!clauses_of} to a solver, each carrying the
+    negation of a fresh {e activation variable} [g] (returned).  The
+    parity constraint is active only under the assumption [g]
+    ([Lit.pos g] in [Solver.solve ~assumptions]) and inert under
+    [Lit.neg_of_var g]; add the unit clause [¬g] to retire it
+    permanently.  This is how the incremental approximate counter
+    toggles XORs without rebuilding the solver.  An empty [vars] with
+    [rhs = true] yields the unit clause [¬g], i.e. the constraint is
+    unsatisfiable exactly when activated. *)

@@ -4,8 +4,7 @@
     §2/§5) tests model counters with differential and metamorphic
     relations.  This module implements the classic relations as
     checkable properties of a counting function, used by the test suite
-    against both the exact and the brute-force backends and available
-    to users who plug in their own counter:
+    against both the exact and the brute-force backends:
 
     {ul
     {- Shannon expansion: [mc(F) = mc(F ∧ x) + mc(F ∧ ¬x)] for a

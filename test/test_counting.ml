@@ -7,10 +7,10 @@ open Mcml_counting
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-let projected_cnf_gen =
+let cnf_gen ~min_vars ~max_vars ~max_clauses =
   let open QCheck2.Gen in
-  let* nvars = int_range 2 12 in
-  let* nclauses = int_range 0 35 in
+  let* nvars = int_range min_vars max_vars in
+  let* nclauses = int_range 0 max_clauses in
   let* raw =
     list_size (return nclauses)
       (list_size (int_range 1 3) (pair (int_range 1 nvars) bool))
@@ -26,32 +26,52 @@ let projected_cnf_gen =
   in
   return (Cnf.make ~projection ~nvars clauses)
 
-(* --- dpll ------------------------------------------------------------------- *)
+let projected_cnf_gen = cnf_gen ~min_vars:2 ~max_vars:12 ~max_clauses:35
 
-let dpll_basics () =
-  check Alcotest.bool "empty set sat" true (Dpll.sat []);
-  check Alcotest.bool "empty clause unsat" false (Dpll.sat [ [||] ]);
-  check Alcotest.bool "unit chain" true
-    (Dpll.sat [ [| Lit.pos 1 |]; [| Lit.neg_of_var 1; Lit.pos 2 |] ]);
-  check Alcotest.bool "contradiction" false
-    (Dpll.sat [ [| Lit.pos 1 |]; [| Lit.neg_of_var 1 |] ])
+(* --- brute ------------------------------------------------------------------- *)
 
-let dpll_restrict () =
+(* The other counters are checked against [Brute], so its edge cases are
+   pinned by hand: every projected assignment is decided by one reused
+   solver under assumptions. *)
+
+let brute_str cnf = Bignat.to_string (Brute.count cnf)
+
+let brute_basics () =
+  check Alcotest.string "no clauses" "4" (brute_str (Cnf.make ~nvars:2 []));
+  check Alcotest.string "empty clause" "0" (brute_str (Cnf.make ~nvars:2 [ [||] ]));
+  check Alcotest.string "unit chain" "1"
+    (brute_str (Cnf.make ~nvars:2 [ [| Lit.pos 1 |]; [| Lit.neg_of_var 1; Lit.pos 2 |] ]));
+  check Alcotest.string "contradiction" "0"
+    (brute_str (Cnf.make ~nvars:2 [ [| Lit.pos 1 |]; [| Lit.neg_of_var 1 |] ]));
+  check Alcotest.string "empty projection, sat" "1"
+    (brute_str (Cnf.make ~projection:[||] ~nvars:2 [ [| Lit.pos 1 |] ]));
+  check Alcotest.string "empty projection, unsat" "0"
+    (brute_str (Cnf.make ~projection:[||] ~nvars:1 [ [| Lit.pos 1 |]; [| Lit.neg_of_var 1 |] ]));
+  Alcotest.check_raises "25 projection variables"
+    (Invalid_argument "Brute.count: projection set too large") (fun () ->
+      ignore (Brute.count (Cnf.make ~nvars:25 [])))
+
+let brute_assignments_against_units () =
+  (* (1 ∨ 2) ∧ ¬1: an assignment that contradicts the unit must not
+     count, whichever side of the projection the unit falls on *)
   let cs = [ [| Lit.pos 1; Lit.pos 2 |]; [| Lit.neg_of_var 1 |] ] in
-  (match Dpll.restrict cs (Lit.pos 1) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "restricting against a unit must conflict");
-  match Dpll.restrict cs (Lit.neg_of_var 1) with
-  | Some [ c ] -> check Alcotest.int "simplified clause" 1 (Array.length c)
-  | _ -> Alcotest.fail "expected one residual clause"
+  check Alcotest.string "project {1}" "1" (brute_str (Cnf.make ~projection:[| 1 |] ~nvars:2 cs));
+  check Alcotest.string "project {2}" "1" (brute_str (Cnf.make ~projection:[| 2 |] ~nvars:2 cs));
+  check Alcotest.string "project {1,2}" "1" (brute_str (Cnf.make ~nvars:2 cs));
+  check Alcotest.string "free variable 3" "2"
+    (brute_str (Cnf.make ~projection:[| 1; 3 |] ~nvars:3 cs))
 
-let dpll_bcp_track () =
-  let cs = [ [| Lit.pos 1 |]; [| Lit.neg_of_var 1; Lit.pos 2 |] ] in
-  match Dpll.bcp_track cs with
-  | Some (residual, assigned) ->
-      check Alcotest.int "all clauses resolved" 0 (List.length residual);
-      check Alcotest.(list int) "assigned vars" [ 1; 2 ] (List.sort Int.compare assigned)
-  | None -> Alcotest.fail "no conflict expected"
+let brute_forced_variables () =
+  (* 1 ∧ (¬1 ∨ 2) ∧ (¬2 ∨ 3 ∨ 4): propagation forces 1 and 2.  Projected
+     onto {1,2} the first three assignments are refuted and only the last
+     extends, so a refutation under assumptions must leave the shared
+     solver usable for the next assignment. *)
+  let cs =
+    [ [| Lit.pos 1 |]; [| Lit.neg_of_var 1; Lit.pos 2 |]; [| Lit.neg_of_var 2; Lit.pos 3; Lit.pos 4 |] ]
+  in
+  check Alcotest.string "forced {1,2}" "1" (brute_str (Cnf.make ~projection:[| 1; 2 |] ~nvars:4 cs));
+  check Alcotest.string "free {3,4}" "3" (brute_str (Cnf.make ~projection:[| 3; 4 |] ~nvars:4 cs));
+  check Alcotest.string "all variables" "3" (brute_str (Cnf.make ~nvars:4 cs))
 
 (* --- exact ------------------------------------------------------------------- *)
 
@@ -308,35 +328,77 @@ let approx_unsat () =
   check Alcotest.string "unsat = 0" "0" (Bignat.to_string (Approx.count cnf))
 
 let approx_pivot_formula () =
-  check Alcotest.int "pivot(0.8)" 50 (2 * int_of_float (ceil (4.92 *. ((1.0 +. (1.0 /. 0.8)) ** 2.0))))
+  check Alcotest.int "pivot(0.8)" 50 (Approx.pivot Approx.default);
+  check Alcotest.int "pivot(10)" 12 (Approx.pivot { Approx.default with Approx.epsilon = 10.0 })
 
-let approx_incremental_equals_scratch =
-  (* the tentpole invariant: one guarded solver per round (assumptions
-     toggling XORs, guarded blocking clauses, surviving learnt clauses)
-     must produce estimates bit-identical to a fresh solver per query,
-     across seeds and formulas — cell counts are sets of models *)
-  qtest ~count:200 "incremental estimate = scratch estimate (bit-identical)"
-    QCheck2.Gen.(pair projected_cnf_gen (int_range 0 1_000_000))
+(* Reference cells for [Approx.search]: |projected models of [cnf] ∧
+   the first [m] pool XORs|, clamped at pivot + 1, counted from scratch
+   by [counter] on the CNF with the XORs encoded by [Xor.clauses_of] —
+   no solver reuse, no model replay, no native parity rows. *)
+let reference_cells ~counter ~pivot (cnf : Cnf.t) pool m =
+  let nvars = ref cnf.Cnf.nvars in
+  let fresh () =
+    incr nvars;
+    !nvars
+  in
+  let xors =
+    List.concat_map
+      (fun (vars, rhs) -> Mcml_sat.Xor.clauses_of ~fresh ~vars ~rhs)
+      (Array.to_list (Array.sub pool 0 m))
+  in
+  let hashed =
+    Cnf.make ~projection:(Cnf.projection_vars cnf) ~nvars:!nvars
+      (Array.to_list cnf.Cnf.clauses @ List.map Array.of_list xors)
+  in
+  match Bignat.to_int_opt (counter hashed) with
+  | Some c when c <= pivot -> c
+  | _ -> pivot + 1
+
+let reference_estimate ~counter cfg cnf =
+  Approx.search cfg ~proj:(Cnf.projection_vars cnf)
+    ~cells:(reference_cells ~counter ~pivot:(Approx.pivot cfg) cnf)
+
+let approx_matches_reference_cells () =
+  (* an estimate depends on the seed and the cell sizes alone, so the
+     incremental cells of [Approx.count] (one guarded solver per round,
+     model replay, native parity rows) must reproduce the estimate of
+     brute-force reference cells bit for bit.  Few clauses over many
+     variables and pivot 12 (ε = 10) send most cases past the exactness
+     probe into the XOR-hashing search; a fixed sample keeps that share
+     asserted rather than hoped for. *)
+  let cases =
+    QCheck2.Gen.(
+      generate ~rand:(Random.State.make [| 13 |]) ~n:200
+        (pair (cnf_gen ~min_vars:6 ~max_vars:14 ~max_clauses:8) (int_range 0 1_000_000)))
+  in
+  let hashed = ref 0 in
+  List.iter
     (fun (cnf, seed) ->
-      let cfg = { Approx.default with Approx.seed; max_rounds = Some 3 } in
-      Bignat.equal
-        (Approx.count ~config:cfg cnf)
-        (Approx.count ~config:{ cfg with Approx.scratch = true } cnf))
+      let cfg = { Approx.default with Approx.epsilon = 10.0; seed; max_rounds = Some 3 } in
+      let reference = reference_estimate ~counter:Brute.count cfg cnf in
+      if Bignat.compare (Brute.count cnf) (Bignat.of_int (Approx.pivot cfg)) > 0 then
+        incr hashed;
+      check Alcotest.string
+        (Printf.sprintf "seed %d on %s" seed (Dimacs.to_string cnf))
+        (Bignat.to_string reference)
+        (Bignat.to_string (Approx.count ~config:cfg cnf)))
+    cases;
+  if !hashed < 100 then Alcotest.failf "only %d of 200 cases exceed the pivot" !hashed
 
-let approx_modes_all_properties () =
+let approx_all_properties () =
   (* the same invariant on the real workload: every property of the
-     study at a scope where the counts sit well above the pivot *)
+     study at a scope where the counts sit well above the pivot, with
+     cells counted by the exact counter (brute force takes seconds per
+     cell here) *)
   let analyzer = Mcml_props.Props.analyzer ~scope:4 in
   List.iter
     (fun p ->
       let pred = p.Mcml_props.Props.pred in
       let cnf = Mcml_alloy.Analyzer.cnf ~negate:false ~symmetry:false analyzer ~pred in
       let cfg = { Approx.default with Approx.seed = 7; max_rounds = Some 3 } in
-      let incremental = Approx.count ~config:cfg cnf in
-      let scratch = Approx.count ~config:{ cfg with Approx.scratch = true } cnf in
       check Alcotest.string (p.Mcml_props.Props.name ^ " scope 4")
-        (Bignat.to_string incremental)
-        (Bignat.to_string scratch))
+        (Bignat.to_string (reference_estimate ~counter:Exact.count cfg cnf))
+        (Bignat.to_string (Approx.count ~config:cfg cnf)))
     Mcml_props.Props.all
 
 let approx_inconclusive () =
@@ -419,11 +481,11 @@ let counter_exactness_flag () =
 let () =
   Alcotest.run "counting"
     [
-      ( "dpll",
+      ( "brute",
         [
-          Alcotest.test_case "basics" `Quick dpll_basics;
-          Alcotest.test_case "restrict" `Quick dpll_restrict;
-          Alcotest.test_case "bcp tracking" `Quick dpll_bcp_track;
+          Alcotest.test_case "basics" `Quick brute_basics;
+          Alcotest.test_case "assignments against units" `Quick brute_assignments_against_units;
+          Alcotest.test_case "forced variables" `Quick brute_forced_variables;
         ] );
       ( "exact",
         [
@@ -454,9 +516,10 @@ let () =
           Alcotest.test_case "deterministic by seed" `Quick approx_deterministic;
           Alcotest.test_case "unsat" `Quick approx_unsat;
           Alcotest.test_case "pivot formula" `Quick approx_pivot_formula;
-          approx_incremental_equals_scratch;
-          Alcotest.test_case "incremental = scratch on all 16 properties" `Slow
-            approx_modes_all_properties;
+          Alcotest.test_case "estimate = reference cells on random CNFs" `Quick
+            approx_matches_reference_cells;
+          Alcotest.test_case "estimate = reference cells on all 16 properties" `Slow
+            approx_all_properties;
           Alcotest.test_case "inconclusive surfaces" `Quick approx_inconclusive;
         ] );
       ( "metamorphic",

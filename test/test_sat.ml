@@ -284,9 +284,13 @@ let enumeration_projected () =
 
 (* --- xor ------------------------------------------------------------------------- *)
 
+(* assert [xor vars = rhs] on [s] through its CNF encoding *)
+let add_xor s ~vars ~rhs =
+  List.iter (Solver.add_clause s) (Xor.clauses_of ~fresh:(fun () -> Solver.new_var s) ~vars ~rhs)
+
 let xor_model_count k =
   let s = Solver.create ~nvars:k () in
-  Xor.add_to_solver s ~vars:(List.init k (fun i -> i + 1)) ~rhs:true;
+  add_xor s ~vars:(List.init k (fun i -> i + 1)) ~rhs:true;
   let count = ref 0 in
   let continue = ref true in
   while !continue do
@@ -327,10 +331,10 @@ let xor_semantics =
 
 let xor_empty () =
   let s = Solver.create ~nvars:1 () in
-  Xor.add_to_solver s ~vars:[] ~rhs:true;
+  add_xor s ~vars:[] ~rhs:true;
   check Alcotest.bool "empty xor = 1 is unsat" true (Solver.solve s = Solver.Unsat);
   let s2 = Solver.create ~nvars:1 () in
-  Xor.add_to_solver s2 ~vars:[] ~rhs:false;
+  add_xor s2 ~vars:[] ~rhs:false;
   check Alcotest.bool "empty xor = 0 is sat" true (Solver.solve s2 = Solver.Sat)
 
 let xor_guarded_roundtrip () =
