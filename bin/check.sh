@@ -203,6 +203,34 @@ for field in '"mode":"fleet"' '"shards":4' '"speedup":' '"throughput_rps":'; do
 done
 rm -f "$fleet_json" "$fleet_gate_log"
 
+# long_line_gate SOCKET: a 4 MiB newline-free line, then a health
+# request on the same connection, must come back as exactly one
+# bad_request (null id) and then ok; a further health request on a new
+# connection must still be answered.  The reader caps a line at 1 MiB
+# and drops the rest of it, so this also stays fast and small.
+long_line_gate() {
+  ll_out="$(mktemp /tmp/mcml_longline.XXXXXX.jsonl)"
+  { head -c 4194304 /dev/zero | tr '\0' x; echo
+    echo '{"id":"h1","kind":"health"}'
+  } | "$MCML" client --socket "$1" >"$ll_out" || {
+    echo "FAIL: long-line client exited nonzero on $1" >&2
+    exit 1
+  }
+  echo '{"id":"h2","kind":"health"}' | "$MCML" client --socket "$1" >>"$ll_out" || {
+    echo "FAIL: health after the long line failed on $1" >&2
+    exit 1
+  }
+  [ "$(wc -l <"$ll_out")" -eq 3 ] \
+    && sed -n 1p "$ll_out" | grep -q '^{"id":null,"ok":false,"code":"bad_request","error":"line longer than 1048576 bytes"}$' \
+    && sed -n 2p "$ll_out" | grep -q '^{"id":"h1","ok":true,' \
+    && sed -n 3p "$ll_out" | grep -q '^{"id":"h2","ok":true,' || {
+    echo "FAIL: long line on $1 was not answered bad_request, ok, ok:" >&2
+    cut -c 1-200 "$ll_out" >&2
+    exit 1
+  }
+  rm -f "$ll_out"
+}
+
 echo "== serve smoke gate: concurrent served answers == direct CLI =="
 # start the daemon at --jobs 4 with a trace, fire 20 concurrent mixed
 # requests from two clients, require every count byte-identical to the
@@ -297,6 +325,10 @@ tail -1 "$metrics" | grep -q '^# EOF$' || {
 rm -f "$metrics"
 echo "   exposition well-formed: SLO, GC, pool and latency families live"
 
+echo "== long-line gate: serve rejects a 4 MiB line and keeps serving =="
+long_line_gate "$sock"
+echo "   bad_request, then ok on the same connection, then ok again"
+
 kill -TERM $serve_pid
 wait $serve_pid || { echo "FAIL: serve exited nonzero after SIGTERM" >&2; exit 1; }
 [ ! -e "$sock" ] || { echo "FAIL: drained server left its socket behind" >&2; exit 1; }
@@ -367,6 +399,10 @@ grep -q '"restarts":[1-9]' "$fhealth" || {
   cat "$fhealth" >&2
   exit 1
 }
+
+echo "== long-line gate: fleet rejects a 4 MiB line and keeps serving =="
+long_line_gate "$fsock"
+echo "   bad_request, then ok on the same connection, then ok again"
 kill -TERM $fleet_pid
 wait $fleet_pid || { echo "FAIL: fleet exited nonzero after SIGTERM" >&2; exit 1; }
 [ ! -e "$fsock" ] || { echo "FAIL: drained fleet left its socket behind" >&2; exit 1; }

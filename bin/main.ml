@@ -184,6 +184,38 @@ let install_flight_recorder ~role ~dir =
   in
   dump
 
+(* The daemon lifecycle [serve] and [fleet] share.  [start] builds the
+   service once telemetry is in place and returns its front end,
+   connection handler and shutdown. *)
+let run_daemon ~name ~role ~trace_dir ~socket ~banner ~drained start =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  Option.iter (install_process_trace ~role) trace_dir;
+  (* A daemon without --trace/--trace-dir/--verbose-stats still answers
+     [metrics] scrapes: turn the registry on (stats_only records
+     counters and histograms but emits no events) unless a real sink
+     is installed. *)
+  if not (Mcml_obs.Obs.enabled ()) then
+    Mcml_obs.Obs.set_sink (Mcml_obs.Obs.stats_only ());
+  let dump =
+    install_flight_recorder ~role
+      ~dir:(Option.value trace_dir ~default:(Filename.get_temp_dir_name ()))
+  in
+  let fe, handle, shutdown = start () in
+  let on_signal _ = Mcml_serve.Frontend.drain fe in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  (try
+     Printf.eprintf "mcml %s: %s\n%!" name (banner socket);
+     match socket with
+     | Some path ->
+         Mcml_serve.Frontend.serve_unix fe ~path handle;
+         Printf.eprintf "mcml %s: %s\n%!" name drained
+     | None -> handle ~input:Unix.stdin ~output:stdout
+   with e ->
+     dump "crash";
+     raise e);
+  shutdown ()
+
 (* --- list ------------------------------------------------------------------ *)
 
 let list_cmd =
@@ -786,58 +818,31 @@ let serve_cmd =
       Printf.eprintf "mcml serve: --queue-cap must be >= 1\n";
       exit 2
     end;
-    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let role = match shard_id with Some _ -> "shard" | None -> "serve" in
-    (match trace_dir with
-    | Some dir -> install_process_trace ~role dir
-    | None -> ());
-    (* A server without --trace/--trace-dir/--verbose-stats still answers
-       [metrics] scrapes: turn the registry on (stats_only records
-       counters and histograms but emits no events) unless a real sink
-       is installed. *)
-    if not (Mcml_obs.Obs.enabled ()) then
-      Mcml_obs.Obs.set_sink (Mcml_obs.Obs.stats_only ());
-    let dump =
-      install_flight_recorder ~role
-        ~dir:
-          (match trace_dir with
-          | Some d -> d
-          | None -> Filename.get_temp_dir_name ())
-    in
-    let srv =
-      Mcml_serve.Server.create
-        {
-          Mcml_serve.Server.jobs;
-          admission;
-          queue_cap;
-          cache = not no_cache;
-          cache_capacity =
-            Mcml_serve.Server.default_config.Mcml_serve.Server.cache_capacity;
-          probe_interval_s =
-            Mcml_serve.Server.default_config.Mcml_serve.Server.probe_interval_s;
-          shard_id;
-          cache_dir;
-        }
-    in
-    let on_signal _ = Mcml_serve.Server.drain srv in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    (try
-       match socket with
-       | Some path ->
-           Printf.eprintf
-             "mcml serve: listening on %s (jobs=%d, admission=%d)\n%!" path jobs
-             admission;
-           Mcml_serve.Server.serve_unix srv ~path;
-           Printf.eprintf "mcml serve: drained, exiting\n%!"
-       | None ->
-           Printf.eprintf "mcml serve: speaking JSONL on stdio (jobs=%d)\n%!"
-             jobs;
-           Mcml_serve.Server.serve_stdio srv
-     with e ->
-       dump "crash";
-       raise e);
-    Mcml_serve.Server.shutdown srv
+    run_daemon ~name:"serve"
+      ~role:(match shard_id with Some _ -> "shard" | None -> "serve")
+      ~trace_dir ~socket
+      ~banner:(function
+        | Some path ->
+            Printf.sprintf "listening on %s (jobs=%d, admission=%d)" path jobs
+              admission
+        | None -> Printf.sprintf "speaking JSONL on stdio (jobs=%d)" jobs)
+      ~drained:"drained, exiting"
+      (fun () ->
+        let srv =
+          Mcml_serve.Server.create
+            {
+              Mcml_serve.Server.default_config with
+              jobs;
+              admission;
+              queue_cap;
+              cache = not no_cache;
+              shard_id;
+              cache_dir;
+            }
+        in
+        ( Mcml_serve.Server.frontend srv,
+          Mcml_serve.Server.handle_connection srv,
+          fun () -> Mcml_serve.Server.shutdown srv ))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -897,19 +902,6 @@ let fleet_cmd =
       Printf.eprintf "mcml fleet: --shards must be >= 1\n";
       exit 2
     end;
-    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    (match trace_dir with
-    | Some dir -> install_process_trace ~role:"router" dir
-    | None -> ());
-    if not (Mcml_obs.Obs.enabled ()) then
-      Mcml_obs.Obs.set_sink (Mcml_obs.Obs.stats_only ());
-    let dump =
-      install_flight_recorder ~role:"router"
-        ~dir:
-          (match trace_dir with
-          | Some d -> d
-          | None -> Filename.get_temp_dir_name ())
-    in
     let dir =
       match shard_dir with
       | Some d -> d
@@ -918,47 +910,41 @@ let fleet_cmd =
             (Filename.get_temp_dir_name ())
             (Printf.sprintf "mcml-fleet-%d" (Unix.getpid ()))
     in
-    let procs =
-      Mcml_fleet.Proc.start
-        {
-          (Mcml_fleet.Proc.default_config ~exe:Sys.executable_name ~dir) with
-          Mcml_fleet.Proc.shards;
-          jobs;
-          admission;
-          cache_dir;
-          trace_dir;
-        }
-    in
-    let router =
-      Mcml_fleet.Router.create
-        ~restarts:(fun () -> Mcml_fleet.Proc.restarts procs)
-        { Mcml_fleet.Router.default_config with Mcml_fleet.Router.shards }
-        ~dispatch:(Mcml_fleet.Proc.dispatch procs)
-    in
-    let on_signal _ = Mcml_fleet.Router.drain router in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    (try
-       match socket with
-       | Some path ->
-           Printf.eprintf
-             "mcml fleet: %d shard(s) under %s, listening on %s%s\n%!" shards
-             dir path
-             (match cache_dir with
-             | Some d -> Printf.sprintf " (cache %s)" d
-             | None -> "");
-           Mcml_fleet.Router.serve_unix router ~path;
-           Printf.eprintf "mcml fleet: drained, stopping shards\n%!"
-       | None ->
-           Printf.eprintf
-             "mcml fleet: %d shard(s) under %s, speaking JSONL on stdio\n%!"
-             shards dir;
-           Mcml_fleet.Router.serve_stdio router
-     with e ->
-       dump "crash";
-       raise e);
-    Mcml_fleet.Router.shutdown router;
-    Mcml_fleet.Proc.stop procs
+    run_daemon ~name:"fleet" ~role:"router" ~trace_dir ~socket
+      ~banner:(function
+        | Some path ->
+            Printf.sprintf "%d shard(s) under %s, listening on %s%s" shards dir
+              path
+              (match cache_dir with
+              | Some d -> Printf.sprintf " (cache %s)" d
+              | None -> "")
+        | None ->
+            Printf.sprintf "%d shard(s) under %s, speaking JSONL on stdio"
+              shards dir)
+      ~drained:"drained, stopping shards"
+      (fun () ->
+        let procs =
+          Mcml_fleet.Proc.start
+            {
+              (Mcml_fleet.Proc.default_config ~exe:Sys.executable_name ~dir) with
+              Mcml_fleet.Proc.shards;
+              jobs;
+              admission;
+              cache_dir;
+              trace_dir;
+            }
+        in
+        let router =
+          Mcml_fleet.Router.create
+            ~restarts:(fun () -> Mcml_fleet.Proc.restarts procs)
+            { Mcml_fleet.Router.default_config with Mcml_fleet.Router.shards }
+            ~dispatch:(Mcml_fleet.Proc.dispatch procs)
+        in
+        ( Mcml_fleet.Router.frontend router,
+          Mcml_fleet.Router.handle_connection router,
+          fun () ->
+            Mcml_fleet.Router.shutdown router;
+            Mcml_fleet.Proc.stop procs ))
   in
   Cmd.v
     (Cmd.info "fleet"

@@ -24,80 +24,38 @@ let style_name = function Direct -> "direct" | Complement -> "complement"
 let counts_sides ?budget ?style ?pool ?cache ~backend ~phi ~not_phi ~space
     ~nprimary ((side_true : Cnf.t), (side_false : Cnf.t)) =
   let style = match style with Some s -> s | None -> default_style backend in
-  let tree_true = side_true and tree_false = side_false in
   let start = Mcml_obs.Obs.monotonic_s () in
   let open Mcml_obs in
   let sp =
     if Obs.enabled () then Some (Obs.start "accmc.counts") else None
   in
-  let mc gt side =
+  let mc gt side () =
     let problem = Cnf.conjoin ~nshared:nprimary gt side in
     Option.map
       (fun o -> o.Counter.count)
       (Counter.count ?budget ?cache ~backend problem)
   in
-  let ( let* ) = Option.bind in
+  (* Direct: the literal reduction of the paper, four counting calls.
+     Complement: ϕ is a total function of the primary variables, so
+     within the evaluation universe the models of [τ] split exactly into
+     [ϕ ∧ τ] and [¬ϕ ∧ τ]; counting the universe side and subtracting
+     avoids the expensive ¬ϕ formulas entirely.  Only valid with an
+     exact backend.  The four counts are independent: a pool runs them
+     as one batch, recombined in this fixed order. *)
   let result =
-    match pool with
-    | None -> (
-        (* sequential path: unchanged from the original driver,
-           including its short-circuit on the first timeout *)
-        match style with
-        | Direct ->
-            (* the literal reduction of the paper: four counting calls *)
-            let* tp = mc phi tree_true in
-            let* fp = mc not_phi tree_true in
-            let* tn = mc not_phi tree_false in
-            let* fn = mc phi tree_false in
-            Some (tp, fp, tn, fn)
-        | Complement ->
-            (* ϕ is a total function of the primary variables, so within
-               the evaluation universe the models of [τ] split exactly
-               into [ϕ ∧ τ] and [¬ϕ ∧ τ]; counting the universe side and
-               subtracting avoids the expensive ¬ϕ formulas entirely.
-               Only valid with an exact backend. *)
-            let* tp = mc phi tree_true in
-            let* denom_t = mc space tree_true in
-            let* fn = mc phi tree_false in
-            let* denom_f = mc space tree_false in
-            Some (tp, Bignat.sub denom_t tp, Bignat.sub denom_f fn, fn))
-    | Some pool ->
-        (* parallel path: the four counts are independent, so run them
-           as one batch and recombine in the fixed (tp, fp/denom_t,
-           tn/fn, ...) order — results are identical to the sequential
-           path, only the work schedule differs *)
-        let quad a b c d =
-          match Mcml_exec.Pool.map_list pool (fun f -> f ()) [ a; b; c; d ] with
-          | [ ra; rb; rc; rd ] -> (ra, rb, rc, rd)
-          | _ -> assert false
-        in
-        (match style with
-        | Direct ->
-            let tp, fp, tn, fn =
-              quad
-                (fun () -> mc phi tree_true)
-                (fun () -> mc not_phi tree_true)
-                (fun () -> mc not_phi tree_false)
-                (fun () -> mc phi tree_false)
-            in
-            let* tp = tp in
-            let* fp = fp in
-            let* tn = tn in
-            let* fn = fn in
-            Some (tp, fp, tn, fn)
-        | Complement ->
-            let tp, denom_t, fn, denom_f =
-              quad
-                (fun () -> mc phi tree_true)
-                (fun () -> mc space tree_true)
-                (fun () -> mc phi tree_false)
-                (fun () -> mc space tree_false)
-            in
-            let* tp = tp in
-            let* denom_t = denom_t in
-            let* fn = fn in
-            let* denom_f = denom_f in
-            Some (tp, Bignat.sub denom_t tp, Bignat.sub denom_f fn, fn))
+    Option.map
+      (fun counts ->
+        match (style, counts) with
+        | Direct, [ tp; fp; tn; fn ] -> (tp, fp, tn, fn)
+        | Complement, [ tp; denom_t; fn; denom_f ] ->
+            (tp, Bignat.sub denom_t tp, Bignat.sub denom_f fn, fn)
+        | _ -> assert false)
+      (Mcml_exec.Pool.all_some ?pool
+         (match style with
+         | Direct ->
+             [ mc phi side_true; mc not_phi side_true; mc not_phi side_false; mc phi side_false ]
+         | Complement ->
+             [ mc phi side_true; mc space side_true; mc phi side_false; mc space side_false ]))
   in
   let time = Mcml_obs.Obs.monotonic_s () -. start in
   (match sp with

@@ -14,45 +14,17 @@ let counts ?budget ?pool ?cache ~backend ~nprimary d1 d2 =
   let start = Mcml_obs.Obs.monotonic_s () in
   let open Mcml_obs in
   let sp = if Obs.enabled () then Some (Obs.start "diffmc.counts") else None in
-  let one l1 l2 =
+  let one l1 l2 () =
     let problem = Cnf.conjoin ~nshared:nprimary (side d1 l1) (side d2 l2) in
-    Counter.count ?budget ?cache ~backend problem
+    Option.map (fun o -> o.Counter.count) (Counter.count ?budget ?cache ~backend problem)
   in
-  let ( let* ) = Option.bind in
   let result =
-    let* tt, tf, ft, ff =
-      match pool with
-      | None ->
-          (* sequential path, short-circuiting as before *)
-          let* tt = one true true in
-          let* tf = one true false in
-          let* ft = one false true in
-          let* ff = one false false in
-          Some (tt, tf, ft, ff)
-      | Some pool -> (
-          (* one parallel batch of the four independent counts,
-             recombined in fixed order *)
-          match
-            Mcml_exec.Pool.map_list pool
-              (fun (l1, l2) -> one l1 l2)
-              [ (true, true); (true, false); (false, true); (false, false) ]
-          with
-          | [ tt; tf; ft; ff ] ->
-              let* tt = tt in
-              let* tf = tf in
-              let* ft = ft in
-              let* ff = ff in
-              Some (tt, tf, ft, ff)
-          | _ -> assert false)
-    in
-    Some
-      {
-        tt = tt.Counter.count;
-        tf = tf.Counter.count;
-        ft = ft.Counter.count;
-        ff = ff.Counter.count;
-        time = Mcml_obs.Obs.monotonic_s () -. start;
-      }
+    Option.map
+      (function
+        | [ tt; tf; ft; ff ] -> { tt; tf; ft; ff; time = Mcml_obs.Obs.monotonic_s () -. start }
+        | _ -> assert false)
+      (Mcml_exec.Pool.all_some ?pool
+         [ one true true; one true false; one false true; one false false ])
   in
   (match sp with
   | None -> ()

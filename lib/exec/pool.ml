@@ -247,6 +247,19 @@ let map_list ?deadline p f xs =
   let futs = List.map (fun x -> submit ?deadline p (fun () -> f x)) xs in
   List.map await futs
 
+let all_some ?pool thunks =
+  match pool with
+  | None ->
+      let rec go acc = function
+        | [] -> Some (List.rev acc)
+        | f :: rest -> Option.bind (f ()) (fun v -> go (v :: acc) rest)
+      in
+      go [] thunks
+  | Some p ->
+      let rs = map_list p (fun f -> f ()) thunks in
+      if List.for_all Option.is_some rs then Some (List.map Option.get rs)
+      else None
+
 let shutdown p =
   Mutex.lock p.m;
   if p.live then begin

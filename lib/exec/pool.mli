@@ -104,6 +104,12 @@ val map_list : ?deadline:float -> t -> ('a -> 'b) -> 'a list -> 'b list
     the first failing task {e in input order} determines the exception
     re-raised here. *)
 
+val all_some : ?pool:t -> (unit -> 'a option) list -> 'a list option
+(** [Some] of every thunk's result, in input order, unless one gave up
+    ([None], e.g. a count that timed out).  Without [pool] the thunks
+    run in order on the caller and stop at the first [None]; with one
+    they run as one {!map_list} batch. *)
+
 val deadline_in : float -> float
 (** [deadline_in s] is the absolute monotonic deadline [s] seconds
     from now. *)

@@ -162,7 +162,8 @@ let write_all fd s =
    "retry": connection refused (shard restarting), write failed or the
    shard died before answering — the request is idempotent (counts are
    pure functions of their key), so the caller loops until the
-   supervisor has brought the shard back or the deadline passes. *)
+   supervisor has brought the shard back or the deadline passes.  An
+   overlong response line is a malformed answer, not an outage. *)
 let attempt t (s : shard) line =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_close_on_exec fd;
@@ -178,8 +179,10 @@ let attempt t (s : shard) line =
           | exception Unix.Unix_error _ -> None
           | () ->
               let reader = Mcml_serve.Line_reader.create fd in
-              Mcml_serve.Line_reader.next reader ~stop:(fun () ->
-                  Atomic.get t.stopping))
+              Option.map
+                (Result.map_error (( ^ ) "malformed shard response: "))
+                (Mcml_serve.Line_reader.next reader ~stop:(fun () ->
+                     Atomic.get t.stopping)))
 
 let call ?deadline_s t ~shard line =
   let deadline_s = Option.value deadline_s ~default:t.cfg.call_deadline_s in
@@ -187,7 +190,7 @@ let call ?deadline_s t ~shard line =
   let deadline = Obs.monotonic_s () +. deadline_s in
   let rec loop () =
     match attempt t s line with
-    | Some resp -> Ok resp
+    | Some resp -> resp
     | None ->
         if Atomic.get t.stopping then Error "fleet is shutting down"
         else if Obs.monotonic_s () >= deadline then

@@ -62,8 +62,9 @@ val restarts : t -> int array
 val call : ?deadline_s:float -> t -> shard:int -> string -> (string, string) result
 (** [call t ~shard line] sends one JSONL request line and returns the
     response line, retrying through shard restarts as described above.
-    [Error] only after [deadline_s] of continuous unavailability (or
-    once {!stop} was called). *)
+    [Error] after [deadline_s] of continuous unavailability (or once
+    {!stop} was called), and at once for a response line longer than
+    {!Mcml_serve.Line_reader.max_line}. *)
 
 val dispatch :
   ?deadline_s:float ->

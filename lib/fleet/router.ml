@@ -3,7 +3,7 @@ module Json = Mcml_obs.Json
 module Probe = Mcml_obs.Probe
 module Metrics = Mcml_obs.Metrics
 module Protocol = Mcml_serve.Protocol
-module Line_reader = Mcml_serve.Line_reader
+module Frontend = Mcml_serve.Frontend
 
 type dispatch = int -> Protocol.request -> Protocol.response
 
@@ -25,16 +25,12 @@ type t = {
   shard_restarts : unit -> int array;
   flight : Protocol.response Single_flight.t;
   inflight : int Atomic.t;
-  drain_flag : bool Atomic.t;
+  fe : Frontend.t;
   started : float;
   total : int Atomic.t;
   ok : int Atomic.t;
   errors : int Atomic.t;
   routed : int Atomic.t array;  (** counting requests per shard *)
-  root_ctx : Obs.context;
-      (** the no-span context, captured at [create]: connection spans
-          are started under it so they are always trace roots, however
-          threads interleave on the creating domain *)
 }
 
 let probe_sources = [ "fleet.inflight"; "fleet.uptime_s"; "fleet.dedup_ratio" ]
@@ -59,20 +55,21 @@ let create ?(restarts = fun () -> [||]) cfg ~dispatch =
       shard_restarts = restarts;
       flight = Single_flight.create ~name:"fleet.singleflight" ();
       inflight = Atomic.make 0;
-      drain_flag = Atomic.make false;
+      fe =
+        Frontend.create ~conn_span:"fleet.conn" ~queue_cap:cfg.queue_cap
+          ~probe_interval_s:cfg.probe_interval_s;
       started = Obs.monotonic_s ();
       total = Atomic.make 0;
       ok = Atomic.make 0;
       errors = Atomic.make 0;
       routed = Array.init cfg.shards (fun _ -> Atomic.make 0);
-      root_ctx = Obs.current_context ();
     }
   in
   register_probes t;
   t
 
-let drain t = Atomic.set t.drain_flag true
-let draining t = Atomic.get t.drain_flag
+let frontend t = t.fe
+let draining t = Frontend.draining t.fe
 let shutdown _t = List.iter Probe.unregister probe_sources
 
 let record t (resp : Protocol.response) =
@@ -368,175 +365,25 @@ let execute t (req : Protocol.request) =
 
 (* --- connection handling ---------------------------------------------------- *)
 
-(* Same reader/ordered-responder shape as Server.handle_connection, but
-   concurrency comes from one systhread per in-flight request (router
-   work is I/O-bound: it waits on shards, it doesn't count) and memory
-   stays bounded by queue_cap exactly as in the single server. *)
+(* the front end's queue_cap bounds the request threads per connection *)
+let admit t ctx = function
+  | Error (id, msg) -> Fun.const (record t (Protocol.err ~id Protocol.Bad_request msg))
+  | Ok req ->
+      let resp = ref (Protocol.err ~id:req.Protocol.id Protocol.Internal "unreached") in
+      let th =
+        Thread.create
+          (fun () ->
+            resp :=
+              Obs.with_context ctx (fun () ->
+                  try execute t req
+                  with e ->
+                    record t
+                      (Protocol.err ~id:req.Protocol.id Protocol.Internal
+                         (Printexc.to_string e))))
+          ()
+      in
+      fun () ->
+        Thread.join th;
+        !resp
 
-type pending = {
-  pm : Mutex.t;
-  pcv : Condition.t;
-  mutable result : Protocol.response option;
-}
-
-type entry = Now of Protocol.response | Later of pending
-
-let handle_connection t ~input ~output =
-  (* pin the connection span to an explicitly captured context: request
-     threads below run under [conn_ctx], so their fleet.route spans
-     parent under this span however systhreads interleave *)
-  let conn, conn_ctx =
-    Obs.with_context t.root_ctx (fun () ->
-        let sp = Obs.start "fleet.conn" in
-        (sp, Obs.current_context ()))
-  in
-  let served = ref 0 in
-  let q : entry Queue.t = Queue.create () in
-  let qm = Mutex.create () in
-  let q_not_empty = Condition.create () in
-  let q_not_full = Condition.create () in
-  let reading_done = ref false in
-  let write_failed = ref false in
-  let responder () =
-    let rec loop () =
-      Mutex.lock qm;
-      while Queue.is_empty q && not !reading_done do
-        Condition.wait q_not_empty qm
-      done;
-      if Queue.is_empty q then Mutex.unlock qm
-      else begin
-        let e = Queue.pop q in
-        Condition.signal q_not_full;
-        Mutex.unlock qm;
-        let resp =
-          match e with
-          | Now r -> r
-          | Later p ->
-              Mutex.lock p.pm;
-              while match p.result with None -> true | Some _ -> false do
-                Condition.wait p.pcv p.pm
-              done;
-              let r = Option.get p.result in
-              Mutex.unlock p.pm;
-              r
-        in
-        if not !write_failed then
-          (try
-             output_string output (Protocol.response_to_string resp);
-             output_char output '\n';
-             flush output
-           with Sys_error _ -> write_failed := true);
-        incr served;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let responder_thread = Thread.create responder () in
-  let enqueue e =
-    Mutex.lock qm;
-    while Queue.length q >= t.cfg.queue_cap && not (Atomic.get t.drain_flag) do
-      Condition.wait q_not_full qm
-    done;
-    Queue.push e q;
-    Condition.signal q_not_empty;
-    Mutex.unlock qm
-  in
-  let reader = Line_reader.create input in
-  let rec read_loop () =
-    match Line_reader.next reader ~stop:(fun () -> Atomic.get t.drain_flag) with
-    | None -> ()
-    | Some line when String.trim line = "" -> read_loop ()
-    | Some line ->
-        let e =
-          match Protocol.request_of_string line with
-          | Error (id, msg) ->
-              Now (record t (Protocol.err ~id Protocol.Bad_request msg))
-          | Ok req ->
-              let p = { pm = Mutex.create (); pcv = Condition.create (); result = None } in
-              let (_ : Thread.t) =
-                Thread.create
-                  (fun () ->
-                    let r =
-                      Obs.with_context conn_ctx (fun () ->
-                          try execute t req
-                          with e ->
-                            record t
-                              (Protocol.err ~id:req.Protocol.id
-                                 Protocol.Internal (Printexc.to_string e)))
-                    in
-                    Mutex.lock p.pm;
-                    p.result <- Some r;
-                    Condition.signal p.pcv;
-                    Mutex.unlock p.pm)
-                  ()
-              in
-              Later p
-        in
-        enqueue e;
-        read_loop ()
-  in
-  read_loop ();
-  Mutex.lock qm;
-  reading_done := true;
-  Condition.broadcast q_not_empty;
-  Mutex.unlock qm;
-  Thread.join responder_thread;
-  (try flush output with Sys_error _ -> ());
-  Obs.with_context conn_ctx (fun () ->
-      Obs.finish ~attrs:[ ("responses", Obs.Int !served) ] conn)
-
-let serve_stdio t = handle_connection t ~input:Unix.stdin ~output:stdout
-
-let serve_unix t ~path =
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (* Shard respawns ([Proc]'s supervisors call [Unix.create_process] from
-     this process) must not inherit router sockets: a shard holding a dup
-     of a client connection would keep the client from ever seeing EOF. *)
-  Unix.set_close_on_exec lfd;
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  Unix.bind lfd (Unix.ADDR_UNIX path);
-  Unix.listen lfd 64;
-  let conns = ref [] in
-  let cm = Mutex.create () in
-  let last_probe = ref neg_infinity in
-  let rec accept_loop () =
-    if not (Atomic.get t.drain_flag) then begin
-      (if t.cfg.probe_interval_s > 0.0 then
-         let now = Obs.monotonic_s () in
-         if now -. !last_probe >= t.cfg.probe_interval_s then begin
-           last_probe := now;
-           Probe.sample ()
-         end);
-      (match Unix.select [ lfd ] [] [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | [], _, _ -> ()
-      | _ -> (
-          match Unix.accept lfd with
-          | exception Unix.Unix_error (_, _, _) -> ()
-          | cfd, _ ->
-              Unix.set_close_on_exec cfd;
-              let th =
-                Thread.create
-                  (fun () ->
-                    let oc = Unix.out_channel_of_descr cfd in
-                    (try handle_connection t ~input:cfd ~output:oc with _ -> ());
-                    try close_out oc with Sys_error _ -> ())
-                  ()
-              in
-              Mutex.lock cm;
-              conns := th :: !conns;
-              Mutex.unlock cm));
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  Unix.close lfd;
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let live =
-    Mutex.lock cm;
-    let l = !conns in
-    Mutex.unlock cm;
-    l
-  in
-  List.iter Thread.join live
+let handle_connection t = Frontend.handle_connection t.fe ~admit:(admit t)

@@ -26,6 +26,11 @@
     — and marks ["unreachable"] — only its own slot of a merged
     response.
 
+    {b Connections.}  The router speaks to clients through the same
+    {!Mcml_serve.Frontend} as a single server; each admitted request
+    runs on its own systhread (router work waits on shards, it does not
+    count).
+
     {b Telemetry.}  Spans [fleet.conn] and [fleet.route] (attrs:
     kind, shard, dedup); counters [fleet.requests.*],
     [fleet.singleflight.leaders|dedup], [fleet.shard.restarts|call_retries];
@@ -65,8 +70,8 @@ type config = {
   queue_cap : int;
       (** per-connection cap on queued (not yet written) responses *)
   probe_interval_s : float;
-      (** periodic {!Mcml_obs.Probe.sample} cadence in {!serve_unix}
-          ([<= 0.] disables) *)
+      (** periodic {!Mcml_obs.Probe.sample} cadence in
+          {!Mcml_serve.Frontend.serve_unix} ([<= 0.] disables) *)
 }
 
 val default_config : config
@@ -90,25 +95,16 @@ val execute : t -> Mcml_serve.Protocol.request -> Mcml_serve.Protocol.response
     dispatch (or fan-out/merge).  The building block of
     {!handle_connection}; exposed for tests and the bench. *)
 
-val drain : t -> unit
-(** Stop admitting (idempotent, signal-safe): readers stop, queued
-    requests answer [Draining], in-flight dispatches finish, loops
-    return. *)
-
-val draining : t -> bool
-
 val handle_connection : t -> input:Unix.file_descr -> output:out_channel -> unit
-(** Serve one JSONL connection until EOF or {!drain}; responses come
-    back in request order while up to [queue_cap] requests run
-    concurrently.  Does not close either descriptor. *)
+(** {!Mcml_serve.Frontend.handle_connection} with the router's
+    admission: responses come back in request order while up to
+    [queue_cap] requests run concurrently. *)
 
-val serve_stdio : t -> unit
-
-val serve_unix : t -> path:string -> unit
-(** Accept loop on a Unix socket, one thread per connection, probe
-    ticking, graceful exit on {!drain} — the fleet twin of
-    {!Mcml_serve.Server.serve_unix}. *)
+val frontend : t -> Mcml_serve.Frontend.t
+(** The router's front end, which owns the drain flag (once drained,
+    {!execute} answers [Draining]); hand it to
+    {!Mcml_serve.Frontend.serve_unix} with {!handle_connection}. *)
 
 val shutdown : t -> unit
-(** Unregister the router's probes.  Call after the serve loop
-    returns (shard processes are owned by {!Proc} and stopped there). *)
+(** Unregister the router's probes.  Call after the connection loops
+    return (shard processes are owned by {!Proc} and stopped there). *)

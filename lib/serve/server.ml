@@ -49,13 +49,9 @@ type t = {
   disk : Mcml_exec.Diskcache.t option;
       (** persistent tier behind [cache]; owned (and closed) here *)
   inflight : int Atomic.t;  (** admitted counting requests not yet finished *)
-  drain_flag : bool Atomic.t;
+  fe : Frontend.t;
   started : float;
   totals : totals;
-  root_ctx : Obs.context;
-      (** the no-span context, captured at [create]: connection spans
-          are started under it so they are always trace roots, however
-          threads interleave on the creating domain *)
 }
 
 (* Dynamic probe sources the server owns: registered at [create],
@@ -107,7 +103,9 @@ let create cfg =
          else None);
       disk;
       inflight = Atomic.make 0;
-      drain_flag = Atomic.make false;
+      fe =
+        Frontend.create ~conn_span:"serve.conn" ~queue_cap:cfg.queue_cap
+          ~probe_interval_s:cfg.probe_interval_s;
       started = Obs.monotonic_s ();
       totals =
         {
@@ -119,15 +117,14 @@ let create cfg =
           drained = Atomic.make 0;
           internal = Atomic.make 0;
         };
-      root_ctx = Obs.current_context ();
     }
   in
   register_probes t;
   t
 
 let jobs t = Pool.jobs t.pool
-let drain t = Atomic.set t.drain_flag true
-let draining t = Atomic.get t.drain_flag
+let frontend t = t.fe
+let draining t = Frontend.draining t.fe
 
 let shutdown t =
   List.iter Probe.unregister probe_sources;
@@ -446,192 +443,50 @@ let execute_in t ?ctx ~deadline (req : Protocol.request) =
       | Error _ -> ()));
   record t { Protocol.rid = req.Protocol.id; body = !body }
 
-let execute t (req : Protocol.request) =
-  let deadline =
-    Option.map
-      (fun ms -> Obs.monotonic_s () +. (ms /. 1000.0))
-      req.Protocol.deadline_ms
-  in
-  execute_in t ~deadline req
+(* the deadline clock starts now: at admission, or at a direct call *)
+let deadline_of (req : Protocol.request) =
+  Option.map
+    (fun ms -> Obs.monotonic_s () +. (ms /. 1000.0))
+    req.Protocol.deadline_ms
+
+let execute t req = execute_in t ~deadline:(deadline_of req) req
 
 (* --- connection handling ------------------------------------------------ *)
 
-(* A response slot in connection order: either already computed (admin
-   kinds, rejections) or still running on the pool. *)
-type entry = Now of Protocol.response | Later of Json.t * Protocol.response Pool.future
-
-let handle_connection t ~input ~output =
-  (* connection span: forced to be a root via the server's no-span
-     context, current for the whole connection so request spans (and
-     pool tasks submitted from here) parent under it *)
-  let conn, conn_ctx =
-    Obs.with_context t.root_ctx (fun () ->
-        let sp = Obs.start "serve.conn" in
-        (sp, Obs.current_context ()))
-  in
-  let served = ref 0 in
-  let q : entry Queue.t = Queue.create () in
-  let qm = Mutex.create () in
-  let q_not_empty = Condition.create () in
-  let q_not_full = Condition.create () in
-  let reading_done = ref false in
-  let write_failed = ref false in
-  let responder () =
-    let rec loop () =
-      Mutex.lock qm;
-      while Queue.is_empty q && not !reading_done do
-        Condition.wait q_not_empty qm
-      done;
-      if Queue.is_empty q then Mutex.unlock qm (* reading done, all written *)
-      else begin
-        let e = Queue.pop q in
-        Condition.signal q_not_full;
-        Mutex.unlock qm;
-        let resp =
-          match e with
-          | Now r -> r
-          | Later (id, fut) -> (
+let admit t ctx parsed =
+  let now resp = Fun.const (record t resp) in
+  match parsed with
+  | Error (id, msg) -> now (Protocol.err ~id Protocol.Bad_request msg)
+  | Ok req when draining t ->
+      now (Protocol.err ~id:req.Protocol.id Protocol.Draining "server is draining")
+  | Ok req -> (
+      match req.Protocol.kind with
+      | Protocol.Health | Protocol.Stats | Protocol.Metrics _ ->
+          Fun.const (execute_in t ~ctx ~deadline:None req)
+      | Protocol.Count _ | Protocol.Accmc _ | Protocol.Diffmc _ ->
+          (* fetch-and-add keeps the admission check exact when several
+             connection readers race *)
+          if Atomic.fetch_and_add t.inflight 1 >= t.cfg.admission then begin
+            Atomic.decr t.inflight;
+            now
+              (Protocol.err ~id:req.Protocol.id Protocol.Overloaded
+                 (Printf.sprintf "admission limit reached (%d requests in flight)"
+                    t.cfg.admission))
+          end
+          else begin
+            let deadline = deadline_of req in
+            let fut =
+              Pool.submit t.pool (fun () ->
+                  Fun.protect
+                    ~finally:(fun () -> Atomic.decr t.inflight)
+                    (fun () -> execute_in t ~ctx ~deadline req))
+            in
+            fun () ->
               try Pool.await fut
               with exn ->
-                record t (Protocol.err ~id Protocol.Internal (Printexc.to_string exn)))
-        in
-        if not !write_failed then
-          (try
-             output_string output (Protocol.response_to_string resp);
-             output_char output '\n';
-             flush output
-           with Sys_error _ -> write_failed := true);
-        incr served;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let responder_thread = Thread.create responder () in
-  let enqueue e =
-    Mutex.lock qm;
-    while Queue.length q >= t.cfg.queue_cap && not (Atomic.get t.drain_flag) do
-      Condition.wait q_not_full qm
-    done;
-    Queue.push e q;
-    Condition.signal q_not_empty;
-    Mutex.unlock qm
-  in
-  let reader = Line_reader.create input in
-  let rec read_loop () =
-    match Line_reader.next reader ~stop:(fun () -> Atomic.get t.drain_flag) with
-    | None -> ()
-    | Some line when String.trim line = "" -> read_loop ()
-    | Some line ->
-        let e =
-          match Protocol.request_of_string line with
-          | Error (id, msg) ->
-              Now (record t (Protocol.err ~id Protocol.Bad_request msg))
-          | Ok req ->
-              if Atomic.get t.drain_flag then
-                Now
-                  (record t
-                     (Protocol.err ~id:req.Protocol.id Protocol.Draining
-                        "server is draining"))
-              else (
-                match req.Protocol.kind with
-                | Protocol.Health | Protocol.Stats | Protocol.Metrics _ ->
-                    Now (execute_in t ~ctx:conn_ctx ~deadline:None req)
-                | Protocol.Count _ | Protocol.Accmc _ | Protocol.Diffmc _ ->
-                    (* fetch-and-add keeps the admission check exact
-                       when several connection readers race *)
-                    if Atomic.fetch_and_add t.inflight 1 >= t.cfg.admission then begin
-                      Atomic.decr t.inflight;
-                      Now
-                        (record t
-                           (Protocol.err ~id:req.Protocol.id Protocol.Overloaded
-                              (Printf.sprintf
-                                 "admission limit reached (%d requests in flight)"
-                                 t.cfg.admission)))
-                    end
-                    else begin
-                      (* the deadline clock starts at admission *)
-                      let deadline =
-                        Option.map
-                          (fun ms -> Obs.monotonic_s () +. (ms /. 1000.0))
-                          req.Protocol.deadline_ms
-                      in
-                      let fut =
-                        Pool.submit t.pool (fun () ->
-                            Fun.protect
-                              ~finally:(fun () -> Atomic.decr t.inflight)
-                              (fun () ->
-                                execute_in t ~ctx:conn_ctx ~deadline req))
-                      in
-                      Later (req.Protocol.id, fut)
-                    end)
-        in
-        enqueue e;
-        read_loop ()
-  in
-  read_loop ();
-  Mutex.lock qm;
-  reading_done := true;
-  Condition.broadcast q_not_empty;
-  Mutex.unlock qm;
-  Thread.join responder_thread;
-  (try flush output with Sys_error _ -> ());
-  Obs.with_context conn_ctx (fun () ->
-      Obs.finish ~attrs:[ ("responses", Obs.Int !served) ] conn)
+                record t
+                  (Protocol.err ~id:req.Protocol.id Protocol.Internal
+                     (Printexc.to_string exn))
+          end)
 
-let serve_stdio t = handle_connection t ~input:Unix.stdin ~output:stdout
-
-(* Accept loop: poll the listening socket so the drain flag is noticed
-   within 50ms even when no client ever connects. *)
-let serve_unix t ~path =
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  Unix.bind lfd (Unix.ADDR_UNIX path);
-  Unix.listen lfd 64;
-  let conns = ref [] in
-  let cm = Mutex.create () in
-  (* the accept loop doubles as the probe ticker: it already wakes
-     every 50ms to poll the drain flag, so GC/rusage/pool gauges stay
-     at most [probe_interval_s] stale even while no client scrapes *)
-  let last_probe = ref neg_infinity in
-  let rec accept_loop () =
-    if not (Atomic.get t.drain_flag) then begin
-      (if t.cfg.probe_interval_s > 0.0 then
-         let now = Obs.monotonic_s () in
-         if now -. !last_probe >= t.cfg.probe_interval_s then begin
-           last_probe := now;
-           Probe.sample ()
-         end);
-      (match Unix.select [ lfd ] [] [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | [], _, _ -> ()
-      | _ -> (
-          match Unix.accept lfd with
-          | exception Unix.Unix_error (_, _, _) -> ()
-          | cfd, _ ->
-              let th =
-                Thread.create
-                  (fun () ->
-                    let oc = Unix.out_channel_of_descr cfd in
-                    (try handle_connection t ~input:cfd ~output:oc
-                     with _ -> ());
-                    (* closes [cfd] too *)
-                    try close_out oc with Sys_error _ -> ())
-                  ()
-              in
-              Mutex.lock cm;
-              conns := th :: !conns;
-              Mutex.unlock cm));
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  Unix.close lfd;
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let live =
-    Mutex.lock cm;
-    let l = !conns in
-    Mutex.unlock cm;
-    l
-  in
-  List.iter Thread.join live
+let handle_connection t = Frontend.handle_connection t.fe ~admit:(admit t)

@@ -5,23 +5,15 @@
     content-addressed count cache ({!Mcml_counting.Counter.cache}), so
     a warm process answers repeated queries without re-counting and
     concurrent requests share both.  Connections speak the JSONL
-    {!Protocol}; each connection is handled by {!handle_connection}:
-
-    - a {b reader} parses one request per line and either answers it
-      inline (admin kinds, parse errors, rejections) or {e admits} it —
-      submits its execution onto the pool and queues the future;
-    - a {b responder} thread writes responses back {e in request
-      order}, awaiting each future as its turn comes.
+    {!Protocol} through a {!Frontend}; the server decides what it
+    admits: admin kinds, parse errors and rejections are answered
+    inline, counting requests run on the pool.
 
     {b Bounded admission, explicit overload.}  At most
     [config.admission] counting requests are in flight per server at
     once; a request arriving beyond that is answered immediately with
     [code = "overloaded"] — the service degrades by shedding load, not
-    by buffering it.  The per-connection response queue is additionally
-    capped at [config.queue_cap] entries; when even rejections cannot
-    be queued, the reader stops reading and the client feels socket
-    backpressure.  Memory per connection is therefore bounded by
-    construction.
+    by buffering it.
 
     {b Deadlines ride the budget discipline.}  A request's
     [deadline_ms] is fixed at admission; when its execution starts, the
@@ -29,13 +21,6 @@
     ([min budget remaining]), so an expired or nearly-expired deadline
     turns into the counters' existing timeout path and comes back as a
     [code = "timeout"] response — the connection stays alive.
-
-    {b Graceful drain.}  {!drain} (wired to SIGTERM/SIGINT by the CLI)
-    stops admission: readers stop consuming input, requests already
-    read are answered with [code = "draining"], in-flight work runs to
-    completion and its responses are written, then connection loops and
-    {!serve_unix}'s accept loop return so the process can flush its
-    trace sink and exit 0.
 
     {b Telemetry.}  Each connection runs inside a [serve.conn] span;
     every request executes inside a [serve.request] span that parents
@@ -54,8 +39,8 @@
     runtime probes first), independent of any sink flush.  At
     {!create} the server registers dynamic probe sources — pool queue
     depth, in-flight count, count-cache hit ratio and size, deadline
-    hit ratio, [serve.request] p99 — which {!shutdown} removes;
-    {!serve_unix} additionally samples every
+    hit ratio, [serve.request] p99 — which {!shutdown} removes; the
+    front end's accept loop additionally samples every
     [config.probe_interval_s] seconds so gauges stay fresh between
     scrapes. *)
 
@@ -72,8 +57,9 @@ type config = {
   cache_capacity : int;  (** entries, FIFO-evicted ({!Mcml_exec.Memo}) *)
   probe_interval_s : float;
       (** minimum seconds between periodic {!Mcml_obs.Probe.sample}
-          ticks in {!serve_unix}'s accept loop ([<= 0.] disables the
-          ticker; a [metrics] request still samples on demand) *)
+          ticks in {!Frontend.serve_unix}'s accept loop ([<= 0.]
+          disables the ticker; a [metrics] request still samples on
+          demand) *)
   shard_id : int option;
       (** fleet identity: when set, [health] and [stats] payloads carry
           a ["shard"] field so the router's fan-out merge stays
@@ -101,13 +87,6 @@ val create : config -> t
 val jobs : t -> int
 (** The configured pool parallelism. *)
 
-val drain : t -> unit
-(** Request a graceful drain (idempotent, callable from a signal
-    handler or any thread): stop admitting, finish in-flight requests,
-    let connection loops return. *)
-
-val draining : t -> bool
-
 val execute : t -> Protocol.request -> Protocol.response
 (** Execute one request synchronously on the calling domain —
     admission, queueing and the pool are bypassed; the deadline (taken
@@ -116,19 +95,12 @@ val execute : t -> Protocol.request -> Protocol.response
     [bench --serve]'s direct baseline and for tests. *)
 
 val handle_connection : t -> input:Unix.file_descr -> output:out_channel -> unit
-(** Serve one JSONL connection until EOF or {!drain}.  Returns only
-    after every admitted request has been answered and [output]
-    flushed.  Does not close either descriptor. *)
+(** {!Frontend.handle_connection} with this server's admission. *)
 
-val serve_stdio : t -> unit
-(** {!handle_connection} over stdin/stdout — the mode tests and
-    one-shot pipelines use ([mcml serve] without [--socket]). *)
-
-val serve_unix : t -> path:string -> unit
-(** Bind a Unix-domain socket at [path] (replacing a stale file),
-    accept connections until {!drain}, one thread per connection; on
-    drain, stop accepting, unlink [path], and join every live
-    connection.  The caller should ignore SIGPIPE. *)
+val frontend : t -> Frontend.t
+(** The server's front end, which owns the drain flag: {!Frontend.drain}
+    it to stop admitting; hand it to {!Frontend.serve_unix} with
+    {!handle_connection}. *)
 
 val shutdown : t -> unit
-(** Shut the pool down.  Call after the serve loop returns. *)
+(** Shut the pool down.  Call after the connection loops return. *)

@@ -428,6 +428,19 @@ let fleet_merged_metrics () =
           check Alcotest.bool "shard liveness gauge present" true
             (has_substr text "mcml_fleet_shard_up"))
 
+(* --- the router's connection loop, over two in-process servers ------------ *)
+
+let router_in_order () =
+  with_real_fleet ~shards:2 (fun t -> Conn_cases.in_order (Router.handle_connection t))
+
+let router_drain_ends_loop () =
+  with_real_fleet ~shards:2 (fun t ->
+      Conn_cases.drain_ends_loop (Router.handle_connection t) (Router.frontend t))
+
+let router_overlong_line () =
+  with_real_fleet ~shards:2 (fun t ->
+      Conn_cases.overlong_then_valid (Router.handle_connection t))
+
 let () =
   Alcotest.run "mcml_fleet"
     [
@@ -457,5 +470,13 @@ let () =
             fleet_trace_parenting;
           Alcotest.test_case "merged metrics exposition" `Slow
             fleet_merged_metrics;
+        ] );
+      ( "connection",
+        [
+          Alcotest.test_case "responses in request order" `Quick router_in_order;
+          Alcotest.test_case "drain ends the connection loop" `Quick
+            router_drain_ends_loop;
+          Alcotest.test_case "overlong line, then a valid line" `Quick
+            router_overlong_line;
         ] );
     ]

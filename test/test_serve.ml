@@ -232,60 +232,13 @@ let execute_health_stats () =
 (* Connections (socketpair end-to-end)                                     *)
 (* ---------------------------------------------------------------------- *)
 
-type conn = {
-  cfd : Unix.file_descr;
-  ic : in_channel;
-  oc : out_channel;
-  handler : Thread.t;
-}
+open Conn_cases
 
-let connect srv =
-  let sfd, cfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let handler =
-    Thread.create
-      (fun () ->
-        let out = Unix.out_channel_of_descr sfd in
-        Server.handle_connection srv ~input:sfd ~output:out;
-        try close_out out with Sys_error _ -> ())
-      ()
-  in
-  { cfd; ic = Unix.in_channel_of_descr cfd; oc = Unix.out_channel_of_descr cfd; handler }
+let connect srv = Conn_cases.connect (Server.handle_connection srv)
+let connection_in_order () = with_server (fun srv -> in_order (Server.handle_connection srv))
 
-let send conn line =
-  output_string conn.oc line;
-  output_char conn.oc '\n';
-  flush conn.oc
-
-let recv conn =
-  match Protocol.response_of_string (input_line conn.ic) with
-  | Ok r -> r
-  | Error msg -> Alcotest.failf "bad response line: %s" msg
-
-let finish conn =
-  (try Unix.shutdown conn.cfd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
-  Thread.join conn.handler;
-  close_in_noerr conn.ic
-
-let code_of resp =
-  match resp.Protocol.body with
-  | Ok _ -> "ok"
-  | Error (code, _) -> Protocol.code_name code
-
-let connection_in_order () =
-  with_server (fun srv ->
-      let conn = connect srv in
-      send conn "{\"id\":1,\"kind\":\"count\",\"prop\":\"Reflexive\",\"scope\":3}";
-      send conn "{\"id\":2,\"kind\":\"health\"}";
-      send conn "{\"id\":3,\"kind\":\"count\",\"prop\":\"NoSuchProp\"}";
-      send conn "{\"id\":4,\"kind\":\"stats\"}";
-      let r1 = recv conn and r2 = recv conn and r3 = recv conn and r4 = recv conn in
-      finish conn;
-      check Alcotest.(list string) "ids echoed in request order"
-        [ "1"; "2"; "3"; "4" ]
-        (List.map (fun r -> Json.to_string r.Protocol.rid) [ r1; r2; r3; r4 ]);
-      check Alcotest.(list string) "outcomes"
-        [ "ok"; "ok"; "bad_request"; "ok" ]
-        (List.map code_of [ r1; r2; r3; r4 ]))
+let connection_overlong_line () =
+  with_server (fun srv -> overlong_then_valid (Server.handle_connection srv))
 
 let deadline_expiry_keeps_connection () =
   with_server (fun srv ->
@@ -426,7 +379,8 @@ let drain_completes_in_flight () =
       (* a real SIGTERM, delivered to this process, must end the serve
          loop while the already-read request still gets its answer *)
       let previous =
-        Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Server.drain srv))
+        Sys.signal Sys.sigterm
+          (Sys.Signal_handle (fun _ -> Frontend.drain (Server.frontend srv)))
       in
       Fun.protect
         ~finally:(fun () -> Sys.set_signal Sys.sigterm previous)
@@ -438,7 +392,8 @@ let drain_completes_in_flight () =
           Unix.kill (Unix.getpid ()) Sys.sigterm;
           (* the handler must terminate on its own now — no EOF from us *)
           Thread.join conn.handler;
-          check Alcotest.bool "server is draining" true (Server.draining srv);
+          check Alcotest.bool "server is draining" true
+            (Frontend.draining (Server.frontend srv));
           let r1 = recv conn in
           check Alcotest.string "in-flight request completed" "ok" (code_of r1);
           (match input_line conn.ic with
@@ -448,17 +403,115 @@ let drain_completes_in_flight () =
 
 let draining_rejects_new_requests () =
   with_server (fun srv ->
-      let conn = connect srv in
-      send conn "{\"id\":1,\"kind\":\"health\"}";
-      ignore (recv conn);
-      Server.drain srv;
-      (* requests already buffered when the drain flag flips may race the
-         reader; the contract is only that the loop ends and everything
-         admitted is answered — so just check termination here *)
-      finish conn;
-      check Alcotest.bool "draining" true (Server.draining srv))
+      drain_ends_loop (Server.handle_connection srv) (Server.frontend srv))
+
+(* ---------------------------------------------------------------------- *)
+(* Line reader (socketpair)                                                *)
+(* ---------------------------------------------------------------------- *)
+
+let with_reader f =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      try Unix.close w with Unix.Unix_error _ -> ())
+    (fun () -> f (Line_reader.create r) w)
+
+let write fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* the writes run on their own thread: a line near the cap outgrows the
+   socket buffer, so they block until the reader drains it *)
+let writer steps =
+  Thread.create (fun () -> List.iter (fun step -> step ()) steps) ()
+
+let next r = Line_reader.next r ~stop:(fun () -> false)
+
+let show = function
+  | None -> "eof"
+  | Some (Ok line) when String.length line > 64 ->
+      Printf.sprintf "ok <%d bytes>" (String.length line)
+  | Some (Ok line) -> "ok " ^ line
+  | Some (Error msg) -> "error " ^ msg
+
+let expect r items =
+  List.iter
+    (fun want -> check Alcotest.string "next" want (show (next r)))
+    items
+
+let overlong = "error line longer than 1048576 bytes"
+
+let lr_split_across_reads () =
+  with_reader (fun r w ->
+      let th =
+        writer
+          [
+            (fun () -> write w "hel");
+            (fun () -> Thread.delay 0.1);
+            (fun () -> write w "lo\nwor");
+            (fun () -> Thread.delay 0.1);
+            (fun () -> write w "ld\n");
+            (fun () -> Unix.shutdown w Unix.SHUTDOWN_SEND);
+          ]
+      in
+      expect r [ "ok hello"; "ok world"; "eof" ];
+      Thread.join th)
+
+let lr_many_lines_one_read () =
+  with_reader (fun r w ->
+      write w "a\nbb\n\nccc\n";
+      Unix.shutdown w Unix.SHUTDOWN_SEND;
+      expect r [ "ok a"; "ok bb"; "ok "; "ok ccc"; "eof" ])
+
+let lr_final_line_without_newline () =
+  with_reader (fun r w ->
+      write w "x\nlast";
+      Unix.shutdown w Unix.SHUTDOWN_SEND;
+      expect r [ "ok x"; "ok last"; "eof" ])
+
+let lr_overlong_reported_once () =
+  let cap = Line_reader.max_line in
+  with_reader (fun r w ->
+      let th =
+        writer
+          [
+            (* exactly at the cap: still a line *)
+            (fun () -> write w (String.make cap 'y' ^ "\n"));
+            (* over the cap with no newline in sight: reported as soon
+               as the cap is crossed *)
+            (fun () -> write w (String.make (3 * cap) 'x' ^ "\nnext\n"));
+            (* one byte over, its newline arriving in a later read *)
+            (fun () -> write w (String.make cap 'z'));
+            (fun () -> Thread.delay 0.2);
+            (fun () -> write w "z\nafter\n");
+            (fun () -> Unix.shutdown w Unix.SHUTDOWN_SEND);
+          ]
+      in
+      expect r
+        [
+          Printf.sprintf "ok <%d bytes>" cap;
+          overlong;
+          "ok next";
+          overlong;
+          "ok after";
+          "eof";
+        ];
+      Thread.join th)
+
+let lr_eof_while_dropping () =
+  with_reader (fun r w ->
+      let th =
+        writer
+          [
+            (fun () -> write w (String.make (Line_reader.max_line + 10) 'x'));
+            (fun () -> Unix.shutdown w Unix.SHUTDOWN_SEND);
+          ]
+      in
+      expect r [ overlong; "eof"; "eof" ];
+      Thread.join th)
 
 let () =
+  (* a failed line-reader case closes the pair under a blocked writer *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "mcml_serve"
     [
       ( "protocol",
@@ -479,6 +532,8 @@ let () =
       ( "connection",
         [
           Alcotest.test_case "responses in request order" `Quick connection_in_order;
+          Alcotest.test_case "overlong line, then a valid line" `Quick
+            connection_overlong_line;
           Alcotest.test_case "deadline expiry keeps the connection" `Quick
             deadline_expiry_keeps_connection;
           Alcotest.test_case "admission=0 sheds counting load" `Quick
@@ -491,6 +546,17 @@ let () =
           Alcotest.test_case "SLO counters" `Quick slo_counters_accumulate;
           Alcotest.test_case "overload rejections counted" `Quick
             overload_rejections_counted;
+        ] );
+      ( "line reader",
+        [
+          Alcotest.test_case "line split across reads" `Quick lr_split_across_reads;
+          Alcotest.test_case "several lines in one read" `Quick
+            lr_many_lines_one_read;
+          Alcotest.test_case "final line without a newline" `Quick
+            lr_final_line_without_newline;
+          Alcotest.test_case "overlong line reported once" `Quick
+            lr_overlong_reported_once;
+          Alcotest.test_case "EOF while dropping" `Quick lr_eof_while_dropping;
         ] );
       ( "drain",
         [
