@@ -29,6 +29,26 @@ let pool_sequential_identity () =
   check Alcotest.(list int) "inline submission order" [ 3; 2; 1 ] !log;
   check Alcotest.(list int) "await order" [ 1; 2; 3 ] (List.map Pool.await futs)
 
+(* all_some: without a pool the thunks run in order and stop at the
+   first None; with one they run as one batch (every thunk, even after a
+   None) and the answer is the same *)
+let pool_all_some () =
+  let calls = Array.init 3 (fun _ -> Atomic.make 0) in
+  let thunk i v () =
+    Atomic.incr calls.(i);
+    v
+  in
+  let ran () = Array.to_list (Array.map Atomic.get calls) in
+  let thunks = [ thunk 0 (Some 10); thunk 1 None; thunk 2 (Some 30) ] in
+  check Alcotest.(option (list int)) "sequential: a None wins" None (Pool.all_some thunks);
+  check Alcotest.(list int) "sequential: stops at the first None" [ 1; 1; 0 ] (ran ());
+  Pool.with_pool ~jobs:4 (fun p ->
+      check Alcotest.(option (list int)) "batch: a None wins" None (Pool.all_some ~pool:p thunks);
+      check Alcotest.(list int) "batch: every thunk ran" [ 2; 2; 1 ] (ran ());
+      check Alcotest.(option (list int)) "batch: results in input order"
+        (Some [ 10; 20; 30 ])
+        (Pool.all_some ~pool:p [ thunk 0 (Some 10); thunk 1 (Some 20); thunk 2 (Some 30) ]))
+
 let pool_exception_propagation () =
   Pool.with_pool ~jobs:4 @@ fun p ->
   let fut = Pool.submit p (fun () -> failwith "boom") in
@@ -503,6 +523,7 @@ let () =
         [
           Alcotest.test_case "map_list ordering" `Quick pool_map_list_ordering;
           Alcotest.test_case "sequential identity" `Quick pool_sequential_identity;
+          Alcotest.test_case "all_some" `Quick pool_all_some;
           Alcotest.test_case "exception propagation" `Quick pool_exception_propagation;
           Alcotest.test_case "reuse across batches" `Quick pool_reuse_across_batches;
           Alcotest.test_case "nested submission" `Quick pool_nested_submission;
