@@ -32,20 +32,25 @@ let send conn line =
   output_char conn.oc '\n';
   flush conn.oc
 
-let recv conn =
-  match Protocol.response_of_string (input_line conn.ic) with
+let parse line =
+  match Protocol.response_of_string line with
   | Ok r -> r
   | Error msg -> Alcotest.failf "bad response line: %s" msg
+
+let recv conn = parse (input_line conn.ic)
 
 let expect_eof conn =
   match input_line conn.ic with
   | exception End_of_file -> ()
   | line -> Alcotest.failf "unexpected extra response: %s" line
 
+let half_close conn =
+  try Unix.shutdown conn.cfd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ()
+
 (* Half-close, require that every response was already read, and wait
    for the connection loop to end. *)
 let finish conn =
-  (try Unix.shutdown conn.cfd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  half_close conn;
   expect_eof conn;
   Thread.join conn.handler;
   close_in_noerr conn.ic
@@ -56,14 +61,11 @@ let finish conn =
 let exchange handle lines =
   let conn = connect handle in
   List.iter (send conn) lines;
-  (try Unix.shutdown conn.cfd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  half_close conn;
   let rec read acc =
     match input_line conn.ic with
     | exception End_of_file -> List.rev acc
-    | line -> (
-        match Protocol.response_of_string line with
-        | Ok r -> read (r :: acc)
-        | Error msg -> Alcotest.failf "bad response line: %s" msg)
+    | line -> read (parse line :: acc)
   in
   let rs = read [] in
   Thread.join conn.handler;
