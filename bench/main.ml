@@ -133,8 +133,10 @@ let timed name f =
    walls: a counter rewrite can regress its per-call latency (what its
    acceptance criteria are stated in) while hiding inside a section's
    wall-clock noise, so the two counting distributions are first-class
-   gate subjects.  So are positive enumeration and the dataset
-   generation around it, which every table pays for.  The gated
+   gate subjects, and so is the exact AccMC query (compile once,
+   condition on the tree's paths), which no longer makes count
+   queries.  So are positive enumeration and the dataset generation
+   around it, which every table pays for.  The gated
    statistic is the *median*: with ~32-100 calls per section the p99
    is the single slowest sample, and one scheduler or major-GC hiccup
    moves it 5-6x run-to-run on a shared host (observed on sections
@@ -143,7 +145,13 @@ let timed name f =
    optimization is reverted.  The p99 ratio is printed alongside for
    the record, unvetoed.  Keys absent from either run are skipped. *)
 let gated_latency_keys =
-  [ "counter.count.approx_ms"; "counter.count.exact_ms"; "sat.enumerate"; "pipeline.generate" ]
+  [
+    "counter.count.approx_ms";
+    "counter.count.exact_ms";
+    "accmc.counts";
+    "sat.enumerate";
+    "pipeline.generate";
+  ]
 
 (* Per-section baseline wall times — and the p99 of every gated latency
    key the section carries — out of a previous --json summary (a
@@ -948,9 +956,7 @@ let run_micro () =
 
 let run_ablations cfg =
   banner "Ablations";
-  Report.symmetry_ablation fmt (Experiments.symmetry_ablation cfg);
-  Format.pp_print_newline fmt ();
-  Report.accmc_style_ablation fmt (Experiments.accmc_style_ablation cfg)
+  Report.symmetry_ablation fmt (Experiments.symmetry_ablation cfg)
 
 (* ---------------------------------------------------------------------- *)
 

@@ -40,6 +40,43 @@ for p in Antisymmetric Bijective Connex Equivalence Function Functional \
 done
 echo "   32/32 exact counts identical to brute enumeration"
 
+echo "== AccMC/DiffMC cross-check gate: conditioned exact vs brute Tree2CNF =="
+# exact AccMC conditions one compiled ground truth on the tree's paths
+# and exact DiffMC sums path pairs with no counter; brute force counts
+# the paper's Tree2CNF conjunctions one by one.  The trees are the same
+# (same seed), so every property at scope 3, plain and symmetry-broken,
+# must print the same four counts.  Unrestricted Surjective has too few
+# negatives to balance its dataset: bad input, exit 2.
+for p in Antisymmetric Bijective Connex Equivalence Function Functional \
+  Injective Irreflexive NonStrictOrder PartialOrder PreOrder Reflexive \
+  StrictOrder Surjective TotalOrder Transitive; do
+  for flags in "" "--symmetry"; do
+    [ "$p" = Surjective ] && [ -z "$flags" ] && continue
+    for cmd in train-eval diff; do
+      # shellcheck disable=SC2086
+      e="$("$MCML" $cmd -p "$p" -s 3 --backend exact $flags \
+        | sed -n 's/.*\(tp=[0-9]* fp=[0-9]* tn=[0-9]* fn=[0-9]*\).*/\1/p; s/^\(TT=[0-9]* TF=[0-9]* FT=[0-9]* FF=[0-9]*\) .*/\1/p')"
+      # shellcheck disable=SC2086
+      b="$("$MCML" $cmd -p "$p" -s 3 --backend brute $flags \
+        | sed -n 's/.*\(tp=[0-9]* fp=[0-9]* tn=[0-9]* fn=[0-9]*\).*/\1/p; s/^\(TT=[0-9]* TF=[0-9]* FT=[0-9]* FF=[0-9]*\) .*/\1/p')"
+      [ -n "$e" ] && [ "$e" = "$b" ] || {
+        echo "FAIL: $cmd exact='$e' brute='$b' for $p scope 3 $flags" >&2
+        exit 1
+      }
+    done
+  done
+done
+for cmd in train-eval diff; do
+  st=0
+  err="$("$MCML" $cmd -p Surjective -s 3 2>&1 >/dev/null)" || st=$?
+  [ "$st" -eq 2 ] && ! echo "$err" | grep -q "internal error" || {
+    echo "FAIL: unbalanceable $cmd exited $st: $err" >&2
+    exit 1
+  }
+done
+echo "   31/31 AccMC and 31/31 DiffMC counts identical to brute Tree2CNF counts;"
+echo "   unbalanceable data exits 2"
+
 echo "== enumeration gate: solutions listed == exact count =="
 # positives come from walking the compiled trace, so the number of
 # solutions mcml enumerate lists must equal the count of the same CNF,
@@ -123,17 +160,20 @@ echo "== span forest shape: --jobs 4 must equal --jobs 1 =="
 # --no-count-cache: at jobs>1 two identical in-flight queries can both
 # miss the cache and spawn extra count spans, which is legitimate but
 # makes the forest shape nondeterministic; the shape contract is
-# cache-free
+# cache-free.  Table 3 adds exact AccMC, whose per-process universe
+# memo must compile each universe once however rows interleave.
 t1="$(mktemp /tmp/mcml_shape_j1.XXXXXX.jsonl)"
 t4="$(mktemp /tmp/mcml_shape_j4.XXXXXX.jsonl)"
-dune exec bin/main.exe -- exp 1 --jobs 1 --no-count-cache --budget 20 --trace "$t1" >/dev/null
-dune exec bin/main.exe -- exp 1 --jobs 4 --no-count-cache --budget 20 --trace "$t4" >/dev/null
-dune exec bin/main.exe -- stats --from-trace "$t1" --shape >"$t1.shape"
-dune exec bin/main.exe -- stats --from-trace "$t4" --shape >"$t4.shape"
-if ! diff "$t1.shape" "$t4.shape"; then
-  echo "FAIL: span forest shape differs between --jobs 1 and --jobs 4" >&2
-  exit 1
-fi
+for table in 1 3; do
+  dune exec bin/main.exe -- exp "$table" --jobs 1 --no-count-cache --budget 20 --trace "$t1" >/dev/null
+  dune exec bin/main.exe -- exp "$table" --jobs 4 --no-count-cache --budget 20 --trace "$t4" >/dev/null
+  dune exec bin/main.exe -- stats --from-trace "$t1" --shape >"$t1.shape"
+  dune exec bin/main.exe -- stats --from-trace "$t4" --shape >"$t4.shape"
+  if ! diff "$t1.shape" "$t4.shape"; then
+    echo "FAIL: table $table span forest shape differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+  fi
+done
 rm -f "$t1" "$t4" "$t1.shape" "$t4.shape"
 
 echo "== smoke: parallel driver (jobs=1 vs jobs=4 must print identical tables) =="

@@ -66,6 +66,14 @@ let backend_arg =
 let default_scope prop ~symmetry =
   Experiments.scope_for Experiments.fast prop ~symmetry
 
+(* The dataset of train-eval, diff and stats: one the property cannot
+   balance at the scope is bad input, reported on one line. *)
+let generate prop cfg =
+  try Pipeline.generate prop cfg
+  with Pipeline.Unbalanceable msg ->
+    Printf.eprintf "mcml: %s\n" msg;
+    exit 2
+
 (* --- telemetry flags (shared by every subcommand) ------------------------ *)
 
 let trace_arg =
@@ -345,7 +353,7 @@ let train_eval_cmd =
       (if symmetry then "symmetry-broken" else "unrestricted")
       (Mcml_ml.Model.name_of model) fraction;
     let data =
-      Pipeline.generate prop
+      generate prop
         { Pipeline.scope; symmetry; max_positives = 3000; seed }
     in
     Printf.printf "dataset: %d samples (%d positive solutions%s)\n%!"
@@ -391,7 +399,7 @@ let diff_cmd =
   let run () prop scope symmetry seed budget backend =
     let scope = Option.value scope ~default:(default_scope prop ~symmetry) in
     let data =
-      Pipeline.generate prop { Pipeline.scope; symmetry; max_positives = 3000; seed }
+      generate prop { Pipeline.scope; symmetry; max_positives = 3000; seed }
     in
     let rng = Splitmix.create (seed + 29) in
     let train, _ = Mcml_ml.Dataset.split rng ~train_fraction:0.5 data.Pipeline.dataset in
@@ -549,7 +557,7 @@ let stats_cmd =
       (if symmetry then "symmetry-broken" else "full space")
       (Mcml_counting.Counter.name backend);
     let data =
-      Pipeline.generate prop { Pipeline.scope; symmetry; max_positives = 3000; seed }
+      generate prop { Pipeline.scope; symmetry; max_positives = 3000; seed }
     in
     let rng = Splitmix.create (seed + 5) in
     let train, test =

@@ -10,53 +10,13 @@ type counts = {
   time : float;
 }
 
-type style = Direct | Complement
-
-let default_style = function
-  | Counter.Exact | Counter.Brute -> Complement
-  | Counter.Approx _ -> Direct
-
-(* Generalized core: works for any classifier whose true/false sides are
-   given as (count-preserving) CNFs over the primary variables — decision
-   trees via Tree2cnf, binarized networks via Bnn2cnf. *)
-let style_name = function Direct -> "direct" | Complement -> "complement"
-
-let counts_sides ?budget ?style ?pool ?cache ~backend ~phi ~not_phi ~space
-    ~nprimary ((side_true : Cnf.t), (side_false : Cnf.t)) =
-  let style = match style with Some s -> s | None -> default_style backend in
+(* The [accmc.counts] span around one evaluation: [run] returns
+   [(tp, fp, tn, fn)], or [None] on a timeout. *)
+let observed ~backend ~nprimary run =
   let start = Mcml_obs.Obs.monotonic_s () in
   let open Mcml_obs in
-  let sp =
-    if Obs.enabled () then Some (Obs.start "accmc.counts") else None
-  in
-  let mc gt side () =
-    let problem = Cnf.conjoin ~nshared:nprimary gt side in
-    Option.map
-      (fun o -> o.Counter.count)
-      (Counter.count ?budget ?cache ~backend problem)
-  in
-  (* Direct: the literal reduction of the paper, four counting calls.
-     Complement: ϕ is a total function of the primary variables, so
-     within the evaluation universe the models of [τ] split exactly into
-     [ϕ ∧ τ] and [¬ϕ ∧ τ]; counting the universe side and subtracting
-     avoids the expensive ¬ϕ formulas entirely.  Only valid with an
-     exact backend.  The four counts are independent: a pool runs them
-     as one batch, recombined in this fixed order. *)
-  let result =
-    Option.map
-      (fun counts ->
-        match (style, counts) with
-        | Direct, [ tp; fp; tn; fn ] -> (tp, fp, tn, fn)
-        | Complement, [ tp; denom_t; fn; denom_f ] ->
-            (tp, Bignat.sub denom_t tp, Bignat.sub denom_f fn, fn)
-        | _ -> assert false)
-      (Mcml_exec.Pool.all_some ?pool
-         (match style with
-         | Direct ->
-             [ mc phi side_true; mc not_phi side_true; mc not_phi side_false; mc phi side_false ]
-         | Complement ->
-             [ mc phi side_true; mc space side_true; mc phi side_false; mc space side_false ]))
-  in
+  let sp = if Obs.enabled () then Some (Obs.start "accmc.counts") else None in
+  let result = run () in
   let time = Mcml_obs.Obs.monotonic_s () -. start in
   (match sp with
   | None -> ()
@@ -66,7 +26,6 @@ let counts_sides ?budget ?style ?pool ?cache ~backend ~phi ~not_phi ~space
       Obs.finish sp
         ~attrs:
           [
-            ("style", Obs.Str (style_name style));
             ("backend", Obs.Str (Counter.name backend));
             ("nprimary", Obs.Int nprimary);
             ("outcome", Obs.Str (if Option.is_none result then "timeout" else "complete"));
@@ -74,12 +33,67 @@ let counts_sides ?budget ?style ?pool ?cache ~backend ~phi ~not_phi ~space
           ]);
   Option.map (fun (tp, fp, tn, fn) -> { tp; fp; tn; fn; time }) result
 
-let counts ?budget ?style ?pool ?cache ~backend ~phi ~not_phi ~space ~nprimary
+(* Generalized core: works for any classifier whose true/false sides are
+   given as (count-preserving) CNFs over the primary variables — decision
+   trees via Tree2cnf, binarized networks via Bnn2cnf. *)
+let counts_sides ?budget ?pool ?cache ~backend ~phi ~not_phi ~space ~nprimary
+    ((side_true : Cnf.t), (side_false : Cnf.t)) =
+  observed ~backend ~nprimary @@ fun () ->
+  let mc gt side () =
+    let problem = Cnf.conjoin ~nshared:nprimary gt side in
+    Option.map
+      (fun o -> o.Counter.count)
+      (Counter.count ?budget ?cache ~backend problem)
+  in
+  (* Exact: ϕ is a total function of the primary variables, so within
+     the evaluation universe the models of [τ] split exactly into
+     [ϕ ∧ τ] and [¬ϕ ∧ τ]; counting the universe side and subtracting
+     avoids the expensive ¬ϕ formulas.  Approx and Brute take the
+     paper's four counts literally: a difference of two estimates would
+     compound error, and Brute stays the literal reduction's reference.
+     The four counts are independent: a pool runs them as one batch,
+     recombined in this fixed order. *)
+  let exact = match backend with Counter.Exact -> true | Counter.Approx _ | Counter.Brute -> false in
+  let other = if exact then space else not_phi in
+  Option.map
+    (function
+      | [ tp; other_t; fn; other_f ] ->
+          if exact then (tp, Bignat.sub other_t tp, Bignat.sub other_f fn, fn)
+          else (tp, other_t, other_f, fn)
+      | _ -> assert false)
+    (Mcml_exec.Pool.all_some ?pool
+       [ mc phi side_true; mc other side_true; mc phi side_false; mc other side_false ])
+
+let counts ?budget ?pool ?cache ~backend ~phi ~not_phi ~space ~nprimary
     (tree : Decision_tree.t) =
-  counts_sides ?budget ?style ?pool ?cache ~backend ~phi ~not_phi ~space
-    ~nprimary
+  counts_sides ?budget ?pool ?cache ~backend ~phi ~not_phi ~space ~nprimary
     ( Tree2cnf.cnf_of_label ~nfeatures:nprimary tree ~label:true,
       Tree2cnf.cnf_of_label ~nfeatures:nprimary tree ~label:false )
+
+(* A tree side is the disjoint union of its paths, so its models in a
+   compiled form are the sum of the form conditioned on each path.  The
+   universe is compiled first: the caller may keep it across queries. *)
+let conditioned ~phi ~space ~nprimary (tree : Decision_tree.t) =
+  observed ~backend:Counter.Exact ~nprimary @@ fun () ->
+  match
+    let space = space () in
+    (space, phi ())
+  with
+  | exception Exact.Timeout -> None
+  | space, phi ->
+      let paths = Decision_tree.paths tree in
+      let side dnnf label =
+        List.fold_left
+          (fun acc (conds, leaf) ->
+            if leaf <> label then acc
+            else
+              Bignat.add acc
+                (Exact.Dnnf.condition dnnf
+                   (Array.of_list (List.map Tree2cnf.lit_of_condition conds))))
+          Bignat.zero paths
+      in
+      let tp = side phi true and fn = side phi false in
+      Some (tp, Bignat.sub (side space true) tp, Bignat.sub (side space false) fn, fn)
 
 let confusion c =
   {

@@ -14,15 +14,19 @@
     recall and F1 are then derived exactly as from a test-set
     confusion — but with respect to all [2^n] inputs.
 
-    Two computation styles are provided.  [Direct] performs the four
-    counting calls literally, as the paper's reduction states.
-    [Complement] exploits that [ϕ] is a total function of the primary
-    variables: within the evaluation universe [U] (all of [2^n], or
-    the symmetry-broken subspace), [mc(¬ϕ ∧ τ) = mc(U ∧ τ) − mc(ϕ ∧ τ)]
-    — replacing the expensive negated-ground-truth formulas by cheap
-    subtractions.  Both styles compute the same four counts; exact
-    backends default to [Complement], the approximate backend to
-    [Direct] (a difference of two estimates would compound error). *)
+    Two evaluations are provided.  {!counts} is the paper's route: the
+    tree's sides become CNFs ({!Tree2cnf}) conjoined with the ground
+    truth and counted.  {!conditioned} never builds those conjunctions:
+    a tree side is a disjoint union of path terms, so each count is a
+    sum of one compiled form conditioned on each path
+    ({!Mcml_counting.Exact.Dnnf.condition}).  With an exact counter,
+    both use that [ϕ] is a total function of the primary variables:
+    within the evaluation universe [U] (all of [2^n], or the
+    symmetry-broken subspace), [mc(¬ϕ ∧ τ) = mc(U ∧ τ) − mc(ϕ ∧ τ)],
+    so no negated ground truth is counted.  The approximate and brute
+    backends take the four counts literally (a difference of two
+    estimates would compound error; brute force stays the literal
+    reduction's reference). *)
 
 open Mcml_logic
 open Mcml_ml
@@ -33,20 +37,11 @@ type counts = {
   fp : Bignat.t;
   tn : Bignat.t;
   fn : Bignat.t;
-  time : float;  (** total wall-clock for all four counts, as in Table 3 *)
+  time : float;  (** total wall-clock of the evaluation, compiles included, as in Table 3 *)
 }
-
-type style = Direct | Complement
-
-val default_style : Counter.backend -> style
-(** The counting style each backend defaults to: [Complement] for
-    exact counters (two counts instead of four), [Direct] for
-    approximate ones (complement counts don't subtract soundly under
-    approximation). *)
 
 val counts :
   ?budget:float ->
-  ?style:style ->
   ?pool:Mcml_exec.Pool.t ->
   ?cache:Counter.cache ->
   backend:Counter.backend ->
@@ -60,8 +55,11 @@ val counts :
     already conjoined with the symmetry-breaking predicate when
     evaluating the symmetry-constrained universe); [space] is that
     universe itself (the symmetry predicate alone, or an empty CNF for
-    the full space).  [None] if any counting call times out (the paper
-    reports "-" for the whole row in that case).
+    the full space).  The exact backend counts [phi] and [space]
+    conjoined with each side and subtracts; the approximate and brute
+    backends count [phi] and [not_phi] with each side.  [None] if any
+    counting call times out (the paper reports "-" for the whole row in
+    that case).
 
     With [pool], the four counts run as one parallel batch and are
     recombined in a fixed order, so results are identical to the
@@ -72,7 +70,6 @@ val counts :
 
 val counts_sides :
   ?budget:float ->
-  ?style:style ->
   ?pool:Mcml_exec.Pool.t ->
   ?cache:Counter.cache ->
   backend:Counter.backend ->
@@ -88,6 +85,20 @@ val counts_sides :
     over the primary variables.  Decision trees use {!Tree2cnf};
     binarized neural networks use {!Bnn2cnf} — the generalization the
     paper's §2 describes. *)
+
+val conditioned :
+  phi:(unit -> Exact.Dnnf.t) ->
+  space:(unit -> Exact.Dnnf.t) ->
+  nprimary:int ->
+  Decision_tree.t ->
+  counts option
+(** Exact AccMC from compiled forms: [phi] compiles the ground truth
+    (conjoined with the symmetry predicate when evaluating the
+    symmetry-constrained universe) and [space] yields the universe
+    itself, compiled or kept from an earlier query.  [space] is forced
+    first.  [tp]/[fn] sum [phi] conditioned on the tree's true/false
+    paths; [fp]/[tn] are the universe's conditioned sums minus them.
+    [None] if either thunk raises {!Mcml_counting.Exact.Timeout}. *)
 
 val confusion : counts -> Metrics.confusion
 (** Float view for metric derivation (exact for counts below [2^53],

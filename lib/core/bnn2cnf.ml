@@ -50,7 +50,7 @@ let cnf_of_label ~nfeatures (bnn : Bnn.t) ~label : Cnf.t =
   let f = if label then f else Formula.not_ f in
   Tseitin.cnf_of ~nprimary:nfeatures f
 
-let accmc ?budget ?style ~backend ~phi ~not_phi ~space ~nprimary (bnn : Bnn.t) =
-  Accmc.counts_sides ?budget ?style ~backend ~phi ~not_phi ~space ~nprimary
+let accmc ?budget ~backend ~phi ~not_phi ~space ~nprimary (bnn : Bnn.t) =
+  Accmc.counts_sides ?budget ~backend ~phi ~not_phi ~space ~nprimary
     ( cnf_of_label ~nfeatures:nprimary bnn ~label:true,
       cnf_of_label ~nfeatures:nprimary bnn ~label:false )

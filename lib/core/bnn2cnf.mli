@@ -29,7 +29,6 @@ val cnf_of_label : nfeatures:int -> Bnn.t -> label:bool -> Cnf.t
 
 val accmc :
   ?budget:float ->
-  ?style:Accmc.style ->
   backend:Mcml_counting.Counter.backend ->
   phi:Cnf.t ->
   not_phi:Cnf.t ->

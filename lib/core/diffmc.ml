@@ -1,4 +1,5 @@
 open Mcml_logic
+open Mcml_ml
 open Mcml_counting
 
 type counts = {
@@ -8,6 +9,35 @@ type counts = {
   ff : Bignat.t;
   time : float;
 }
+
+(* Every input follows exactly one path of each tree, so each of the
+   four counts is a sum over path pairs with its labels: a pair agrees
+   with 2^(n − |vars(p1) ∪ vars(p2)|) inputs, or none when the paths test
+   a feature both ways.  Walking [d2] from each leaf of [d1] with the
+   features fixed so far visits exactly the consistent pairs.  The
+   result is [tt; tf; ft; ff]. *)
+let path_pairs ~nprimary (d1 : Decision_tree.t) (d2 : Decision_tree.t) =
+  let sums = Array.make 4 Bignat.zero in
+  let fixed = Array.make nprimary (-1) in
+  let rec walk node k at_leaf =
+    match node with
+    | Decision_tree.Leaf label -> at_leaf label k
+    | Decision_tree.Split { feature; if_false; if_true } -> (
+        match fixed.(feature) with
+        | -1 ->
+            fixed.(feature) <- 0;
+            walk if_false (k + 1) at_leaf;
+            fixed.(feature) <- 1;
+            walk if_true (k + 1) at_leaf;
+            fixed.(feature) <- -1
+        | 0 -> walk if_false k at_leaf
+        | _ -> walk if_true k at_leaf)
+  in
+  walk d1.Decision_tree.root 0 (fun l1 k ->
+      walk d2.Decision_tree.root k (fun l2 k ->
+          let i = (if l1 then 0 else 2) + if l2 then 0 else 1 in
+          sums.(i) <- Bignat.add sums.(i) (Bignat.pow2 (nprimary - k))));
+  Array.to_list sums
 
 let counts ?budget ?pool ?cache ~backend ~nprimary d1 d2 =
   let side tree label = Tree2cnf.cnf_of_label ~nfeatures:nprimary tree ~label in
@@ -23,8 +53,11 @@ let counts ?budget ?pool ?cache ~backend ~nprimary d1 d2 =
       (function
         | [ tt; tf; ft; ff ] -> { tt; tf; ft; ff; time = Mcml_obs.Obs.monotonic_s () -. start }
         | _ -> assert false)
-      (Mcml_exec.Pool.all_some ?pool
-         [ one true true; one true false; one false true; one false false ])
+      (match backend with
+      | Counter.Exact -> Some (path_pairs ~nprimary d1 d2)
+      | Counter.Approx _ | Counter.Brute ->
+          Mcml_exec.Pool.all_some ?pool
+            [ one true true; one true false; one false true; one false false ])
   in
   (match sp with
   | None -> ()

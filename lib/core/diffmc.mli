@@ -27,9 +27,13 @@ val counts :
   Decision_tree.t ->
   Decision_tree.t ->
   counts option
-(** With [pool], the four counts run as one parallel batch (identical
-    results, different schedule); without it, the original sequential
-    short-circuiting path is taken.  [cache] memoizes count outcomes
+(** With the exact backend the four counts need no counter: each is a
+    sum over the consistent path pairs with its labels of
+    [2^(n − |vars(p1) ∪ vars(p2)|)], so [budget], [pool] and [cache]
+    go unused.  The approximate and brute backends count the four
+    Tree2CNF conjunctions; with [pool] they run as one parallel batch
+    (identical results, different schedule), without it sequentially,
+    stopping at the first timeout.  [cache] memoizes their outcomes
     ({!Counter.cache}). *)
 
 val diff : counts -> nprimary:int -> float

@@ -302,54 +302,6 @@ let symmetry_ablation cfg : sym_row list =
       })
     cfg.properties
 
-type style_row = {
-  y_prop : string;
-  y_scope : int;
-  y_direct : float option;
-  y_complement : float option;
-}
-
-let accmc_style_ablation cfg : style_row list =
-  exp_span "exp.accmc_style_ablation" @@ fun () ->
-  (* rows fan out, but the measured accmc calls deliberately take the
-     sequential, uncached path: the ablation compares the wall-clock
-     cost of Direct vs Complement, and a shared count cache (or
-     intra-call parallelism) would let one style ride on the other's
-     work and skew the comparison *)
-  pmap cfg
-    (fun prop ->
-      prop_span prop @@ fun () ->
-      let scope = scope_for cfg prop ~symmetry:true in
-      let data =
-        Pipeline.generate prop
-          {
-            Pipeline.scope;
-            symmetry = true;
-            max_positives = cfg.max_positives;
-            seed = cfg.seed;
-          }
-      in
-      let rng = Splitmix.create (cfg.seed + 41) in
-      let train, _ =
-        Dataset.split rng ~train_fraction:cfg.dt_train_fraction data.Pipeline.dataset
-      in
-      let tree =
-        Option.get (Model.train ~sizes:cfg.sizes ~seed:(cfg.seed + 7) Model.DT train).Model.tree
-      in
-      let time_of style =
-        Option.map
-          (fun (c : Accmc.counts) -> c.Accmc.time)
-          (Pipeline.accmc ~style ~budget:cfg.budget ~backend:cfg.backend ~prop ~scope
-             ~eval_symmetry:true tree)
-      in
-      {
-        y_prop = prop.Props.name;
-        y_scope = scope;
-        y_direct = time_of Accmc.Direct;
-        y_complement = time_of Accmc.Complement;
-      })
-    cfg.properties
-
 let class_ratio_study cfg ~prop : t9_row list =
   exp_span "exp.class_ratio_study" @@ fun () ->
   prop_span prop @@ fun () ->

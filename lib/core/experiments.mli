@@ -14,8 +14,10 @@
 
     {b Parallelism.}  With [pool], every driver fans its rows
     (properties, or class ratios) out as pool tasks, and the row-level
-    counting calls additionally batch their four counts; [cache]
-    memoizes count outcomes across rows and tables.  Row results are
+    counting calls of the approximate and brute backends additionally
+    batch their four counts; [cache] memoizes count outcomes across
+    rows and tables (exact AccMC and DiffMC count no conjunctions, so
+    they consult neither).  Row results are
     recombined in input order and all per-row randomness derives from
     [seed], so any [jobs] setting produces identical tables — only
     wall-clock times and telemetry differ.  With [pool = None] (the
@@ -41,7 +43,7 @@ type config = {
   properties : Props.t list;
   pool : Mcml_exec.Pool.t option;  (** [None]: run rows sequentially *)
   cache : Counter.cache option;
-      (** shared count cache (not consulted by the timing ablation) *)
+      (** shared count cache *)
 }
 
 val fast : config
@@ -137,14 +139,3 @@ val symmetry_ablation : config -> sym_row list
     many-but-not-all symmetries: per property, the solution count with
     no breaking, with the partial lex-leader predicate, and the true
     orbit count (full breaking via canonicalization). *)
-
-type style_row = {
-  y_prop : string;
-  y_scope : int;
-  y_direct : float option;  (** seconds for the paper's four-count reduction *)
-  y_complement : float option;  (** seconds for the complement strategy *)
-}
-
-val accmc_style_ablation : config -> style_row list
-(** Timing comparison of the two AccMC computation styles (the counts
-    themselves are asserted equal in the test suite). *)

@@ -1,6 +1,7 @@
 open Mcml_logic
 open Mcml_ml
 open Mcml_props
+open Mcml_counting
 
 type data_config = {
   scope : int;
@@ -16,6 +17,8 @@ type generated = {
   scope : int;
   symmetry : bool;
 }
+
+exception Unbalanceable of string
 
 (* Rejection-sample [num_pos] distinct negatives of [prop] at [scope].
    All randomness comes from the [rng] handed in — there is no hidden
@@ -44,10 +47,10 @@ let sample_negatives ~rng (prop : Props.t) ~scope ~num_pos =
     end
   done;
   if !found < num_pos then
-    invalid_arg
-      (Printf.sprintf
-         "Pipeline.generate: could not sample %d distinct negatives for %s (scope %d)"
-         num_pos prop.Props.name scope);
+    raise
+      (Unbalanceable
+         (Printf.sprintf "could not sample %d distinct negatives for %s (scope %d)" num_pos
+            prop.Props.name scope));
   !negatives
 
 let generate_core (prop : Props.t) (cfg : data_config) : generated =
@@ -60,9 +63,9 @@ let generate_core (prop : Props.t) (cfg : data_config) : generated =
   let positives = List.map Mcml_alloy.Instance.to_bits insts in
   let num_pos = List.length positives in
   if num_pos = 0 then
-    invalid_arg
-      (Printf.sprintf "Pipeline.generate: %s has no solutions at scope %d"
-         prop.Props.name cfg.scope);
+    raise
+      (Unbalanceable
+         (Printf.sprintf "%s has no solutions at scope %d" prop.Props.name cfg.scope));
   (* one negative per positive; sampling rng and shuffle rng are derived
      from the config seed only *)
   let negatives =
@@ -124,11 +127,37 @@ let space_cnf ~scope ~symmetry =
     Tseitin.cnf_of ~nprimary breaking
   end
 
-let accmc ?budget ?style ?pool ?cache ~backend ~prop ~scope ~eval_symmetry tree
-    =
-  let phi, not_phi = ground_truth prop ~scope ~symmetry:eval_symmetry in
-  let space = space_cnf ~scope ~symmetry:eval_symmetry in
-  Accmc.counts ?budget ?style ?pool ?cache ~backend ~phi ~not_phi ~space
-    ~nprimary:(scope * scope) tree
+(* The evaluation universe of a (scope, symmetry), compiled once per
+   process: it depends on nothing else.  The lock makes concurrent first
+   queries wait for one compile rather than each compile their own, so
+   the work, and the trace, do not depend on scheduling; it is contended
+   only until each universe is kept.  A compile that times out raises
+   out of [find_or_add], which then stores nothing, so a timeout is
+   never kept. *)
+let universes : Exact.Dnnf.t Mcml_exec.Memo.t = Mcml_exec.Memo.create ~name:"pipeline.universe" ()
+let universes_lock = Mutex.create ()
+
+let universe ?budget ~scope ~symmetry () =
+  Mutex.protect universes_lock (fun () ->
+      Mcml_exec.Memo.find_or_add universes ~key:(Printf.sprintf "%d/%b" scope symmetry) (fun () ->
+          Exact.Dnnf.compile ?budget (space_cnf ~scope ~symmetry)))
+
+let accmc ?budget ?pool ?cache ~backend ~prop ~scope ~eval_symmetry tree =
+  let nprimary = scope * scope in
+  match backend with
+  | Counter.Exact ->
+      let phi =
+        Mcml_alloy.Analyzer.cnf ~symmetry:eval_symmetry (Props.analyzer ~scope)
+          ~pred:prop.Props.pred
+      in
+      Accmc.conditioned ~nprimary
+        ~space:(universe ?budget ~scope ~symmetry:eval_symmetry)
+        ~phi:(fun () -> Exact.Dnnf.compile ?budget phi)
+        tree
+  | Counter.Approx _ | Counter.Brute ->
+      let phi, not_phi = ground_truth prop ~scope ~symmetry:eval_symmetry in
+      Accmc.counts ?budget ?pool ?cache ~backend ~phi ~not_phi
+        ~space:(space_cnf ~scope ~symmetry:eval_symmetry)
+        ~nprimary tree
 
 let train_fraction_of_ratio (a, b) = float_of_int a /. float_of_int (a + b)

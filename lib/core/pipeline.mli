@@ -29,13 +29,20 @@ type generated = {
   symmetry : bool;
 }
 
+exception Unbalanceable of string
+(** The property has no solutions at the scope, or too few
+    non-solutions to pair one with each positive: no balanced dataset
+    exists.  The message names the property and scope.  Bad input, not
+    a bug: the CLI reports it and exits 2, [serve] answers
+    [bad_request]. *)
+
 val generate : Mcml_props.Props.t -> data_config -> generated
 (** Positives: all solutions of the property's predicate at the scope
-    (up to the cap, the first ones in the analyzer's depth-first
-    enumeration order).  Negatives:
+    (up to the cap, a uniform sample otherwise).  Negatives:
     uniformly random instances filtered by the property's direct
     checker (the Alloy-Evaluator fast path), deduplicated, one per
-    positive. *)
+    positive.
+    @raise Unbalanceable when no balanced dataset exists. *)
 
 val ground_truth :
   Mcml_props.Props.t -> scope:int -> symmetry:bool -> Cnf.t * Cnf.t
@@ -51,7 +58,6 @@ val space_cnf : scope:int -> symmetry:bool -> Cnf.t
 
 val accmc :
   ?budget:float ->
-  ?style:Accmc.style ->
   ?pool:Mcml_exec.Pool.t ->
   ?cache:Counter.cache ->
   backend:Counter.backend ->
@@ -60,7 +66,15 @@ val accmc :
   eval_symmetry:bool ->
   Decision_tree.t ->
   Accmc.counts option
-(** Convenience wrapper: build the ground truth and run {!Accmc}. *)
+(** AccMC of [tree] against [prop] over the evaluation universe.  With
+    the exact backend it compiles [ϕ] (conjoined with the symmetry
+    predicate when [eval_symmetry]) once and conditions it on the
+    tree's paths ({!Accmc.conditioned}); the universe is compiled once
+    per (scope, symmetry) per process, under a lock so concurrent
+    first queries share one compile, and kept unless its compile times
+    out.  [budget] bounds each compile, and [pool] and [cache]
+    go unused: no ¬ϕ is translated, no Tree2CNF side is built.  The
+    approximate and brute backends take {!Accmc.counts}. *)
 
 val train_fraction_of_ratio : int * int -> float
 (** [(75, 25)] ↦ [0.75] etc. *)

@@ -105,21 +105,6 @@ let symmetry_ablation fmt (rows : Experiments.sym_row list) =
     rows;
   hr fmt 76
 
-let accmc_style_ablation fmt (rows : Experiments.style_row list) =
-  Format.fprintf fmt
-    "Ablation: AccMC computation style (4-count reduction vs complement)@.";
-  hr fmt 64;
-  Format.fprintf fmt "%-16s %5s %12s %14s@." "Property" "Scope" "Direct[s]"
-    "Complement[s]";
-  hr fmt 64;
-  List.iter
-    (fun (r : Experiments.style_row) ->
-      let cell = function Some t -> Printf.sprintf "%.2f" t | None -> "timeout" in
-      Format.fprintf fmt "%-16s %5d %12s %14s@." r.y_prop r.y_scope (cell r.y_direct)
-        (cell r.y_complement))
-    rows;
-  hr fmt 64
-
 let class_ratio fmt (rows : Experiments.t9_row list) =
   Format.fprintf fmt
     "Table 9: traditional vs MCML precision across training class ratios@.";

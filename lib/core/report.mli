@@ -18,5 +18,3 @@ val class_ratio : Format.formatter -> Experiments.t9_row list -> unit
 val symmetry_ablation : Format.formatter -> Experiments.sym_row list -> unit
 (** Render the symmetry-breaking ablation. *)
 
-val accmc_style_ablation : Format.formatter -> Experiments.style_row list -> unit
-(** Render the AccMC counting-style ablation. *)

@@ -15,6 +15,10 @@
 open Mcml_logic
 open Mcml_ml
 
+val lit_of_condition : int * bool -> Lit.t
+(** The literal of a branch condition [(feature, value)]: feature [i]
+    is variable [i+1]. *)
+
 val cnf_of_label : nfeatures:int -> Decision_tree.t -> label:bool -> Cnf.t
 (** [cnf_of_label ~nfeatures tree ~label] characterizes the inputs the
     tree classifies as [label], as a CNF over variables

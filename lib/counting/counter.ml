@@ -12,28 +12,21 @@ let name = function
   | Approx _ -> "approx(approxmc)"
   | Brute -> "brute"
 
-(* Disk codec for [outcome option].  Timeouts are persisted too — the
-   budget is part of the key, so a recorded timeout is as durable a
-   fact as a count.  "t" = timeout; "c <decimal> <e|a> <%h time>"
-   otherwise.  Anything unparseable is treated as absent, never as a
-   wrong answer. *)
-let outcome_to_string = function
-  | None -> "t"
-  | Some { count; exact; time } ->
-      Printf.sprintf "c %s %s %h" (Bignat.to_string count)
-        (if exact then "e" else "a")
-        time
+(* Disk codec for completed counts: "c <decimal> <e|a> <%h time>".  A
+   timeout depends on the load and the clock as much as on the query, so
+   it is never written: a restarted process counts it again.  Anything
+   else on disk, including the "t" timeout records of older builds,
+   reads as absent — never as a wrong answer. *)
+let outcome_to_string { count; exact; time } =
+  Printf.sprintf "c %s %s %h" (Bignat.to_string count) (if exact then "e" else "a") time
 
 let outcome_of_string s =
-  if s = "t" then Some None
-  else
-    match String.split_on_char ' ' s with
-    | [ "c"; digits; flag; time ] -> (
-        match (Bignat.of_string digits, flag, float_of_string_opt time) with
-        | Some count, ("e" | "a"), Some time ->
-            Some (Some { count; exact = flag = "e"; time })
-        | _ -> None)
-    | _ -> None
+  match String.split_on_char ' ' s with
+  | [ "c"; digits; flag; time ] -> (
+      match (Bignat.of_string digits, flag, float_of_string_opt time) with
+      | Some count, ("e" | "a"), Some time -> Some { count; exact = flag = "e"; time }
+      | _ -> None)
+  | _ -> None
 
 let cache_create ?capacity ?disk () =
   let backing =
@@ -42,9 +35,11 @@ let cache_create ?capacity ?disk () =
         {
           Memo.load =
             (fun key ->
-              Option.bind (Mcml_exec.Diskcache.find d ~key) outcome_of_string);
+              Option.map Option.some
+                (Option.bind (Mcml_exec.Diskcache.find d ~key) outcome_of_string));
           store =
-            (fun key v -> Mcml_exec.Diskcache.add d ~key (outcome_to_string v));
+            (fun key v ->
+              Option.iter (fun o -> Mcml_exec.Diskcache.add d ~key (outcome_to_string o)) v);
         })
       disk
   in

@@ -33,10 +33,10 @@ val name : backend -> string
 type cache = outcome option Mcml_exec.Memo.t
 (** Content-addressed memo of count outcomes, keyed by the full
     (backend, budget, CNF) content — see {!cache_key}.  Timeouts
-    ([None] outcomes) are cached too: re-asking the same backend the
-    same question under the same budget would time out again, and
-    caching the [None] saves re-burning the whole budget.  A cached
-    outcome keeps the {e original} [time] field. *)
+    ([None] outcomes) are kept in memory for the life of the process,
+    which saves re-burning the whole budget on a repeated question, but
+    never written to disk.  A cached outcome keeps the {e original}
+    [time] field. *)
 
 val cache_create : ?capacity:int -> ?disk:Mcml_exec.Diskcache.t -> unit -> cache
 (** Bounded (FIFO-evicted, default 4096 entries) cache; its hit/miss/
@@ -45,8 +45,10 @@ val cache_create : ?capacity:int -> ?disk:Mcml_exec.Diskcache.t -> unit -> cache
     {!Mcml_exec.Diskcache}: misses consult the disk (a disk hit counts
     as a cache {e hit} and is promoted into memory) and new outcomes
     are written through, so a restarted process answers previously
-    counted keys without recounting.  Timeouts round-trip too.  The
-    caller owns the disk handle (and closes it). *)
+    counted keys without recounting.  Only completed counts are
+    written; a timeout (or a timeout record an older build wrote) reads
+    back as absent, so a restarted process counts it again.  The caller
+    owns the disk handle (and closes it). *)
 
 val cache_stats : cache -> Mcml_exec.Memo.stats
 

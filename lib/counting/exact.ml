@@ -61,6 +61,53 @@ module D = struct
     in
     go t.root
 
+  (* [model_count] restricted to the assignments that agree with
+     [term].  A node covers the same variables wherever the DAG reaches
+     it, so its conditioned count depends on the node alone and one memo
+     serves the pass.  Literals a branch (or the root) fixed must agree
+     with the term, and a [Free] variable the term sets counts once. *)
+  let condition t term =
+    let want = Array.make (Array.fold_left max 0 t.projection + 1) (-1) in
+    let is_proj = Array.make (Array.length want) false in
+    Array.iter (fun v -> is_proj.(v) <- true) t.projection;
+    let consistent =
+      Array.for_all
+        (fun l ->
+          let v = Lit.var l and b = Bool.to_int (Lit.sign l) in
+          if v >= Array.length want || not is_proj.(v) then
+            invalid_arg "Dnnf.condition: term variable outside the projection";
+          want.(v) <- (if want.(v) = -1 || want.(v) = b then b else 2);
+          want.(v) <> 2)
+        term
+    in
+    let agrees =
+      Array.for_all (fun l ->
+          let w = want.(Lit.var l) in
+          w = -1 || w = Bool.to_int (Lit.sign l))
+    in
+    let memo = Array.make (Array.length t.nodes) None in
+    let rec go i =
+      match memo.(i) with
+      | Some c -> c
+      | None ->
+          let c =
+            match t.nodes.(i) with
+            | True -> Bignat.one
+            | False -> Bignat.zero
+            | Decision { hi; lo; hi_fixed; lo_fixed; _ } ->
+                let side fixed j = if agrees fixed then go j else Bignat.zero in
+                Bignat.add (side hi_fixed hi) (side lo_fixed lo)
+            | Decomp kids ->
+                Array.fold_left (fun acc k -> Bignat.mul acc (go k)) Bignat.one kids
+            | Free { vars; child } ->
+                let open_vars = Array.fold_left (fun n v -> if want.(v) = -1 then n + 1 else n) 0 vars in
+                Bignat.shift_left (go child) open_vars
+          in
+          memo.(i) <- Some c;
+          c
+    in
+    if consistent && agrees t.fixed then go t.root else Bignat.zero
+
   (* Depth-first enumeration in continuation-passing style over one
      shared assignment: every node sets exactly the projection
      variables below it (both branches of a decision cover the same
@@ -752,9 +799,15 @@ let run_engine ~tracing ~budget ~inprocess ~cache ~st_out (cnf0 : Cnf.t) : Bigna
   st_out := Some st;
   count_root st (Array.length cnf.Cnf.clauses)
 
-let count ?budget ?(inprocess = true) ?(cache = true) (cnf : Cnf.t) : Bignat.t =
+(* One engine run under the [count.exact] span and counters, shared by
+   [count] and [Dnnf.compile] so the ledger covers both.  Returns the
+   count, the root node and the final state. *)
+let engine ~tracing ~budget ~inprocess ~cache (cnf : Cnf.t) : Bignat.t * int * state option =
   let st_out = ref None in
-  let run () = fst (run_engine ~tracing:false ~budget ~inprocess ~cache ~st_out cnf) in
+  let run () =
+    let count, root = run_engine ~tracing ~budget ~inprocess ~cache ~st_out cnf in
+    (count, root, !st_out)
+  in
   if not (Mcml_obs.Obs.enabled ()) then run ()
   else begin
     let open Mcml_obs in
@@ -768,6 +821,7 @@ let count ?budget ?(inprocess = true) ?(cache = true) (cnf : Cnf.t) : Bignat.t =
       in
       [
         ("outcome", Obs.Str outcome);
+        ("mode", Obs.Str (if tracing then "compile" else "count"));
         ("dnnf_nodes", Obs.Int nodes);
         ("comp_cache_hits", Obs.Int hits);
         ("comp_cache_misses", Obs.Int misses);
@@ -790,9 +844,9 @@ let count ?budget ?(inprocess = true) ?(cache = true) (cnf : Cnf.t) : Bignat.t =
       | None -> ()
     in
     match run () with
-    | r ->
+    | (count, _, _) as r ->
         account ();
-        Obs.finish sp ~attrs:(("count", Obs.Str (Bignat.to_string r)) :: attrs "complete");
+        Obs.finish sp ~attrs:(("count", Obs.Str (Bignat.to_string count)) :: attrs "complete");
         r
     | exception Timeout ->
         account ();
@@ -800,6 +854,10 @@ let count ?budget ?(inprocess = true) ?(cache = true) (cnf : Cnf.t) : Bignat.t =
         Obs.finish sp ~attrs:(attrs "timeout");
         raise Timeout
   end
+
+let count ?budget ?(inprocess = true) ?(cache = true) (cnf : Cnf.t) : Bignat.t =
+  let count, _, _ = engine ~tracing:false ~budget ~inprocess ~cache cnf in
+  count
 
 let count_opt ?budget ?inprocess ?cache cnf =
   match count ?budget ?inprocess ?cache cnf with
@@ -810,10 +868,9 @@ module Dnnf = struct
   include D
 
   let compile ?budget ?(inprocess = true) cnf : t =
-    let st_out = ref None in
-    let _, root = run_engine ~tracing:true ~budget ~inprocess ~cache:true ~st_out cnf in
+    let _, root, st = engine ~tracing:true ~budget ~inprocess ~cache:true cnf in
     let nodes, fixed =
-      match !st_out with
+      match st with
       (* the search undoes every branch, so the trail ends holding
          exactly what the root forced *)
       | Some ({ nodes = Some vec; _ } as st) ->

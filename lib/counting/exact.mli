@@ -40,8 +40,10 @@
     [deadline_ms].  Deadlines use the monotonic clock, so a system
     clock step cannot spuriously expire (or extend) a budget.
 
-    While telemetry is enabled, each call emits a [count.exact] span
-    and feeds [count.exact.calls], [count.exact.dnnf_nodes],
+    While telemetry is enabled, each call (of {!count} or
+    {!Dnnf.compile}, told apart by the span's [mode] attribute) emits a
+    [count.exact] span and feeds [count.exact.calls],
+    [count.exact.dnnf_nodes],
     [count.exact.comp_cache_hits] / [comp_cache_misses],
     [count.exact.timeouts], and the [count.exact.branch_depth]
     histogram (maximum decision depth per call).
@@ -103,7 +105,9 @@ module Dnnf : sig
       plus a distinguished root. *)
 
   val compile : ?budget:float -> ?inprocess:bool -> Cnf.t -> t
-  (** Compile a CNF, retaining the full trace.
+  (** Compile a CNF, retaining the full trace.  Inprocessing keeps the
+      projected model set, not just its count, so the trace answers
+      {!condition} and {!iter_models} for the CNF as given.
       @raise Timeout when the budget is exhausted. *)
 
   val root : t -> int
@@ -118,6 +122,18 @@ module Dnnf : sig
   val model_count : t -> Bignat.t
   (** Evaluate the trace bottom-up.  Agrees with {!count} on the same
       CNF by construction (asserted in the test suite). *)
+
+  val condition : t -> Lit.t array -> Bignat.t
+  (** [condition t term] is the number of projected models that agree
+      with the conjunction [term]: the count of the compiled CNF
+      conjoined with the term's unit clauses, in one memoized pass.
+      The root's forced literals and a [Decision] branch's fixed
+      literals must agree with the term (a branch that contradicts it
+      contributes 0); a [Free] node doubles only for the variables the
+      term leaves open.  A variable repeated in [term] counts once, and
+      opposite literals of one variable give 0.
+      @raise Invalid_argument if [term] mentions a variable outside
+      the projection. *)
 
   val iter_models : ?limit:int -> t -> (bool array -> unit) -> unit
   (** [iter_models t f] calls [f] once on each projected model — a

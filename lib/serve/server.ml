@@ -425,7 +425,9 @@ let execute_in t ?ctx ~deadline (req : Protocol.request) =
              | Protocol.Count q -> run_count t ~deadline q
              | Protocol.Accmc q -> run_accmc t ~deadline q
              | Protocol.Diffmc q -> run_diffmc t ~deadline q
-           with e -> Error (Protocol.Internal, Printexc.to_string e)))
+           with
+           | Mcml.Pipeline.Unbalanceable msg -> Error (Protocol.Bad_request, msg)
+           | e -> Error (Protocol.Internal, Printexc.to_string e)))
   in
   (match ctx with None -> run () | Some ctx -> Obs.with_context ctx run);
   (* SLO accounting: a deadlined request that came back [Ok] met its

@@ -160,6 +160,60 @@ let ddnnf_trace_evaluates =
       let t = Exact.Dnnf.compile cnf in
       Bignat.equal (Exact.Dnnf.model_count t) (Exact.count cnf))
 
+(* [cnf] with [term]'s literals added as unit clauses: the reference
+   for conditioning. *)
+let with_units (cnf : Cnf.t) term =
+  Cnf.make ?projection:cnf.Cnf.projection ~nvars:cnf.Cnf.nvars
+    (Array.to_list cnf.Cnf.clauses @ List.map (fun l -> [| l |]) (Array.to_list term))
+
+(* up to 6 literals over the projection: with few projection variables
+   repeated and opposite literals come up often *)
+let conditioned_gen =
+  let open QCheck2.Gen in
+  let* cnf = projected_cnf_gen in
+  let proj = Cnf.projection_vars cnf in
+  let+ lits = list_size (int_range 0 6) (pair (int_range 0 (Array.length proj - 1)) bool) in
+  (cnf, Array.of_list (List.map (fun (i, b) -> Lit.make proj.(i) b) lits))
+
+let ddnnf_condition_matches_units =
+  qtest ~count:400 "condition (compile c) term = count (c + term units)" conditioned_gen
+    (fun (cnf, term) ->
+      Bignat.equal
+        (Exact.Dnnf.condition (Exact.Dnnf.compile cnf) term)
+        (Exact.count (with_units cnf term)))
+
+let ddnnf_condition_all_properties () =
+  (* every property at scope 3, plain and symmetry-broken, conditioned
+     on a fixed spread of terms: empty, single literals, a row, and a
+     contradictory pair *)
+  let analyzer = Mcml_props.Props.analyzer ~scope:3 in
+  let terms =
+    [
+      [||];
+      [| Lit.pos 1 |];
+      [| Lit.neg_of_var 5 |];
+      [| Lit.pos 1; Lit.neg_of_var 2; Lit.pos 3 |];
+      [| Lit.pos 2; Lit.pos 4; Lit.neg_of_var 9; Lit.pos 2 |];
+      [| Lit.pos 6; Lit.neg_of_var 6 |];
+    ]
+  in
+  List.iter
+    (fun p ->
+      let pred = p.Mcml_props.Props.pred in
+      List.iter
+        (fun symmetry ->
+          let cnf = Mcml_alloy.Analyzer.cnf ~symmetry analyzer ~pred in
+          let dnnf = Exact.Dnnf.compile cnf in
+          List.iteri
+            (fun i term ->
+              check Alcotest.string
+                (Printf.sprintf "%s sym=%b term %d" pred symmetry i)
+                (Bignat.to_string (Exact.count (with_units cnf term)))
+                (Bignat.to_string (Exact.Dnnf.condition dnnf term)))
+            terms)
+        [ false; true ])
+    Mcml_props.Props.all
+
 let ddnnf_trace_shape () =
   (* (x1) ∧ (x3 ∨ x4) over 4 vars: x1 is forced (factor 1), x2 is free
      (×2), the disjunction contributes 3 — the worked example of
@@ -502,6 +556,8 @@ let () =
           ddnnf_cache_invariance;
           ddnnf_inprocess_invariance;
           ddnnf_trace_evaluates;
+          ddnnf_condition_matches_units;
+          Alcotest.test_case "condition on all 16 properties" `Slow ddnnf_condition_all_properties;
           Alcotest.test_case "trace shape (worked example)" `Quick ddnnf_trace_shape;
           ddnnf_models_match_brute;
           ddnnf_models_match_count;

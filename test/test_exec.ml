@@ -377,6 +377,30 @@ let counter_cache_key_distinguishes () =
     "same query, same key" true
     (k Counter.Exact = Counter.cache_key ~budget:30.0 ~backend:Counter.Exact cnf)
 
+let counter_cache_disk_keeps_answers () =
+  (* a timeout depends on the load and the clock: the disk tier must
+     not record one, and a "t" record an older build wrote must read as
+     absent, so the count is made again *)
+  let open Mcml_counting in
+  let cnf = small_cnf () in
+  let key budget = Counter.cache_key ~budget ~backend:Counter.Exact cnf in
+  let count ~cache budget = Counter.count ~budget ~cache ~backend:Counter.Exact cnf in
+  let dir = fresh_dir () in
+  let dc = Diskcache.open_ dir in
+  let cache = Counter.cache_create ~disk:dc () in
+  check Alcotest.bool "budget 0 times out" true (count ~cache 0.0 = None);
+  check Alcotest.bool "budget 30 completes" true (count ~cache 30.0 <> None);
+  Diskcache.add dc ~key:(key 7.0) "t";
+  Diskcache.close dc;
+  let dc2 = Diskcache.open_ dir in
+  check Alcotest.(option string) "no entry for the timed-out key" None
+    (Diskcache.find dc2 ~key:(key 0.0));
+  check Alcotest.bool "the completed count is kept" true (Diskcache.find dc2 ~key:(key 30.0) <> None);
+  let cache2 = Counter.cache_create ~disk:dc2 () in
+  check Alcotest.bool "an old timeout record is counted again" true (count ~cache:cache2 7.0 <> None);
+  check Alcotest.int "a miss, not a hit" 1 (Counter.cache_stats cache2).Memo.misses;
+  Diskcache.close dc2
+
 (* --- jobs=1 ≡ jobs=4 on a small Table-1 slice --------------------------- *)
 
 let slice_cfg pool cache =
@@ -550,6 +574,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick counter_cache_roundtrip;
           Alcotest.test_case "key distinguishes queries" `Quick counter_cache_key_distinguishes;
+          Alcotest.test_case "disk keeps answers, not timeouts" `Quick
+            counter_cache_disk_keeps_answers;
         ] );
       ( "determinism",
         [ Alcotest.test_case "jobs=1 = jobs=4" `Slow parallel_equivalence ] );

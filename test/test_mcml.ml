@@ -268,18 +268,51 @@ let accmc_symmetry_universe () =
   check (Alcotest.float 1e-9) "tn" expected.Metrics.tn got.Metrics.tn;
   check (Alcotest.float 1e-9) "fn" expected.Metrics.fn got.Metrics.fn
 
-let accmc_styles_agree () =
-  let prop = Props.find_exn "PreOrder" in
-  let tree = train_on prop ~scope:3 ~seed:7 in
-  let run style =
-    Option.get
-      (Pipeline.accmc ~style ~backend ~prop ~scope:3 ~eval_symmetry:false tree)
-  in
-  let a = run Accmc.Direct and b = run Accmc.Complement in
-  check Alcotest.string "tp" (Bignat.to_string a.Accmc.tp) (Bignat.to_string b.Accmc.tp);
-  check Alcotest.string "fp" (Bignat.to_string a.Accmc.fp) (Bignat.to_string b.Accmc.fp);
-  check Alcotest.string "tn" (Bignat.to_string a.Accmc.tn) (Bignat.to_string b.Accmc.tn);
-  check Alcotest.string "fn" (Bignat.to_string a.Accmc.fn) (Bignat.to_string b.Accmc.fn)
+(* The conditioned exact route against the paper's literal reduction
+   (Tree2CNF sides, four brute-force counts), bit for bit, on every
+   property in both universes.  Trees learn from symmetry-broken data:
+   unrestricted Surjective has too few negatives to balance at scope 3. *)
+let accmc_conditioned_matches_brute () =
+  List.iter
+    (fun prop ->
+      let data =
+        Pipeline.generate prop { Pipeline.scope = 3; symmetry = true; max_positives = 300; seed = 7 }
+      in
+      let tree = Option.get (Model.train_tree ~seed:8 data.Pipeline.dataset).Model.tree in
+      List.iter
+        (fun eval_symmetry ->
+          let got = Option.get (Pipeline.accmc ~backend ~prop ~scope:3 ~eval_symmetry tree) in
+          let phi, not_phi = Pipeline.ground_truth prop ~scope:3 ~symmetry:eval_symmetry in
+          let want =
+            Option.get
+              (Accmc.counts ~backend:Mcml_counting.Counter.Brute ~phi ~not_phi
+                 ~space:(Pipeline.space_cnf ~scope:3 ~symmetry:eval_symmetry)
+                 ~nprimary:9 tree)
+          in
+          List.iter
+            (fun (field, f) ->
+              check Alcotest.string
+                (Printf.sprintf "%s sym=%b %s" prop.Props.name eval_symmetry field)
+                (Bignat.to_string (f want)) (Bignat.to_string (f got)))
+            [
+              ("tp", fun c -> c.Accmc.tp);
+              ("fp", fun c -> c.Accmc.fp);
+              ("tn", fun c -> c.Accmc.tn);
+              ("fn", fun c -> c.Accmc.fn);
+            ])
+        [ false; true ])
+    Props.all
+
+let accmc_timeout_not_kept () =
+  (* scope 2 is compiled nowhere else in this suite, so the budget-0
+     call is the first to compile its symmetry-broken universe: it must
+     time out, and the next call must compile it afresh *)
+  let prop = Props.find_exn "PartialOrder" in
+  let tree = random_tree ~k:4 ~seed:3 in
+  check Alcotest.bool "budget 0 times out" true
+    (Pipeline.accmc ~budget:0.0 ~backend ~prop ~scope:2 ~eval_symmetry:true tree = None);
+  check Alcotest.bool "the default budget completes" true
+    (Pipeline.accmc ~backend ~prop ~scope:2 ~eval_symmetry:true tree <> None)
 
 let accmc_check_total () =
   let prop = Props.find_exn "Function" in
@@ -296,13 +329,6 @@ let accmc_check_total () =
   in
   check Alcotest.string "exact partition" (Bignat.to_string (Bignat.pow2 9))
     (Bignat.to_string total)
-
-let accmc_default_styles () =
-  check Alcotest.bool "exact defaults to complement" true
-    (Accmc.default_style Mcml_counting.Counter.Exact = Accmc.Complement);
-  check Alcotest.bool "approx defaults to direct" true
-    (Accmc.default_style (Mcml_counting.Counter.Approx Mcml_counting.Approx.default)
-    = Accmc.Direct)
 
 (* --- diffmc --------------------------------------------------------------------- *)
 
@@ -327,6 +353,45 @@ let diffmc_matches_exhaustive =
       && Bignat.equal c.Diffmc.ft (Bignat.of_int !ft)
       && Bignat.equal c.Diffmc.ff (Bignat.of_int !ff)
       && Diffmc.check_total c ~nprimary:k)
+
+let diffmc_exact_matches_brute () =
+  (* path-pair sums against the four brute-force Tree2CNF counts, with
+     two features no tree tests and a hand-built tree that tests one
+     feature twice on a path, once each way *)
+  let twice =
+    {
+      Decision_tree.nfeatures = 6;
+      root =
+        Decision_tree.Split
+          {
+            feature = 2;
+            if_false =
+              Decision_tree.Split
+                { feature = 2; if_false = Decision_tree.Leaf true; if_true = Decision_tree.Leaf false };
+            if_true =
+              Decision_tree.Split
+                { feature = 4; if_false = Decision_tree.Leaf false; if_true = Decision_tree.Leaf true };
+          };
+    }
+  in
+  let trees = twice :: List.init 5 (fun seed -> random_tree ~k:6 ~seed) in
+  List.iter
+    (fun d1 ->
+      List.iter
+        (fun d2 ->
+          let run backend = Option.get (Diffmc.counts ~backend ~nprimary:8 d1 d2) in
+          let e = run backend and b = run Mcml_counting.Counter.Brute in
+          List.iter
+            (fun (field, f) ->
+              check Alcotest.string field (Bignat.to_string (f b)) (Bignat.to_string (f e)))
+            [
+              ("tt", fun c -> c.Diffmc.tt);
+              ("tf", fun c -> c.Diffmc.tf);
+              ("ft", fun c -> c.Diffmc.ft);
+              ("ff", fun c -> c.Diffmc.ff);
+            ])
+        trees)
+    trees
 
 let diffmc_self_is_zero =
   qtest ~count:40 "diff(d, d) = 0" QCheck2.Gen.(int_bound 10_000) (fun seed ->
@@ -496,19 +561,6 @@ let ablation_symmetry_invariants () =
   let total = List.find (fun (r : Experiments.sym_row) -> r.Experiments.s_prop = "TotalOrder") rows in
   check Alcotest.int "total order orbits = 1" 1 total.Experiments.s_full
 
-let ablation_style_invariants () =
-  let cfg =
-    { tiny_cfg with Experiments.properties = [ Props.find_exn "Reflexive"; Props.find_exn "Function" ] }
-  in
-  let rows = Experiments.accmc_style_ablation cfg in
-  List.iter
-    (fun (r : Experiments.style_row) ->
-      check Alcotest.bool (r.Experiments.y_prop ^ " direct completes") true
-        (r.Experiments.y_direct <> None);
-      check Alcotest.bool (r.Experiments.y_prop ^ " complement completes") true
-        (r.Experiments.y_complement <> None))
-    rows
-
 let () =
   Alcotest.run "mcml"
     [
@@ -537,12 +589,18 @@ let () =
           ]
         @ [
             Alcotest.test_case "symmetry-constrained universe" `Slow accmc_symmetry_universe;
-            Alcotest.test_case "direct = complement" `Quick accmc_styles_agree;
+            Alcotest.test_case "conditioned = brute Tree2CNF counts, 16 properties" `Slow
+              accmc_conditioned_matches_brute;
+            Alcotest.test_case "a timeout is never kept" `Quick accmc_timeout_not_kept;
             Alcotest.test_case "counts partition the space" `Quick accmc_check_total;
-            Alcotest.test_case "default styles" `Quick accmc_default_styles;
           ] );
       ( "diffmc",
-        [ diffmc_matches_exhaustive; diffmc_self_is_zero; diffmc_sim_complement ] );
+        [
+          diffmc_matches_exhaustive;
+          Alcotest.test_case "exact = brute" `Quick diffmc_exact_matches_brute;
+          diffmc_self_is_zero;
+          diffmc_sim_complement;
+        ] );
       ( "pipeline",
         [
           Alcotest.test_case "generate invariants" `Quick pipeline_generate_invariants;
@@ -558,6 +616,5 @@ let () =
           Alcotest.test_case "tree differences rows" `Slow experiments_tree_differences;
           Alcotest.test_case "class ratio rows" `Slow experiments_class_ratio;
           Alcotest.test_case "symmetry ablation invariants" `Slow ablation_symmetry_invariants;
-          Alcotest.test_case "accmc style ablation" `Slow ablation_style_invariants;
         ] );
     ]

@@ -240,6 +240,22 @@ let connection_in_order () = with_server (fun srv -> in_order (Server.handle_con
 let connection_overlong_line () =
   with_server (fun srv -> overlong_then_valid (Server.handle_connection srv))
 
+let unbalanceable_is_bad_request () =
+  (* unrestricted Surjective at scope 3 has 343 positives and 169
+     negatives: no balanced dataset, which is the caller's input, not a
+     server fault; the connection keeps serving *)
+  with_server (fun srv ->
+      let rs =
+        exchange (Server.handle_connection srv)
+          [
+            "{\"id\":1,\"kind\":\"accmc\",\"prop\":\"Surjective\",\"scope\":3}";
+            "{\"id\":2,\"kind\":\"diffmc\",\"prop\":\"Surjective\",\"scope\":3}";
+            "{\"id\":3,\"kind\":\"accmc\",\"prop\":\"Reflexive\",\"scope\":3}";
+          ]
+      in
+      check Alcotest.(list string) "outcomes" [ "bad_request"; "bad_request"; "ok" ]
+        (List.map code_of rs))
+
 let deadline_expiry_keeps_connection () =
   with_server (fun srv ->
       let conn = connect srv in
@@ -534,6 +550,8 @@ let () =
           Alcotest.test_case "responses in request order" `Quick connection_in_order;
           Alcotest.test_case "overlong line, then a valid line" `Quick
             connection_overlong_line;
+          Alcotest.test_case "unbalanceable data is a bad request" `Quick
+            unbalanceable_is_bad_request;
           Alcotest.test_case "deadline expiry keeps the connection" `Quick
             deadline_expiry_keeps_connection;
           Alcotest.test_case "admission=0 sheds counting load" `Quick
