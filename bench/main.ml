@@ -1,19 +1,15 @@
 (* Benchmark harness: regenerates every experimental table of the paper
-   (Tables 1-9) in the scaled-down "fast" configuration, then runs a
-   bechamel micro-benchmark suite over the core operations — one
-   Test.make per table (on a reduced workload, so the statistics
-   converge in seconds) plus the individual substrate operations.
+   (Tables 1-9) in the scaled-down "fast" configuration, then the
+   symmetry-breaking ablation.
 
    Usage:
-     dune exec bench/main.exe              # tables + micro-benchmarks
+     dune exec bench/main.exe              # tables + ablation
      dune exec bench/main.exe -- --table 3 # one table only
-     dune exec bench/main.exe -- --micro   # micro-benchmarks only
      dune exec bench/main.exe -- --budget 120 --seed 1
      dune exec bench/main.exe -- --table 1 --jobs 4 --json out.json *)
 
 open Mcml
 open Mcml_props
-open Bechamel
 
 let fmt = Format.std_formatter
 
@@ -24,57 +20,12 @@ let fmt = Format.std_formatter
 let banner title =
   Format.fprintf fmt "@.=== %s ===@.@." title
 
+(* Every table prints its own title, so a blank line separates them. *)
 let run_table cfg n =
-  match n with
-  | 1 ->
-      banner "Table 1";
-      Report.table1 fmt (Experiments.table1 cfg)
-  | 2 ->
-      banner "Table 2";
-      let prop = Props.find_exn "PartialOrder" in
-      Report.model_performance fmt
-        ~title:
-          "Table 2: classification on the test set, PartialOrder (symmetry-broken data)"
-        (Experiments.model_performance cfg ~prop ~symmetry:true)
-  | 3 ->
-      banner "Table 3";
-      Report.dt_generalization fmt
-        ~title:
-          "Table 3: DT on test set (symmetries broken) vs entire space (phi with symmetry breaking)"
-        (Experiments.dt_generalization cfg ~data_symmetry:true ~eval_symmetry:true)
-  | 4 ->
-      banner "Table 4";
-      let prop = Props.find_exn "PartialOrder" in
-      Report.model_performance fmt
-        ~title:
-          "Table 4: classification on the test set, PartialOrder (no symmetry breaking)"
-        (Experiments.model_performance cfg ~prop ~symmetry:false)
-  | 5 ->
-      banner "Table 5";
-      Report.dt_generalization fmt
-        ~title:"Table 5: DT on test set vs entire space (no symmetry breaking anywhere)"
-        (Experiments.dt_generalization cfg ~data_symmetry:false ~eval_symmetry:false)
-  | 6 ->
-      banner "Table 6";
-      Report.dt_generalization fmt
-        ~title:
-          "Table 6: trained with symmetries broken, evaluated on the full space (mismatch)"
-        (Experiments.dt_generalization cfg ~data_symmetry:true ~eval_symmetry:false)
-  | 7 ->
-      banner "Table 7";
-      Report.dt_generalization fmt
-        ~title:
-          "Table 7: trained without symmetry breaking, evaluated on the constrained space (mismatch)"
-        (Experiments.dt_generalization cfg ~data_symmetry:false ~eval_symmetry:true)
-  | 8 ->
-      banner "Table 8";
-      Report.tree_differences fmt (Experiments.tree_differences cfg)
-  | 9 ->
-      banner "Table 9";
-      let prop = Props.find_exn "Antisymmetric" in
-      Report.class_ratio fmt (Experiments.class_ratio_study cfg ~prop)
-  | n ->
-      Format.eprintf "bench: no such table: %d (the paper has Tables 1-9)@." n;
+  match Report.table fmt cfg n with
+  | Ok () -> Format.fprintf fmt "@."
+  | Error msg ->
+      Format.eprintf "bench: %s@." msg;
       exit 2
 
 (* ---------------------------------------------------------------------- *)
@@ -802,158 +753,6 @@ let run_fleet_serve ~shards ~budget ~seed ~use_cache =
            ("speedup", Json.Float speedup);
          ])
 
-(* ---------------------------------------------------------------------- *)
-(* Micro-benchmarks                                                        *)
-(* ---------------------------------------------------------------------- *)
-
-(* A reduced configuration so that a whole-table regeneration is cheap
-   enough to be *measured* (rather than just run once). *)
-let micro_cfg =
-  {
-    Experiments.fast with
-    Experiments.max_scope = 4;
-    threshold = 50;
-    max_positives = 400;
-    budget = 10.0;
-    ratios = [ (75, 25) ];
-    properties =
-      [ Props.find_exn "Reflexive"; Props.find_exn "PartialOrder" ];
-  }
-
-let substrate_tests () =
-  let prop = Props.find_exn "PartialOrder" in
-  let scope = 4 in
-  let analyzer = Props.analyzer ~scope in
-  let phi_cnf = Mcml_alloy.Analyzer.cnf analyzer ~pred:prop.Props.pred in
-  let data =
-    Pipeline.generate prop
-      { Pipeline.scope; symmetry = false; max_positives = 400; seed = 5 }
-  in
-  let tree =
-    Option.get (Mcml_ml.Model.train_tree ~seed:6 data.Pipeline.dataset).Mcml_ml.Model.tree
-  in
-  [
-    Test.make ~name:"alloy.translate+tseitin" (Staged.stage (fun () ->
-        ignore (Mcml_alloy.Analyzer.cnf analyzer ~pred:prop.Props.pred)));
-    Test.make ~name:"sat.solve(phi)" (Staged.stage (fun () ->
-        ignore (Mcml_sat.Solver.solve (Mcml_sat.Solver.of_cnf phi_cnf))));
-    Test.make ~name:"count.exact(phi)" (Staged.stage (fun () ->
-        ignore (Mcml_counting.Exact.count phi_cnf)));
-    (* the counter's worst family: a negated property under symmetry
-       breaking — the instance class the d-DNNF engine is gated on *)
-    Test.make ~name:"count.exact(neg phi sym)" (Staged.stage (fun () ->
-        ignore
-          (Mcml_counting.Exact.count
-             (Mcml_alloy.Analyzer.cnf ~negate:true ~symmetry:true analyzer
-                ~pred:prop.Props.pred))));
-    Test.make ~name:"count.approx(phi)" (Staged.stage (fun () ->
-        ignore
-          (Mcml_counting.Approx.count
-             ~config:{ Mcml_counting.Approx.default with max_rounds = Some 1 }
-             phi_cnf)));
-    Test.make ~name:"ml.train_dt" (Staged.stage (fun () ->
-        ignore (Mcml_ml.Model.train_tree ~seed:6 data.Pipeline.dataset)));
-    Test.make ~name:"mcml.tree2cnf" (Staged.stage (fun () ->
-        ignore (Tree2cnf.cnf_of_label ~nfeatures:(scope * scope) tree ~label:true)));
-    Test.make ~name:"mcml.accmc" (Staged.stage (fun () ->
-        ignore
-          (Pipeline.accmc ~backend:Mcml_counting.Counter.Exact ~prop ~scope
-             ~eval_symmetry:false tree)));
-    Test.make ~name:"mcml.diffmc" (Staged.stage (fun () ->
-        ignore
-          (Diffmc.counts ~backend:Mcml_counting.Counter.Exact ~nprimary:(scope * scope)
-             tree tree)));
-  ]
-
-let table_tests () =
-  [
-    Test.make ~name:"table1" (Staged.stage (fun () -> ignore (Experiments.table1 micro_cfg)));
-    Test.make ~name:"table2" (Staged.stage (fun () ->
-        ignore
-          (Experiments.model_performance micro_cfg
-             ~prop:(Props.find_exn "PartialOrder") ~symmetry:true)));
-    Test.make ~name:"table3" (Staged.stage (fun () ->
-        ignore
-          (Experiments.dt_generalization micro_cfg ~data_symmetry:true
-             ~eval_symmetry:true)));
-    Test.make ~name:"table4" (Staged.stage (fun () ->
-        ignore
-          (Experiments.model_performance micro_cfg
-             ~prop:(Props.find_exn "PartialOrder") ~symmetry:false)));
-    Test.make ~name:"table5" (Staged.stage (fun () ->
-        ignore
-          (Experiments.dt_generalization micro_cfg ~data_symmetry:false
-             ~eval_symmetry:false)));
-    Test.make ~name:"table6" (Staged.stage (fun () ->
-        ignore
-          (Experiments.dt_generalization micro_cfg ~data_symmetry:true
-             ~eval_symmetry:false)));
-    Test.make ~name:"table7" (Staged.stage (fun () ->
-        ignore
-          (Experiments.dt_generalization micro_cfg ~data_symmetry:false
-             ~eval_symmetry:true)));
-    Test.make ~name:"table8" (Staged.stage (fun () ->
-        ignore (Experiments.tree_differences micro_cfg)));
-    Test.make ~name:"table9" (Staged.stage (fun () ->
-        ignore
-          (Experiments.class_ratio_study micro_cfg
-             ~prop:(Props.find_exn "Antisymmetric"))));
-  ]
-
-let run_micro () =
-  banner "bechamel micro-benchmarks (reduced workloads)";
-  let tests =
-    Test.make_grouped ~name:"mcml"
-      [
-        Test.make_grouped ~name:"substrate" (substrate_tests ());
-        Test.make_grouped ~name:"tables" (table_tests ());
-      ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~stabilize:false ()
-    in
-    let raw_results = Benchmark.all cfg instances tests in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw_results) instances
-    in
-    let results = Analyze.merge ols instances results in
-    results
-  in
-  let results = benchmark () in
-  Format.fprintf fmt "%-32s %16s@." "benchmark" "time/run";
-  Format.fprintf fmt "%s@." (String.make 50 '-');
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name tbl ->
-      if name = Measure.label Toolkit.Instance.monotonic_clock then
-        Hashtbl.iter
-          (fun test ols ->
-            let estimate =
-              match Analyze.OLS.estimates ols with
-              | Some [ e ] -> e
-              | _ -> Float.nan
-            in
-            rows := (test, estimate) :: !rows)
-          tbl)
-    results;
-  List.iter
-    (fun (test, ns) ->
-      let pretty =
-        if Float.is_nan ns then "n/a"
-        else if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-        else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      Format.fprintf fmt "%-32s %16s@." test pretty)
-    (List.sort compare !rows);
-  Format.fprintf fmt "%s@." (String.make 50 '-')
-
 let run_ablations cfg =
   banner "Ablations";
   Report.symmetry_ablation fmt (Experiments.symmetry_ablation cfg)
@@ -962,7 +761,6 @@ let run_ablations cfg =
 
 let () =
   let table = ref 0 in
-  let micro_only = ref false in
   let serve_only = ref false in
   let fleet = ref false in
   let shards = ref 4 in
@@ -978,7 +776,6 @@ let () =
   let args =
     [
       ("--table", Arg.Set_int table, "N  regenerate only table N");
-      ("--micro", Arg.Set micro_only, "  micro-benchmarks only");
       ( "--serve",
         Arg.Set serve_only,
         "  benchmark the counting service (mcml serve) against direct \
@@ -992,7 +789,7 @@ let () =
         Arg.Set_int shards,
         "N  shard count for --serve --fleet (default 4)" );
       ("--ablation", Arg.Set ablation_only, "  ablation studies only");
-      ("--tables", Arg.Set tables_only, "  tables only, skip micro-benchmarks");
+      ("--tables", Arg.Set tables_only, "  tables only, skip the ablation");
       ("--budget", Arg.Set_float budget, "S  per-count timeout in seconds");
       ("--seed", Arg.Set_int seed, "N  RNG seed");
       ( "--jobs",
@@ -1056,7 +853,6 @@ let () =
   else if !serve_only then
     timed "serve" (fun () ->
         run_serve ~jobs:!jobs ~budget:!budget ~seed:!seed ~use_cache:(not !no_cache))
-  else if !micro_only then timed "micro" run_micro
   else if !ablation_only then timed "ablations" (fun () -> run_ablations cfg)
   else if !table > 0 then
     timed
@@ -1074,10 +870,7 @@ let () =
     List.iter
       (fun n -> timed (Printf.sprintf "table%d" n) (fun () -> run_table cfg n))
       [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ];
-    if not !tables_only then begin
-      timed "ablations" (fun () -> run_ablations cfg);
-      timed "micro" run_micro
-    end
+    if not !tables_only then timed "ablations" (fun () -> run_ablations cfg)
   end;
   let total = Mcml_obs.Obs.monotonic_s () -. t0 in
   Option.iter Mcml_exec.Pool.shutdown pool;

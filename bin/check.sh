@@ -17,6 +17,14 @@ dune runtest
 echo "== smoke: mcml list =="
 dune exec bin/main.exe -- list >/dev/null
 
+echo "== smoke: mcml exp rejects a table outside 1-9 =="
+st=0
+out="$(dune exec bin/main.exe -- exp 10 2>/dev/null)" || st=$?
+[ "$st" -eq 2 ] && [ -z "$out" ] || {
+  echo "FAIL: mcml exp 10 exited $st (want 2) and printed '$out'" >&2
+  exit 1
+}
+
 echo "== counter cross-check gate: exact (d-DNNF) vs brute on a fixed slice =="
 # the two backends share no code above the CNF, so agreement on every
 # property at scope 3 — plain and negated+symmetry-broken — pins the

@@ -360,9 +360,9 @@ let train_eval_cmd =
       (Mcml_ml.Dataset.size data.Pipeline.dataset)
       data.Pipeline.num_positive_solutions
       (if data.Pipeline.positives_complete then "" else ", capped");
-    let rng = Splitmix.create (seed + 5) in
-    let train, test = Mcml_ml.Dataset.split rng ~train_fraction:fraction data.Pipeline.dataset in
-    let m = Mcml_ml.Model.train ~sizes:Mcml_ml.Model.fast_sizes ~seed model train in
+    let m, _, test =
+      Pipeline.train_eval ~train_fraction:fraction ~seed model data.Pipeline.dataset
+    in
     let c = Mcml_ml.Model.evaluate m test in
     Printf.printf "test    : acc=%.4f prec=%.4f rec=%.4f f1=%.4f\n"
       (Mcml_ml.Metrics.accuracy c) (Mcml_ml.Metrics.precision c)
@@ -401,16 +401,7 @@ let diff_cmd =
     let data =
       generate prop { Pipeline.scope; symmetry; max_positives = 3000; seed }
     in
-    let rng = Splitmix.create (seed + 29) in
-    let train, _ = Mcml_ml.Dataset.split rng ~train_fraction:0.5 data.Pipeline.dataset in
-    let t1 = Option.get (Mcml_ml.Model.train_tree ~seed:(seed + 1) train).Mcml_ml.Model.tree in
-    let t2 =
-      Option.get
-        (Mcml_ml.Model.train_tree
-           ~params:{ Mcml_ml.Decision_tree.max_depth = Some 4; min_samples_split = 8; max_features = None }
-           ~seed:(seed + 2) train)
-          .Mcml_ml.Model.tree
-    in
+    let t1, t2 = Pipeline.diffmc_trees ~seed data.Pipeline.dataset in
     let nprimary = scope * scope in
     match Diffmc.counts ~budget ~backend ~nprimary t1 t2 with
     | Some c ->
@@ -559,11 +550,7 @@ let stats_cmd =
     let data =
       generate prop { Pipeline.scope; symmetry; max_positives = 3000; seed }
     in
-    let rng = Splitmix.create (seed + 5) in
-    let train, test =
-      Mcml_ml.Dataset.split rng ~train_fraction:0.75 data.Pipeline.dataset
-    in
-    let m = Mcml_ml.Model.train ~sizes:Mcml_ml.Model.fast_sizes ~seed Mcml_ml.Model.DT train in
+    let m, train, test = Pipeline.train_eval ~seed Mcml_ml.Model.DT data.Pipeline.dataset in
     let c = Mcml_ml.Model.evaluate m test in
     Printf.printf "test  : acc=%.4f f1=%.4f (%d train / %d test samples)\n%!"
       (Mcml_ml.Metrics.accuracy c) (Mcml_ml.Metrics.f1 c)
@@ -714,40 +701,11 @@ let exp_cmd =
     in
     at_exit (fun () -> Option.iter Mcml_exec.Pool.shutdown pool);
     let cfg = { Experiments.fast with Experiments.seed; budget; pool; cache } in
-    let fmt = Format.std_formatter in
-    match table with
-    | 1 -> Report.table1 fmt (Experiments.table1 cfg)
-    | 2 ->
-        let prop = Props.find_exn "PartialOrder" in
-        Report.model_performance fmt
-          ~title:"Table 2: classification on the test set, PartialOrder (symmetry-broken data)"
-          (Experiments.model_performance cfg ~prop ~symmetry:true)
-    | 3 ->
-        Report.dt_generalization fmt
-          ~title:"Table 3: DT test-set vs entire state space (symmetries broken; phi constrained)"
-          (Experiments.dt_generalization cfg ~data_symmetry:true ~eval_symmetry:true)
-    | 4 ->
-        let prop = Props.find_exn "PartialOrder" in
-        Report.model_performance fmt
-          ~title:"Table 4: classification on the test set, PartialOrder (no symmetry breaking)"
-          (Experiments.model_performance cfg ~prop ~symmetry:false)
-    | 5 ->
-        Report.dt_generalization fmt
-          ~title:"Table 5: DT test-set vs entire state space (no symmetry breaking)"
-          (Experiments.dt_generalization cfg ~data_symmetry:false ~eval_symmetry:false)
-    | 6 ->
-        Report.dt_generalization fmt
-          ~title:"Table 6: train with symmetries broken, evaluate on the full space"
-          (Experiments.dt_generalization cfg ~data_symmetry:true ~eval_symmetry:false)
-    | 7 ->
-        Report.dt_generalization fmt
-          ~title:"Table 7: train without symmetry breaking, evaluate on the constrained space"
-          (Experiments.dt_generalization cfg ~data_symmetry:false ~eval_symmetry:true)
-    | 8 -> Report.tree_differences fmt (Experiments.tree_differences cfg)
-    | 9 ->
-        let prop = Props.find_exn "Antisymmetric" in
-        Report.class_ratio fmt (Experiments.class_ratio_study cfg ~prop)
-    | n -> Printf.eprintf "no such table: %d (the paper has Tables 1-9)\n" n
+    match Report.table Format.std_formatter cfg table with
+    | Ok () -> ()
+    | Error msg ->
+        Printf.eprintf "mcml exp: %s\n" msg;
+        exit 2
   in
   Cmd.v
     (Cmd.info "exp" ~doc:"Regenerate one of the paper's tables (scaled-down configuration).")

@@ -227,25 +227,8 @@ let tree_differences cfg : diff_row list =
             seed = cfg.seed;
           }
       in
-      let rng = Splitmix.create (cfg.seed + 29) in
-      let train, _ = Dataset.split rng ~train_fraction:0.5 data.Pipeline.dataset in
       (* two trees with different hyperparameters, as in the paper *)
-      let t1 =
-        Option.get
-          (Model.train_tree ~seed:(cfg.seed + 1) train).Model.tree
-      in
-      let t2 =
-        Option.get
-          (Model.train_tree
-             ~params:
-               {
-                 Decision_tree.max_depth = Some 4;
-                 min_samples_split = 8;
-                 max_features = None;
-               }
-             ~seed:(cfg.seed + 2) train)
-            .Model.tree
-      in
+      let t1, t2 = Pipeline.diffmc_trees ~seed:cfg.seed data.Pipeline.dataset in
       let nprimary = scope * scope in
       let counts =
         Diffmc.counts ~budget:cfg.budget ?pool:cfg.pool ?cache:cfg.cache

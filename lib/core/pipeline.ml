@@ -161,3 +161,18 @@ let accmc ?budget ?pool ?cache ~backend ~prop ~scope ~eval_symmetry tree =
         ~nprimary tree
 
 let train_fraction_of_ratio (a, b) = float_of_int a /. float_of_int (a + b)
+
+let train_eval ?(train_fraction = 0.75) ~seed kind data =
+  let train, test = Dataset.split (Splitmix.create (seed + 5)) ~train_fraction data in
+  (Model.train ~sizes:Model.fast_sizes ~seed kind train, train, test)
+
+let diffmc_trees ~seed data =
+  let train, _ = Dataset.split (Splitmix.create (seed + 29)) ~train_fraction:0.5 data in
+  let tree ?params seed = Option.get (Model.train_tree ?params ~seed train).Model.tree in
+  let t1 = tree (seed + 1) in
+  let t2 =
+    tree
+      ~params:{ Decision_tree.max_depth = Some 4; min_samples_split = 8; max_features = None }
+      (seed + 2)
+  in
+  (t1, t2)

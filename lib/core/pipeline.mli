@@ -78,3 +78,18 @@ val accmc :
 
 val train_fraction_of_ratio : int * int -> float
 (** [(75, 25)] ↦ [0.75] etc. *)
+
+val train_eval :
+  ?train_fraction:float -> seed:int -> Model.kind -> Dataset.t -> Model.t * Dataset.t * Dataset.t
+(** The model of [mcml train-eval], [mcml stats] and served [accmc]
+    requests: the data split with [seed + 5] at [train_fraction]
+    (default [0.75], the 75:25 split), then a {!Model.fast_sizes} model
+    trained with [seed] on the first part.  Returns the model, the
+    training set and the held-out test set. *)
+
+val diffmc_trees : seed:int -> Dataset.t -> Decision_tree.t * Decision_tree.t
+(** The tree pair DiffMC compares in Table 8, [mcml diff] and served
+    [diffmc] requests: both trained on one half of the data (split with
+    [seed + 29]), the first with default hyperparameters and
+    [seed + 1], the second at most 4 deep with at least 8 samples per
+    split and [seed + 2]. *)

@@ -118,3 +118,47 @@ let class_ratio fmt (rows : Experiments.t9_row list) =
         r.r_traditional r.r_mcml)
     rows;
   hr fmt 56
+
+let table fmt cfg n =
+  let perf ~title ~symmetry =
+    model_performance fmt ~title
+      (Experiments.model_performance cfg ~prop:(Mcml_props.Props.find_exn "PartialOrder")
+         ~symmetry)
+  in
+  let dt ~title ~data_symmetry ~eval_symmetry =
+    dt_generalization fmt ~title
+      (Experiments.dt_generalization cfg ~data_symmetry ~eval_symmetry)
+  in
+  match n with
+  | 1 -> Ok (table1 fmt (Experiments.table1 cfg))
+  | 2 ->
+      Ok
+        (perf ~symmetry:true
+           ~title:"Table 2: classification on the test set, PartialOrder (symmetry-broken data)")
+  | 3 ->
+      Ok
+        (dt ~data_symmetry:true ~eval_symmetry:true
+           ~title:
+             "Table 3: DT test-set vs entire state space (symmetries broken; phi constrained)")
+  | 4 ->
+      Ok
+        (perf ~symmetry:false
+           ~title:"Table 4: classification on the test set, PartialOrder (no symmetry breaking)")
+  | 5 ->
+      Ok
+        (dt ~data_symmetry:false ~eval_symmetry:false
+           ~title:"Table 5: DT test-set vs entire state space (no symmetry breaking)")
+  | 6 ->
+      Ok
+        (dt ~data_symmetry:true ~eval_symmetry:false
+           ~title:"Table 6: train with symmetries broken, evaluate on the full space")
+  | 7 ->
+      Ok
+        (dt ~data_symmetry:false ~eval_symmetry:true
+           ~title:"Table 7: train without symmetry breaking, evaluate on the constrained space")
+  | 8 -> Ok (tree_differences fmt (Experiments.tree_differences cfg))
+  | 9 ->
+      Ok
+        (class_ratio fmt
+           (Experiments.class_ratio_study cfg ~prop:(Mcml_props.Props.find_exn "Antisymmetric")))
+  | n -> Error (Printf.sprintf "no such table: %d (the paper has Tables 1-9)" n)

@@ -18,3 +18,6 @@ val class_ratio : Format.formatter -> Experiments.t9_row list -> unit
 val symmetry_ablation : Format.formatter -> Experiments.sym_row list -> unit
 (** Render the symmetry-breaking ablation. *)
 
+val table : Format.formatter -> Experiments.config -> int -> (unit, string) result
+(** Run the driver of the paper's Table [n] under the config and render
+    its rows; [Error] for any [n] outside 1–9, before any work. *)

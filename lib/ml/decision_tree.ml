@@ -1,6 +1,7 @@
 open Mcml_logic
 
-type node = Leaf of bool | Split of { feature : int; if_false : node; if_true : node }
+type 'a tree = Leaf of 'a | Split of { feature : int; if_false : 'a tree; if_true : 'a tree }
+type node = bool tree
 type t = { nfeatures : int; root : node }
 
 type params = {
@@ -10,6 +11,78 @@ type params = {
 }
 
 let default_params = { max_depth = None; min_samples_split = 2; max_features = None }
+
+(* The one CART grower.  A node owns the samples [idx.(lo) .. idx.(hi - 1)]:
+   [node] gives their impurity and the leaf they would make, [split] the
+   score of splitting them on a feature ([infinity] when a side would be
+   empty).  The candidates are every feature in order, or a fresh draw of
+   [max_features] of them at each split node.  The lowest score wins, the
+   first on a tie, and under [strict] only below the node's impurity.
+   Only the winner is partitioned, stably and in place, so a criterion
+   sees each side's samples in their order in [ds]. *)
+let grow ~node ~split ~strict ?rng params (ds : Dataset.t) =
+  let n = Dataset.size ds and k = ds.Dataset.nfeatures in
+  let samples = ds.Dataset.samples in
+  let idx = Array.init n Fun.id and scratch = Array.make n 0 in
+  let pool = Array.init k Fun.id in
+  let ncand =
+    match (params.max_features, rng) with Some m, Some _ when m < k -> m | _ -> k
+  in
+  (* partial Fisher-Yates over a fresh copy of the features *)
+  let draw rng =
+    for i = 0 to k - 1 do
+      pool.(i) <- i
+    done;
+    for i = 0 to ncand - 1 do
+      let j = i + Splitmix.int rng (k - i) in
+      let tmp = pool.(i) in
+      pool.(i) <- pool.(j);
+      pool.(j) <- tmp
+    done
+  in
+  (* the true side moves to the front, the false side goes through
+     [scratch]; each keeps its order *)
+  let partition f lo hi =
+    let mid = ref lo and nfalse = ref 0 in
+    for i = lo to hi - 1 do
+      let s = idx.(i) in
+      if samples.(s).Dataset.features.(f) then begin
+        idx.(!mid) <- s;
+        incr mid
+      end
+      else begin
+        scratch.(!nfalse) <- s;
+        incr nfalse
+      end
+    done;
+    Array.blit scratch 0 idx !mid !nfalse;
+    !mid
+  in
+  let too_deep depth = match params.max_depth with Some d -> depth >= d | None -> false in
+  let rec go lo hi depth =
+    let impurity, leaf = node idx lo hi in
+    if impurity = 0.0 || hi - lo < params.min_samples_split || too_deep depth then Leaf leaf
+    else begin
+      if ncand < k then Option.iter draw rng;
+      let best = ref (if strict then impurity else infinity) and feature = ref (-1) in
+      for c = 0 to ncand - 1 do
+        let score = split idx lo hi pool.(c) in
+        if score < !best then begin
+          best := score;
+          feature := pool.(c)
+        end
+      done;
+      if !feature < 0 then Leaf leaf
+      else begin
+        let mid = partition !feature lo hi in
+        (* true side first: a forest's per-node draws follow this order *)
+        let if_true = go lo mid (depth + 1) in
+        let if_false = go mid hi (depth + 1) in
+        Split { feature = !feature; if_false; if_true }
+      end
+    end
+  in
+  go 0 n 0
 
 (* Gini impurity of a (weighted) label distribution. *)
 let gini pos neg =
@@ -29,85 +102,86 @@ let train ?(params = default_params) ?weights ?rng (ds : Dataset.t) : t =
         w
     | None -> Array.make n 1.0
   in
-  let feature_pool = Array.init ds.Dataset.nfeatures (fun i -> i) in
-  let candidate_features () =
-    match (params.max_features, rng) with
-    | Some k, Some rng when k < Array.length feature_pool ->
-        (* partial Fisher-Yates to draw k distinct features *)
-        let a = Array.copy feature_pool in
-        for i = 0 to k - 1 do
-          let j = i + Splitmix.int rng (Array.length a - i) in
-          let tmp = a.(i) in
-          a.(i) <- a.(j);
-          a.(j) <- tmp
-        done;
-        Array.to_list (Array.sub a 0 k)
-    | _ -> Array.to_list feature_pool
+  let samples = ds.Dataset.samples in
+  let node idx lo hi =
+    let pos = ref 0.0 and neg = ref 0.0 in
+    for i = lo to hi - 1 do
+      let s = idx.(i) in
+      if samples.(s).Dataset.label then pos := !pos +. weights.(s)
+      else neg := !neg +. weights.(s)
+    done;
+    (gini !pos !neg, !pos > !neg)
   in
-  let weight_split indices =
-    List.fold_left
-      (fun (pos, neg) i ->
-        let s = ds.Dataset.samples.(i) in
-        if s.Dataset.label then (pos +. weights.(i), neg) else (pos, neg +. weights.(i)))
-      (0.0, 0.0) indices
+  let split idx lo hi f =
+    let tp = ref 0.0 and tn = ref 0.0 and fp = ref 0.0 and fn = ref 0.0 in
+    let ntrue = ref 0 in
+    for i = lo to hi - 1 do
+      let s = idx.(i) in
+      let x = samples.(s) and w = weights.(s) in
+      if x.Dataset.features.(f) then begin
+        incr ntrue;
+        if x.Dataset.label then tp := !tp +. w else tn := !tn +. w
+      end
+      else if x.Dataset.label then fp := !fp +. w
+      else fn := !fn +. w
+    done;
+    if !ntrue = 0 || !ntrue = hi - lo then infinity
+    else begin
+      let wt = !tp +. !tn and wf = !fp +. !fn in
+      ((wt *. gini !tp !tn) +. (wf *. gini !fp !fn)) /. (wt +. wf)
+    end
   in
-  let rec grow indices depth =
-    match indices with
-    | [] -> Leaf false
-    | _ ->
-        let pos, neg = weight_split indices in
-        let impurity = gini pos neg in
-        let stop =
-          impurity = 0.0
-          || List.length indices < params.min_samples_split
-          || match params.max_depth with Some d -> depth >= d | None -> false
-        in
-        if stop then Leaf (pos > neg)
-        else begin
-          (* best split among candidate features by weighted Gini *)
-          let best = ref None in
-          List.iter
-            (fun f ->
-              let t_idx, f_idx =
-                List.partition (fun i -> ds.Dataset.samples.(i).Dataset.features.(f)) indices
-              in
-              if t_idx <> [] && f_idx <> [] then begin
-                let tp, tn = weight_split t_idx in
-                let fp, fn = weight_split f_idx in
-                let wt = tp +. tn and wf = fp +. fn in
-                let score =
-                  ((wt *. gini tp tn) +. (wf *. gini fp fn)) /. (wt +. wf)
-                in
-                match !best with
-                | Some (s, _, _, _) when s <= score -> ()
-                | _ -> best := Some (score, f, t_idx, f_idx)
-              end)
-            (candidate_features ());
-          match !best with
-          | None -> Leaf (pos > neg)
-          | Some (_score, f, t_idx, f_idx) ->
-              (* like scikit-learn's default CART, split as long as any
-                 valid split exists (even with zero Gini improvement —
-                 needed to fit parity-like targets); both sides are
-                 non-empty so the recursion terminates *)
-              Split
-                {
-                  feature = f;
-                  if_true = grow t_idx (depth + 1);
-                  if_false = grow f_idx (depth + 1);
-                }
-        end
-  in
-  let root = grow (List.init n (fun i -> i)) 0 in
-  { nfeatures = ds.Dataset.nfeatures; root }
+  (* like scikit-learn's default CART, split as long as any valid split
+     exists (even with zero Gini improvement — needed to fit parity-like
+     targets) *)
+  { nfeatures = ds.Dataset.nfeatures; root = grow ~node ~split ~strict:false ?rng params ds }
 
-let predict t features =
-  let rec go = function
-    | Leaf b -> b
-    | Split { feature; if_false; if_true } ->
-        go (if features.(feature) then if_true else if_false)
+let regression_tree ~max_depth (ds : Dataset.t) ~targets =
+  if Array.length targets <> Dataset.size ds then
+    invalid_arg "Decision_tree.regression_tree: targets length";
+  let samples = ds.Dataset.samples in
+  let sums = Array.make 2 0.0 and counts = Array.make 2 0 and errors = Array.make 2 0.0 in
+  let means = Array.make 2 0.0 in
+  (* Per side of feature [f] (one side when [f < 0]): the sum and count
+     of the targets, then the squared deviations from their mean.
+     [pow] is not correctly rounded, so [d *. d] differs from
+     [d ** 2.0] in the last bit on about 0.1% of inputs, which could
+     flip a near-tied split: the squares stay [** 2.0]. *)
+  let squared_errors idx lo hi f =
+    Array.fill sums 0 2 0.0;
+    Array.fill counts 0 2 0;
+    Array.fill errors 0 2 0.0;
+    for i = lo to hi - 1 do
+      let s = idx.(i) in
+      let j = if f < 0 then 0 else Bool.to_int samples.(s).Dataset.features.(f) in
+      sums.(j) <- sums.(j) +. targets.(s);
+      counts.(j) <- counts.(j) + 1
+    done;
+    means.(0) <- sums.(0) /. float_of_int counts.(0);
+    means.(1) <- sums.(1) /. float_of_int counts.(1);
+    for i = lo to hi - 1 do
+      let s = idx.(i) in
+      let j = if f < 0 then 0 else Bool.to_int samples.(s).Dataset.features.(f) in
+      errors.(j) <- errors.(j) +. ((targets.(s) -. means.(j)) ** 2.0)
+    done
   in
-  go t.root
+  let node idx lo hi =
+    squared_errors idx lo hi (-1);
+    (errors.(0), means.(0))
+  in
+  let split idx lo hi f =
+    squared_errors idx lo hi f;
+    if counts.(0) = 0 || counts.(1) = 0 then infinity else errors.(0) +. errors.(1)
+  in
+  grow ~node ~split ~strict:true { default_params with max_depth = Some max_depth } ds
+
+let rec leaf tree features =
+  match tree with
+  | Leaf v -> v
+  | Split { feature; if_false; if_true } ->
+      leaf (if features.(feature) then if_true else if_false) features
+
+let predict t features = leaf t.root features
 
 let paths t =
   let acc = ref [] in

@@ -8,11 +8,15 @@
 
     Training is standard CART with Gini impurity, optional sample
     weights (for boosting) and optional per-split feature subsampling
-    (for random forests). *)
+    (for random forests).  The same grower fits the regression trees
+    of gradient boosting ({!regression_tree}). *)
 
 open Mcml_logic
 
-type node = Leaf of bool | Split of { feature : int; if_false : node; if_true : node }
+type 'a tree = Leaf of 'a | Split of { feature : int; if_false : 'a tree; if_true : 'a tree }
+(** [if_true] is taken when [feature] is set. *)
+
+type node = bool tree
 
 type t = { nfeatures : int; root : node }
 
@@ -36,6 +40,14 @@ val train :
 (** [train ds] grows a tree.  [weights] (parallel to [ds.samples])
     default to 1; [rng] is only consulted when [max_features] is set.
     An empty dataset yields a single [Leaf false]. *)
+
+val regression_tree : max_depth:int -> Dataset.t -> targets:float array -> float tree
+(** Fit real-valued [targets] (parallel to the dataset's samples):
+    squared-error splits, mean leaves, a split only where it lowers
+    the squared error.  @raise Invalid_argument on a length mismatch. *)
+
+val leaf : 'a tree -> bool array -> 'a
+(** The leaf value the feature vector routes to. *)
 
 val predict : t -> bool array -> bool
 

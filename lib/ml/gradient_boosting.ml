@@ -1,7 +1,11 @@
-type t = { init : float; learning_rate : float; stages : Regression_tree.t list }
-type params = { n_estimators : int; learning_rate : float; max_depth : int }
+type t = { init : float; stages : float Decision_tree.tree list }
+type params = { n_estimators : int }
 
-let default_params = { n_estimators = 100; learning_rate = 0.1; max_depth = 3 }
+let default_params = { n_estimators = 100 }
+
+(* scikit-learn's defaults: shrinkage 0.1, depth-3 stages *)
+let learning_rate = 0.1
+let max_depth = 3
 
 let sigmoid z = 1.0 /. (1.0 +. exp (-.z))
 
@@ -17,23 +21,19 @@ let train ?(params = default_params) (ds : Dataset.t) =
   for _ = 1 to params.n_estimators do
     (* negative gradient of the logistic loss: residual y - p *)
     let residuals = Array.mapi (fun i yi -> yi -. sigmoid scores.(i)) y in
-    let tree =
-      Regression_tree.train ~max_depth:params.max_depth ~min_samples_split:2 ds
-        ~targets:residuals
-    in
+    let tree = Decision_tree.regression_tree ~max_depth ds ~targets:residuals in
     stages := tree :: !stages;
     Array.iteri
       (fun i s ->
         scores.(i) <-
-          scores.(i)
-          +. (params.learning_rate *. Regression_tree.predict tree s.Dataset.features))
+          scores.(i) +. (learning_rate *. Decision_tree.leaf tree s.Dataset.features))
       ds.Dataset.samples
   done;
-  { init; learning_rate = params.learning_rate; stages = List.rev !stages }
+  { init; stages = List.rev !stages }
 
 let decision_value (model : t) features =
   List.fold_left
-    (fun acc tree -> acc +. (model.learning_rate *. Regression_tree.predict tree features))
+    (fun acc tree -> acc +. (learning_rate *. Decision_tree.leaf tree features))
     model.init model.stages
 
 let predict t features = decision_value t features > 0.0

@@ -4,10 +4,10 @@
 
 type t
 
-type params = { n_estimators : int; learning_rate : float; max_depth : int }
+type params = { n_estimators : int }
 
 val default_params : params
-(** 100 stages, η = 0.1, depth 3. *)
+(** 100 stages. *)
 
 val train : ?params:params -> Dataset.t -> t
 val predict : t -> bool array -> bool

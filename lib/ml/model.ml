@@ -80,9 +80,7 @@ let train_core ~sizes ~seed kind ds =
       { kind; predict = Decision_tree.predict tree; tree = Some tree }
   | RFT ->
       let forest =
-        Random_forest.train
-          ~params:{ Random_forest.n_trees = sizes.rft_trees; max_depth = None }
-          ~rng ds
+        Random_forest.train ~params:{ Random_forest.n_trees = sizes.rft_trees } ~rng ds
       in
       { kind; predict = Random_forest.predict forest; tree = None }
   | ABT ->
@@ -93,12 +91,7 @@ let train_core ~sizes ~seed kind ds =
   | GBDT ->
       let model =
         Gradient_boosting.train
-          ~params:
-            {
-              Gradient_boosting.n_estimators = sizes.gbdt_estimators;
-              learning_rate = 0.1;
-              max_depth = 3;
-            }
+          ~params:{ Gradient_boosting.n_estimators = sizes.gbdt_estimators }
           ds
       in
       { kind; predict = Gradient_boosting.predict model; tree = None }

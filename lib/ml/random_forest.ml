@@ -1,9 +1,9 @@
 open Mcml_logic
 
 type t = { forest : Decision_tree.t array }
-type params = { n_trees : int; max_depth : int option }
+type params = { n_trees : int }
 
-let default_params = { n_trees = 100; max_depth = None }
+let default_params = { n_trees = 100 }
 
 let train ?(params = default_params) ~rng (ds : Dataset.t) =
   let n = Dataset.size ds in
@@ -11,13 +11,8 @@ let train ?(params = default_params) ~rng (ds : Dataset.t) =
   let max_features =
     max 1 (int_of_float (Float.round (sqrt (float_of_int ds.Dataset.nfeatures))))
   in
-  let tree_params =
-    {
-      Decision_tree.max_depth = params.max_depth;
-      min_samples_split = 2;
-      max_features = Some max_features;
-    }
-  in
+  (* unbounded depth, as scikit-learn's default forest *)
+  let tree_params = { Decision_tree.default_params with max_features = Some max_features } in
   let forest =
     Array.init params.n_trees (fun _ ->
         (* bootstrap sample of size n *)

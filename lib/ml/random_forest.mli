@@ -5,11 +5,12 @@ open Mcml_logic
 
 type t
 
-type params = { n_trees : int; max_depth : int option }
+type params = { n_trees : int }
 
 val default_params : params
-(** 100 trees, unbounded depth — scikit-learn's defaults (the
-    experiment configs scale [n_trees] down for runtime). *)
+(** 100 trees — scikit-learn's default (the experiment configs scale
+    [n_trees] down for runtime).  Every tree grows to unbounded depth,
+    as in scikit-learn. *)
 
 val train : ?params:params -> rng:Splitmix.t -> Dataset.t -> t
 val predict : t -> bool array -> bool

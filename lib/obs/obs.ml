@@ -53,11 +53,13 @@ let now () = Unix.gettimeofday ()
    stale. *)
 let self_pid = Unix.getpid ()
 
-(* Monotonic clock (CLOCK_MONOTONIC via bechamel's stubs), in seconds.
-   Used for every duration and deadline in the substrate: wall-clock
-   time (gettimeofday) can jump backwards under NTP adjustment, which
-   would corrupt timeout bookkeeping mid-count. *)
-let monotonic_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+(* Monotonic clock (CLOCK_MONOTONIC), in seconds.  Used for every
+   duration and deadline in the substrate: wall-clock time
+   (gettimeofday) can jump backwards under NTP adjustment, which would
+   corrupt timeout bookkeeping mid-count. *)
+external monotonic_s : unit -> (float[@unboxed])
+  = "mcml_obs_monotonic_s_byte" "mcml_obs_monotonic_s"
+[@@noalloc]
 
 (* One lock serializes counter/histogram mutation and sink emission.
    The layer is called from worker domains once an Mcml_exec pool is in

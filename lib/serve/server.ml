@@ -202,9 +202,8 @@ let run_count t ~deadline (q : Protocol.query) =
                ])
       | None -> Error (timed_out budget))
 
-(* The accmc request replicates [mcml train-eval]'s phi section: same
-   dataset generation, same split and trainer seeds, so a served answer
-   equals the direct CLI answer for the same parameters. *)
+(* The phi section of [mcml train-eval]: the same dataset and the same
+   [Pipeline.train_eval] model, so a served answer equals the CLI's. *)
 let run_accmc t ~deadline (q : Protocol.query) =
   match clamp_budget ~deadline q.budget with
   | None -> Error expired
@@ -219,13 +218,8 @@ let run_accmc t ~deadline (q : Protocol.query) =
             seed = q.seed;
           }
       in
-      let rng = Mcml_logic.Splitmix.create (q.seed + 5) in
-      let train, test =
-        Mcml_ml.Dataset.split rng ~train_fraction:0.75 data.Mcml.Pipeline.dataset
-      in
-      let m =
-        Mcml_ml.Model.train ~sizes:Mcml_ml.Model.fast_sizes ~seed:q.seed
-          Mcml_ml.Model.DT train
+      let m, _, test =
+        Mcml.Pipeline.train_eval ~seed:q.seed Mcml_ml.Model.DT data.Mcml.Pipeline.dataset
       in
       let test_conf = Mcml_ml.Model.evaluate m test in
       match m.Mcml_ml.Model.tree with
@@ -258,8 +252,7 @@ let run_accmc t ~deadline (q : Protocol.query) =
                      ("time_s", Json.Float counts.Mcml.Accmc.time);
                    ])))
 
-(* Mirrors [mcml diff]: two trees from the same data under different
-   hyperparameters, then DiffMC between them. *)
+(* [mcml diff]: DiffMC between the [Pipeline.diffmc_trees] pair. *)
 let run_diffmc t ~deadline (q : Protocol.query) =
   match clamp_budget ~deadline q.budget with
   | None -> Error expired
@@ -274,47 +267,27 @@ let run_diffmc t ~deadline (q : Protocol.query) =
             seed = q.seed;
           }
       in
-      let rng = Mcml_logic.Splitmix.create (q.seed + 29) in
-      let train, _ =
-        Mcml_ml.Dataset.split rng ~train_fraction:0.5 data.Mcml.Pipeline.dataset
-      in
-      let tree1 =
-        (Mcml_ml.Model.train_tree ~seed:(q.seed + 1) train).Mcml_ml.Model.tree
-      in
-      let tree2 =
-        (Mcml_ml.Model.train_tree
-           ~params:
-             {
-               Mcml_ml.Decision_tree.max_depth = Some 4;
-               min_samples_split = 8;
-               max_features = None;
-             }
-           ~seed:(q.seed + 2) train)
-          .Mcml_ml.Model.tree
-      in
-      match (tree1, tree2) with
-      | None, _ | _, None -> Error (Protocol.Internal, "DT training produced no tree")
-      | Some t1, Some t2 -> (
-          let nprimary = scope * scope in
-          match
-            Mcml.Diffmc.counts ~budget ~pool:t.pool ?cache:t.cache
-              ~backend:q.backend ~nprimary t1 t2
-          with
-          | None -> Error (timed_out budget)
-          | Some c ->
-              Ok
-                (Json.Obj
-                   [
-                     ("prop", Json.Str q.prop.Props.name);
-                     ("scope", Json.Int scope);
-                     ("tt", Json.Str (Bignat.to_string c.Mcml.Diffmc.tt));
-                     ("tf", Json.Str (Bignat.to_string c.Mcml.Diffmc.tf));
-                     ("ft", Json.Str (Bignat.to_string c.Mcml.Diffmc.ft));
-                     ("ff", Json.Str (Bignat.to_string c.Mcml.Diffmc.ff));
-                     ("diff_pct", Json.Float (100.0 *. Mcml.Diffmc.diff c ~nprimary));
-                     ("sim_pct", Json.Float (100.0 *. Mcml.Diffmc.sim c ~nprimary));
-                     ("time_s", Json.Float c.Mcml.Diffmc.time);
-                   ])))
+      let t1, t2 = Mcml.Pipeline.diffmc_trees ~seed:q.seed data.Mcml.Pipeline.dataset in
+      let nprimary = scope * scope in
+      match
+        Mcml.Diffmc.counts ~budget ~pool:t.pool ?cache:t.cache ~backend:q.backend
+          ~nprimary t1 t2
+      with
+      | None -> Error (timed_out budget)
+      | Some c ->
+          Ok
+            (Json.Obj
+               [
+                 ("prop", Json.Str q.prop.Props.name);
+                 ("scope", Json.Int scope);
+                 ("tt", Json.Str (Bignat.to_string c.Mcml.Diffmc.tt));
+                 ("tf", Json.Str (Bignat.to_string c.Mcml.Diffmc.tf));
+                 ("ft", Json.Str (Bignat.to_string c.Mcml.Diffmc.ft));
+                 ("ff", Json.Str (Bignat.to_string c.Mcml.Diffmc.ff));
+                 ("diff_pct", Json.Float (100.0 *. Mcml.Diffmc.diff c ~nprimary));
+                 ("sim_pct", Json.Float (100.0 *. Mcml.Diffmc.sim c ~nprimary));
+                 ("time_s", Json.Float c.Mcml.Diffmc.time);
+               ]))
 
 let cache_stats_json t =
   match t.cache with

@@ -191,6 +191,15 @@ let tree_weights_flip_majority () =
   let t = Decision_tree.train ~weights:[| 3.0; 1.0 |] ds in
   check Alcotest.bool "heavy positive wins" true (Decision_tree.predict t [| true |])
 
+let tree_degenerate_inputs () =
+  let empty = Decision_tree.train (Dataset.make ~nfeatures:3 []) in
+  check Alcotest.bool "empty dataset: one Leaf false" true
+    (empty.Decision_tree.root = Decision_tree.Leaf false);
+  let ds = dataset_of_target ~k:2 ~n:3 ~seed:1 conj2 in
+  Alcotest.check_raises "weights length"
+    (Invalid_argument "Decision_tree.train: weights length") (fun () ->
+      ignore (Decision_tree.train ~weights:[| 1.0 |] ds))
+
 let tree_eval_all () =
   let ds = dataset_of_target ~k:3 ~n:200 ~seed:13 majority3 in
   let t = Decision_tree.train ds in
@@ -203,9 +212,9 @@ let tree_eval_all () =
 
 let regression_tree_fits_constant () =
   let ds = dataset_of_target ~k:2 ~n:10 ~seed:14 conj2 in
-  let t = Regression_tree.train ~max_depth:3 ~min_samples_split:2 ds ~targets:(Array.make 10 2.5) in
-  check (Alcotest.float 1e-9) "constant" 2.5 (Regression_tree.predict t [| true; false |]);
-  check Alcotest.int "one leaf" 1 (Regression_tree.num_leaves t)
+  match Decision_tree.regression_tree ~max_depth:3 ds ~targets:(Array.make 10 2.5) with
+  | Decision_tree.Leaf v -> check (Alcotest.float 1e-9) "constant" 2.5 v
+  | Decision_tree.Split _ -> Alcotest.fail "split a constant target"
 
 let regression_tree_splits () =
   let ds =
@@ -215,9 +224,12 @@ let regression_tree_splits () =
         { Dataset.features = [| false |]; label = false };
       ]
   in
-  let t = Regression_tree.train ~max_depth:3 ~min_samples_split:2 ds ~targets:[| 1.0; -1.0 |] in
-  check (Alcotest.float 1e-9) "fits +1" 1.0 (Regression_tree.predict t [| true |]);
-  check (Alcotest.float 1e-9) "fits -1" (-1.0) (Regression_tree.predict t [| false |])
+  let t = Decision_tree.regression_tree ~max_depth:3 ds ~targets:[| 1.0; -1.0 |] in
+  check (Alcotest.float 1e-9) "fits +1" 1.0 (Decision_tree.leaf t [| true |]);
+  check (Alcotest.float 1e-9) "fits -1" (-1.0) (Decision_tree.leaf t [| false |]);
+  Alcotest.check_raises "targets length"
+    (Invalid_argument "Decision_tree.regression_tree: targets length") (fun () ->
+      ignore (Decision_tree.regression_tree ~max_depth:3 ds ~targets:[| 1.0 |]))
 
 let gbdt_learns_majority () =
   let ds = dataset_of_target ~k:3 ~n:300 ~seed:15 majority3 in
@@ -235,7 +247,7 @@ let forest_learns_and_is_seeded () =
   let ds = dataset_of_target ~k:4 ~n:300 ~seed:16 conj2 in
   let train rng_seed =
     Random_forest.train
-      ~params:{ Random_forest.n_trees = 9; max_depth = None }
+      ~params:{ Random_forest.n_trees = 9 }
       ~rng:(Splitmix.create rng_seed) ds
   in
   let f1 = train 1 and f1' = train 1 in
@@ -352,6 +364,68 @@ let bnn_shapes () =
   check Alcotest.int "inputs" 5 (Bnn.num_inputs m);
   check Alcotest.int "hidden" 7 (Bnn.num_hidden m)
 
+(* --- golden trees --------------------------------------------------------------------- *)
+
+(* Every tree family trained on fixed seeded data and digested: the pp
+   of each DT and forest tree, the AdaBoost alphas, and the GBDT
+   decision values over the whole input space printed with %h.  The
+   digests were recorded with the list-based growers the shared grower
+   replaced, so a change in float summation order, tie breaking or the
+   forest's draw order fails here. *)
+let golden_sets () =
+  let noisy ~k ~n ~seed target =
+    let rng = Splitmix.create seed in
+    Dataset.make ~nfeatures:k
+      (List.init n (fun _ ->
+           let features = Array.init k (fun _ -> Splitmix.bool rng) in
+           { Dataset.features; label = target features <> (Splitmix.int rng 7 = 0) }))
+  in
+  (* columns 5-7 copy columns 0-2, so every split on one of them ties *)
+  let with_copies (ds : Dataset.t) =
+    Dataset.make ~nfeatures:8
+      (List.map
+         (fun s ->
+           let f = s.Dataset.features in
+           { s with Dataset.features = Array.append f (Array.sub f 0 3) })
+         (Array.to_list ds.Dataset.samples))
+  in
+  [ with_copies (noisy ~k:5 ~n:150 ~seed:41 majority3); noisy ~k:6 ~n:90 ~seed:42 parity3 ]
+
+let digest_of print =
+  let b = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer b in
+  List.iter (print fmt) (golden_sets ());
+  Format.pp_print_flush fmt ();
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_trees () =
+  let dt params fmt ds = Decision_tree.pp fmt (Decision_tree.train ~params ds) in
+  let inputs k = List.init (1 lsl k) (fun m -> Array.init k (fun i -> m land (1 lsl i) <> 0)) in
+  List.iter
+    (fun (name, print, expected) -> check Alcotest.string name expected (digest_of print))
+    [
+      ("DT", dt Decision_tree.default_params, "e28c44579ba17eadacd2ff5fdc849d60");
+      ( "DT depth 3, split 5",
+        dt { Decision_tree.max_depth = Some 3; min_samples_split = 5; max_features = None },
+        "610a62a7328870a889b1f64e7d0f91bb" );
+      ( "RFT",
+        (fun fmt ds ->
+          List.iter (Decision_tree.pp fmt)
+            (Random_forest.trees (Random_forest.train ~rng:(Splitmix.create 43) ds))),
+        "a3eaf628e282d3beb5274581a0a45c89" );
+      ( "ABT alphas",
+        (fun fmt ds ->
+          List.iter (Format.fprintf fmt "%h@.") (Adaboost.stump_weights (Adaboost.train ds))),
+        "45678fba3c208e6a5a17d135e14bb120" );
+      ( "GBDT decision values",
+        (fun fmt ds ->
+          let m = Gradient_boosting.train ds in
+          List.iter
+            (fun x -> Format.fprintf fmt "%h@." (Gradient_boosting.decision_value m x))
+            (inputs ds.Dataset.nfeatures)),
+        "aca7c9786e814ef3d81e3645960af8bf" );
+    ]
+
 (* --- unified model interface ------------------------------------------------------------- *)
 
 let model_names () =
@@ -410,6 +484,7 @@ let () =
           Alcotest.test_case "max depth respected" `Quick tree_max_depth;
           tree_paths_partition;
           Alcotest.test_case "weighted majority" `Quick tree_weights_flip_majority;
+          Alcotest.test_case "empty data, bad weights" `Quick tree_degenerate_inputs;
           Alcotest.test_case "eval_all" `Quick tree_eval_all;
         ] );
       ( "regression-gbdt",
@@ -441,6 +516,7 @@ let () =
           bnn_weights_are_binary;
           Alcotest.test_case "shapes" `Quick bnn_shapes;
         ] );
+      ("golden", [ Alcotest.test_case "every tree family" `Quick golden_trees ]);
       ( "model",
         [
           Alcotest.test_case "names" `Quick model_names;
