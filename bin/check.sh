@@ -168,11 +168,15 @@ echo "== span forest shape: --jobs 4 must equal --jobs 1 =="
 # --no-count-cache: at jobs>1 two identical in-flight queries can both
 # miss the cache and spawn extra count spans, which is legitimate but
 # makes the forest shape nondeterministic; the shape contract is
-# cache-free.  Table 3 adds exact AccMC, whose per-process universe
-# memo must compile each universe once however rows interleave.
+# cache-free.  Tables 3 and 9 add exact AccMC, whose per-process memo
+# of compiled forms must compile each universe and ground truth once
+# however rows interleave.  Table 9's seven class ratios are parallel
+# pool tasks that all query one (Antisymmetric, scope, full space)
+# ground truth: under its seven accmc.counts spans, two count.exact
+# compiles run at either setting, the ground truth and the universe.
 t1="$(mktemp /tmp/mcml_shape_j1.XXXXXX.jsonl)"
 t4="$(mktemp /tmp/mcml_shape_j4.XXXXXX.jsonl)"
-for table in 1 3; do
+for table in 1 3 9; do
   dune exec bin/main.exe -- exp "$table" --jobs 1 --no-count-cache --budget 20 --trace "$t1" >/dev/null
   dune exec bin/main.exe -- exp "$table" --jobs 4 --no-count-cache --budget 20 --trace "$t4" >/dev/null
   dune exec bin/main.exe -- stats --from-trace "$t1" --shape >"$t1.shape"
@@ -180,6 +184,16 @@ for table in 1 3; do
   if ! diff "$t1.shape" "$t4.shape"; then
     echo "FAIL: table $table span forest shape differs between --jobs 1 and --jobs 4" >&2
     exit 1
+  fi
+  if [ "$table" = 9 ]; then
+    for shape in "$t1.shape" "$t4.shape"; do
+      compiles="$(awk '/^ *accmc\.counts x7$/ { getline; print }' "$shape")"
+      if [ "$(echo $compiles)" != "count.exact x2" ]; then
+        echo "FAIL: table 9's seven AccMC queries must compile their ground truth and universe once each; $shape has:" >&2
+        cat "$shape" >&2
+        exit 1
+      fi
+    done
   fi
 done
 rm -f "$t1" "$t4" "$t1.shape" "$t4.shape"

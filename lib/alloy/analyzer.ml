@@ -49,14 +49,14 @@ let cnf ?negate ?symmetry t ~pred =
   Tseitin.cnf_of ~nprimary:(nprimary t) (formula ?negate ?symmetry t ~pred)
 
 (* Compile once, then read the trace, with no SAT call and no blocking
-   clause.  [complete] is decided by the exact count: a complete set is
+   clause.  [complete] is decided by the compile's count: a complete set is
    walked in the trace's deterministic depth-first order, and a capped
    one is a uniform sample, because a DFS prefix shares the decisions
    near the root and would skew the training sets built from it. *)
 let enumerate_core ?symmetry ?(limit = max_int) ?(seed = 0) t ~pred =
   let module Dnnf = Mcml_counting.Exact.Dnnf in
   let dnnf = Dnnf.compile (cnf ?symmetry t ~pred) in
-  let complete = Bignat.compare (Dnnf.model_count dnnf) (Bignat.of_int limit) <= 0 in
+  let complete = Bignat.compare (Dnnf.total dnnf) (Bignat.of_int limit) <= 0 in
   let sp = Mcml_obs.Obs.start "sat.enumerate" in
   let t0 = if Mcml_obs.Obs.enabled () then Mcml_obs.Obs.monotonic_s () else 0.0 in
   let instances = ref [] in

@@ -71,8 +71,10 @@ let counts ?budget ?pool ?cache ~backend ~phi ~not_phi ~space ~nprimary
       Tree2cnf.cnf_of_label ~nfeatures:nprimary tree ~label:false )
 
 (* A tree side is the disjoint union of its paths, so its models in a
-   compiled form are the sum of the form conditioned on each path.  The
-   universe is compiled first: the caller may keep it across queries. *)
+   compiled form are the form conditioned on each path, summed.  The two
+   sides partition the space, so only the side with fewer paths is
+   conditioned and the other is the form's total minus it.  The universe
+   is forced first: the caller may keep it across queries. *)
 let conditioned ~phi ~space ~nprimary (tree : Decision_tree.t) =
   observed ~backend:Counter.Exact ~nprimary @@ fun () ->
   match
@@ -81,19 +83,25 @@ let conditioned ~phi ~space ~nprimary (tree : Decision_tree.t) =
   with
   | exception Exact.Timeout -> None
   | space, phi ->
-      let paths = Decision_tree.paths tree in
-      let side dnnf label =
-        List.fold_left
-          (fun acc (conds, leaf) ->
-            if leaf <> label then acc
-            else
-              Bignat.add acc
-                (Exact.Dnnf.condition dnnf
-                   (Array.of_list (List.map Tree2cnf.lit_of_condition conds))))
-          Bignat.zero paths
+      let terms label =
+        List.filter_map
+          (fun (conds, leaf) ->
+            if leaf = label then Some (Array.of_list (List.map Tree2cnf.lit_of_condition conds))
+            else None)
+          (Decision_tree.paths tree)
       in
-      let tp = side phi true and fn = side phi false in
-      Some (tp, Bignat.sub (side space true) tp, Bignat.sub (side space false) fn, fn)
+      let on_true = terms true and on_false = terms false in
+      let label, side =
+        if List.length on_true <= List.length on_false then (true, on_true) else (false, on_false)
+      in
+      (* (models on the true side, models on the false side) *)
+      let split dnnf =
+        let c = Exact.Dnnf.condition dnnf side in
+        let rest = Bignat.sub (Exact.Dnnf.total dnnf) c in
+        if label then (c, rest) else (rest, c)
+      in
+      let tp, fn = split phi and u_true, u_false = split space in
+      Some (tp, Bignat.sub u_true tp, Bignat.sub u_false fn, fn)
 
 let confusion c =
   {

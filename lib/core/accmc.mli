@@ -19,7 +19,9 @@
     truth and counted.  {!conditioned} never builds those conjunctions:
     a tree side is a disjoint union of path terms, so each count is a
     sum of one compiled form conditioned on each path
-    ({!Mcml_counting.Exact.Dnnf.condition}).  With an exact counter,
+    ({!Mcml_counting.Exact.Dnnf.condition}), and one side of the tree
+    is enough: the other is the form's total minus it.  With an exact
+    counter,
     both use that [ϕ] is a total function of the primary variables:
     within the evaluation universe [U] (all of [2^n], or the
     symmetry-broken subspace), [mc(¬ϕ ∧ τ) = mc(U ∧ τ) − mc(ϕ ∧ τ)],
@@ -37,7 +39,9 @@ type counts = {
   fp : Bignat.t;
   tn : Bignat.t;
   fn : Bignat.t;
-  time : float;  (** total wall-clock of the evaluation, compiles included, as in Table 3 *)
+  time : float;
+      (** total wall-clock of the evaluation, as in Table 3: the
+          compiles this query ran are included, a kept form's are not *)
 }
 
 val counts :
@@ -92,13 +96,17 @@ val conditioned :
   nprimary:int ->
   Decision_tree.t ->
   counts option
-(** Exact AccMC from compiled forms: [phi] compiles the ground truth
+(** Exact AccMC from compiled forms: [phi] yields the ground truth
     (conjoined with the symmetry predicate when evaluating the
-    symmetry-constrained universe) and [space] yields the universe
-    itself, compiled or kept from an earlier query.  [space] is forced
-    first.  [tp]/[fn] sum [phi] conditioned on the tree's true/false
-    paths; [fp]/[tn] are the universe's conditioned sums minus them.
-    [None] if either thunk raises {!Mcml_counting.Exact.Timeout}. *)
+    symmetry-constrained universe) and [space] the universe itself,
+    each compiled or kept from an earlier query.  [space] is forced
+    first.  Only the side of the tree with fewer paths is conditioned,
+    and the other side is the form's total minus it, because a tree's
+    two sides partition the space: [fn = |ϕ| − tp] and
+    [U_false = |U| − U_true].  [fp]/[tn] are the universe's sides minus
+    [tp]/[fn].  [None] if either thunk raises
+    {!Mcml_counting.Exact.Timeout}.  [time] covers the thunks, so it
+    includes a compile only when this query ran it. *)
 
 val confusion : counts -> Metrics.confusion
 (** Float view for metric derivation (exact for counts below [2^53],

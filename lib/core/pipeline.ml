@@ -127,32 +127,33 @@ let space_cnf ~scope ~symmetry =
     Tseitin.cnf_of ~nprimary breaking
   end
 
-(* The evaluation universe of a (scope, symmetry), compiled once per
-   process: it depends on nothing else.  The lock makes concurrent first
-   queries wait for one compile rather than each compile their own, so
-   the work, and the trace, do not depend on scheduling; it is contended
-   only until each universe is kept.  A compile that times out raises
-   out of [find_or_add], which then stores nothing, so a timeout is
-   never kept. *)
-let universes : Exact.Dnnf.t Mcml_exec.Memo.t = Mcml_exec.Memo.create ~name:"pipeline.universe" ()
-let universes_lock = Mutex.create ()
-
-let universe ?budget ~scope ~symmetry () =
-  Mutex.protect universes_lock (fun () ->
-      Mcml_exec.Memo.find_or_add universes ~key:(Printf.sprintf "%d/%b" scope symmetry) (fun () ->
-          Exact.Dnnf.compile ?budget (space_cnf ~scope ~symmetry)))
+(* Compiled forms, kept once per process: the universe of a (scope,
+   symmetry), which depends on nothing else, and the ground truth ϕ∧S of
+   a (property, scope, symmetry).  The memo's per-key rule makes
+   concurrent first queries of a key wait for one compile, so the work,
+   and the trace, do not depend on scheduling, while other keys hit or
+   compile meanwhile.  A compile that times out raises out of
+   [find_or_add], which then stores nothing, so a timeout is never kept.
+   Its capacity holds the 50 forms of the [fast] tables with room to
+   spare; DESIGN.md §4 gives their sizes. *)
+let forms : Exact.Dnnf.t Mcml_exec.Memo.t =
+  Mcml_exec.Memo.create ~capacity:64 ~name:"pipeline.forms" ()
 
 let accmc ?budget ?pool ?cache ~backend ~prop ~scope ~eval_symmetry tree =
   let nprimary = scope * scope in
   match backend with
   | Counter.Exact ->
-      let phi =
-        Mcml_alloy.Analyzer.cnf ~symmetry:eval_symmetry (Props.analyzer ~scope)
-          ~pred:prop.Props.pred
+      (* translation and Tseitin run only on a miss *)
+      let form what cnf =
+        Mcml_exec.Memo.find_or_add forms ~key:(Printf.sprintf "%s/%d/%b" what scope eval_symmetry)
+          (fun () -> Exact.Dnnf.compile ?budget (cnf ()))
       in
       Accmc.conditioned ~nprimary
-        ~space:(universe ?budget ~scope ~symmetry:eval_symmetry)
-        ~phi:(fun () -> Exact.Dnnf.compile ?budget phi)
+        ~space:(fun () -> form "U" (fun () -> space_cnf ~scope ~symmetry:eval_symmetry))
+        ~phi:(fun () ->
+          form ("phi/" ^ prop.Props.pred) (fun () ->
+              Mcml_alloy.Analyzer.cnf ~symmetry:eval_symmetry (Props.analyzer ~scope)
+                ~pred:prop.Props.pred))
         tree
   | Counter.Approx _ | Counter.Brute ->
       let phi, not_phi = ground_truth prop ~scope ~symmetry:eval_symmetry in

@@ -67,14 +67,17 @@ val accmc :
   Decision_tree.t ->
   Accmc.counts option
 (** AccMC of [tree] against [prop] over the evaluation universe.  With
-    the exact backend it compiles [ϕ] (conjoined with the symmetry
-    predicate when [eval_symmetry]) once and conditions it on the
-    tree's paths ({!Accmc.conditioned}); the universe is compiled once
-    per (scope, symmetry) per process, under a lock so concurrent
-    first queries share one compile, and kept unless its compile times
-    out.  [budget] bounds each compile, and [pool] and [cache]
-    go unused: no ¬ϕ is translated, no Tree2CNF side is built.  The
-    approximate and brute backends take {!Accmc.counts}. *)
+    the exact backend it conditions compiled forms on the tree's paths
+    ({!Accmc.conditioned}): [ϕ] (conjoined with the symmetry predicate
+    when [eval_symmetry]) and the universe.  Each form is translated
+    and compiled once per process, per (property, scope, symmetry) and
+    per (scope, symmetry) respectively, and kept unless its compile
+    times out.  Concurrent first queries of one form wait for a single
+    compile; other forms hit or compile meanwhile.  [budget] bounds a
+    compile this query runs, so a kept form answers under any budget.
+    [pool] and [cache] go unused: no ¬ϕ is translated, no Tree2CNF
+    side is built.  The approximate and brute backends take
+    {!Accmc.counts}. *)
 
 val train_fraction_of_ratio : int * int -> float
 (** [(75, 25)] ↦ [0.75] etc. *)

@@ -20,7 +20,21 @@ exception Timeout
    the trace node that derives it. *)
 
 (* The trace representation, shared with the public [Dnnf] module
-   below ([compile] needs the engine, so the engine comes between). *)
+   below ([compile] needs the engine, so the engine comes between).
+
+   A trace is one flat int array, [code], rather than a node per heap
+   block: compiled forms are kept for the life of a process, and few
+   blocks per form keep the major heap compact.  The first [size + 3]
+   words are offsets, so entry [i] occupies [code.(code.(i))] up to
+   [code.(i + 1) - 1], and [code.(0) = size + 3].  Entries [0 .. size -
+   1] are the nodes, entry [size] the literals the root forced and
+   entry [size + 1] the projection.  A node's first word is its tag:
+   - [False]: [0];
+   - [True]: [1];
+   - [Decision]: [2; var; hi; lo; |hi_fixed|; hi_fixed...; lo_fixed...];
+   - [Decomp]: [3; kids...];
+   - [Free]: [4; child; vars...].
+   [node] decodes one node into the public view. *)
 module D = struct
   type node =
     | True
@@ -35,78 +49,159 @@ module D = struct
     | Decomp of int array
     | Free of { vars : int array; child : int }
 
-  type t = { nodes : node array; root : int; fixed : Lit.t array; projection : int array }
+  let tag_false = 0
+  let tag_true = 1
+  let tag_decision = 2
+  let tag_decomp = 3
+  let tag_free = 4
+
+  type t = { code : int array; root : int; total : Bignat.t }
+
+  (* Conditioning scratch, one per domain, at least as long as the
+     largest form the domain has conditioned: [value.(i)] is node [i]'s
+     conditioned count when [mark.(i) = gen].  A form therefore keeps
+     no scratch of its own.  The slot is emptied while a call holds the
+     scratch, so a second call on the same domain (another thread) makes
+     its own. *)
+  type scratch = { mark : int array; value : Bignat.t array; mutable gen : int }
+
+  let scratch : scratch option Atomic.t Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> Atomic.make None)
 
   let root t = t.root
-  let size t = Array.length t.nodes
-  let node t i = t.nodes.(i)
+  let size t = t.code.(0) - 3
+  let total t = t.total
 
-  let model_count t =
-    let memo = Array.make (Array.length t.nodes) None in
-    let rec go i =
-      match memo.(i) with
-      | Some c -> c
-      | None ->
-          let c =
-            match t.nodes.(i) with
-            | True -> Bignat.one
-            | False -> Bignat.zero
-            | Decision { hi; lo; _ } -> Bignat.add (go hi) (go lo)
-            | Decomp kids ->
-                Array.fold_left (fun acc k -> Bignat.mul acc (go k)) Bignat.one kids
-            | Free { vars; child } -> Bignat.shift_left (go child) (Array.length vars)
-          in
-          memo.(i) <- Some c;
-          c
+  let lits c s e = Array.init (e - s) (fun k -> Lit.of_index c.(s + k))
+
+  let projection t =
+    let c = t.code and n = size t in
+    Array.sub c c.(n + 1) (c.(n + 2) - c.(n + 1))
+
+  let node t i =
+    let c = t.code in
+    let s = c.(i) and e = c.(i + 1) in
+    match c.(s) with
+    | 0 -> False
+    | 1 -> True
+    | 2 ->
+        let m = s + 5 + c.(s + 4) in
+        Decision
+          {
+            var = c.(s + 1);
+            hi = c.(s + 2);
+            lo = c.(s + 3);
+            hi_fixed = lits c (s + 5) m;
+            lo_fixed = lits c m e;
+          }
+    | 3 -> Decomp (Array.sub c (s + 1) (e - s - 1))
+    | _ -> Free { vars = Array.sub c (s + 2) (e - s - 2); child = c.(s + 1) }
+
+  (* Every literal of [c.(s) .. c.(e - 1)] agrees with [want]. *)
+  let rec agrees want c s e =
+    s >= e
+    ||
+    let l = Lit.of_index c.(s) in
+    let w = want.(Lit.var l) in
+    (w = -1 || w = Bool.to_int (Lit.sign l)) && agrees want c (s + 1) e
+
+  let add a b = if Bignat.is_zero a then b else if Bignat.is_zero b then a else Bignat.add a b
+
+  (* The sum over [terms] of the models that agree with each term.  A
+     node covers the same variables wherever the DAG reaches it, so
+     within one term its conditioned count depends on the node alone
+     and the memo serves the pass; [gen] moves on between terms.
+     Literals a branch (or the root) fixed must agree with the term,
+     and a [Free] variable the term sets counts once.  The scratch's
+     counts are cleared before it goes back, so none outlives the
+     call. *)
+  let condition t terms =
+    let c = t.code and n = size t in
+    (* var -> -1 open, 0 or 1 as the term sets it, 2 set both ways,
+       [outside] the projection *)
+    let outside = 3 in
+    let projection = projection t in
+    let want = Array.make (Array.fold_left max 0 projection + 1) outside in
+    Array.iter (fun v -> want.(v) <- -1) projection;
+    let slot = Domain.DLS.get scratch in
+    let box =
+      match Atomic.exchange slot None with
+      | Some sc as box when Array.length sc.mark >= n -> box
+      | _ -> Some { mark = Array.make n 0; value = Array.make n Bignat.zero; gen = 0 }
     in
-    go t.root
-
-  (* [model_count] restricted to the assignments that agree with
-     [term].  A node covers the same variables wherever the DAG reaches
-     it, so its conditioned count depends on the node alone and one memo
-     serves the pass.  Literals a branch (or the root) fixed must agree
-     with the term, and a [Free] variable the term sets counts once. *)
-  let condition t term =
-    let want = Array.make (Array.fold_left max 0 t.projection + 1) (-1) in
-    let is_proj = Array.make (Array.length want) false in
-    Array.iter (fun v -> is_proj.(v) <- true) t.projection;
-    let consistent =
-      Array.for_all
+    let sc = Option.get box in
+    let rec go i =
+      if sc.mark.(i) = sc.gen then sc.value.(i)
+      else begin
+        let s = c.(i) and e = c.(i + 1) in
+        let v =
+          match c.(s) with
+          | 0 -> Bignat.zero
+          | 1 -> Bignat.one
+          | 2 ->
+              let m = s + 5 + c.(s + 4) in
+              add
+                (if agrees want c (s + 5) m then go c.(s + 2) else Bignat.zero)
+                (if agrees want c m e then go c.(s + 3) else Bignat.zero)
+          | 3 ->
+              let rec product acc k =
+                if k = e || Bignat.is_zero acc then acc
+                else product (Bignat.mul acc (go c.(k))) (k + 1)
+              in
+              product (go c.(s + 1)) (s + 2)
+          | _ ->
+              let open_vars = ref 0 in
+              for k = s + 2 to e - 1 do
+                if want.(c.(k)) = -1 then incr open_vars
+              done;
+              Bignat.shift_left (go c.(s + 1)) !open_vars
+        in
+        sc.mark.(i) <- sc.gen;
+        sc.value.(i) <- v;
+        v
+      end
+    in
+    let one term =
+      let consistent = ref true in
+      Array.iter
         (fun l ->
           let v = Lit.var l and b = Bool.to_int (Lit.sign l) in
-          if v >= Array.length want || not is_proj.(v) then
+          if v >= Array.length want || want.(v) = outside then
             invalid_arg "Dnnf.condition: term variable outside the projection";
-          want.(v) <- (if want.(v) = -1 || want.(v) = b then b else 2);
-          want.(v) <> 2)
-        term
+          if want.(v) = -1 then want.(v) <- b
+          else if want.(v) <> b then begin
+            want.(v) <- 2;
+            consistent := false
+          end)
+        term;
+      sc.gen <- sc.gen + 1;
+      let r =
+        if !consistent && agrees want c c.(n) c.(n + 1) then go t.root else Bignat.zero
+      in
+      Array.iter (fun l -> want.(Lit.var l) <- -1) term;
+      r
     in
-    let agrees =
-      Array.for_all (fun l ->
-          let w = want.(Lit.var l) in
-          w = -1 || w = Bool.to_int (Lit.sign l))
+    Fun.protect
+      ~finally:(fun () ->
+        Array.fill sc.value 0 n Bignat.zero;
+        Atomic.set slot box)
+      (fun () -> List.fold_left (fun acc term -> add acc (one term)) Bignat.zero terms)
+
+  (* A fresh assignment of the projection, in [projection t] order, the
+     position of each variable in it, and [set s e], which writes the
+     literals [code.(s) .. code.(e - 1)] into it. *)
+  let assignment t =
+    let c = t.code and projection = projection t in
+    let pos = Array.make (Array.fold_left max 0 projection + 1) (-1) in
+    Array.iteri (fun i v -> pos.(v) <- i) projection;
+    let cur = Array.make (Array.length projection) false in
+    let set s e =
+      for k = s to e - 1 do
+        let l = Lit.of_index c.(k) in
+        cur.(pos.(Lit.var l)) <- Lit.sign l
+      done
     in
-    let memo = Array.make (Array.length t.nodes) None in
-    let rec go i =
-      match memo.(i) with
-      | Some c -> c
-      | None ->
-          let c =
-            match t.nodes.(i) with
-            | True -> Bignat.one
-            | False -> Bignat.zero
-            | Decision { hi; lo; hi_fixed; lo_fixed; _ } ->
-                let side fixed j = if agrees fixed then go j else Bignat.zero in
-                Bignat.add (side hi_fixed hi) (side lo_fixed lo)
-            | Decomp kids ->
-                Array.fold_left (fun acc k -> Bignat.mul acc (go k)) Bignat.one kids
-            | Free { vars; child } ->
-                let open_vars = Array.fold_left (fun n v -> if want.(v) = -1 then n + 1 else n) 0 vars in
-                Bignat.shift_left (go child) open_vars
-          in
-          memo.(i) <- Some c;
-          c
-    in
-    if consistent && agrees t.fixed then go t.root else Bignat.zero
+    (cur, pos, set)
 
   (* Depth-first enumeration in continuation-passing style over one
      shared assignment: every node sets exactly the projection
@@ -115,26 +210,26 @@ module D = struct
      model are pruned up front, so every walk into a node yields at
      least one model and the cost is proportional to the output. *)
   let iter_models ?(limit = max_int) t f =
-    let n = Array.length t.projection in
-    let pos = Array.make (Array.fold_left max 0 t.projection + 1) (-1) in
-    Array.iteri (fun i v -> pos.(v) <- i) t.projection;
-    let cur = Array.make n false in
-    let set = Array.iter (fun l -> cur.(pos.(Lit.var l)) <- Lit.sign l) in
-    let live = Array.make (Array.length t.nodes) None in
+    let c = t.code and cur, pos, set = assignment t in
+    (* 0 unknown, 1 has a model, 2 has none *)
+    let live = Array.make (size t) 0 in
     let rec has_model i =
-      match live.(i) with
-      | Some b -> b
-      | None ->
-          let b =
-            match t.nodes.(i) with
-            | True -> true
-            | False -> false
-            | Decision { hi; lo; _ } -> has_model hi || has_model lo
-            | Decomp kids -> Array.for_all has_model kids
-            | Free { child; _ } -> has_model child
-          in
-          live.(i) <- Some b;
-          b
+      if live.(i) <> 0 then live.(i) = 1
+      else begin
+        let s = c.(i) and e = c.(i + 1) in
+        let b =
+          match c.(s) with
+          | 0 -> false
+          | 1 -> true
+          | 2 -> has_model c.(s + 2) || has_model c.(s + 3)
+          | 3 ->
+              let rec all k = k = e || (has_model c.(k) && all (k + 1)) in
+              all (s + 1)
+          | _ -> has_model c.(s + 1)
+        in
+        live.(i) <- (if b then 1 else 2);
+        b
+      end
     in
     let emitted = ref 0 in
     let exception Stop in
@@ -144,33 +239,34 @@ module D = struct
       if !emitted >= limit then raise Stop
     in
     let rec walk i k =
-      if has_model i then
-        match t.nodes.(i) with
-        | False -> ()
-        | True -> k ()
-        | Decision { hi; lo; hi_fixed; lo_fixed; _ } ->
-            set hi_fixed;
-            walk hi k;
-            set lo_fixed;
-            walk lo k
-        | Decomp kids ->
-            let rec product j =
-              if j = Array.length kids then k () else walk kids.(j) (fun () -> product (j + 1))
-            in
-            product 0
-        | Free { vars; child } -> walk child (fun () -> spread vars 0 k)
-    and spread vars j k =
-      if j = Array.length vars then k ()
+      if has_model i then begin
+        let s = c.(i) and e = c.(i + 1) in
+        match c.(s) with
+        | 0 -> ()
+        | 1 -> k ()
+        | 2 ->
+            let m = s + 5 + c.(s + 4) in
+            set (s + 5) m;
+            walk c.(s + 2) k;
+            set m e;
+            walk c.(s + 3) k
+        | 3 ->
+            let rec product j = if j = e then k () else walk c.(j) (fun () -> product (j + 1)) in
+            product (s + 1)
+        | _ -> walk c.(s + 1) (fun () -> spread (s + 2) e k)
+      end
+    and spread j e k =
+      if j = e then k ()
       else begin
-        let p = pos.(vars.(j)) in
+        let p = pos.(c.(j)) in
         cur.(p) <- true;
-        spread vars (j + 1) k;
+        spread (j + 1) e k;
         cur.(p) <- false;
-        spread vars (j + 1) k
+        spread (j + 1) e k
       end
     in
     if limit > 0 then begin
-      set t.fixed;
+      set c.(size t) c.(size t + 1);
       try walk t.root emit with Stop -> ()
     end
 
@@ -180,56 +276,65 @@ module D = struct
      projected model is equally likely; repeats are rejected.  Counts
      are kept as log2 floats, so no scope overflows. *)
   let sample_models ~rng ~limit t f =
-    let n = Array.length t.projection in
-    let pos = Array.make (Array.fold_left max 0 t.projection + 1) (-1) in
-    Array.iteri (fun i v -> pos.(v) <- i) t.projection;
-    let cur = Array.make n false in
-    let set = Array.iter (fun l -> cur.(pos.(Lit.var l)) <- Lit.sign l) in
+    let c = t.code and cur, pos, set = assignment t in
+    let n = Array.length cur in
     let log2_add a b =
       let m = Float.max a b in
       if m = Float.neg_infinity then m
       else m +. Float.log2 (1.0 +. Float.pow 2.0 (Float.min a b -. m))
     in
-    let memo = Array.make (Array.length t.nodes) None in
+    (* NaN: not yet computed (a log count is never NaN) *)
+    let memo = Array.make (size t) Float.nan in
     let rec lc i =
-      match memo.(i) with
-      | Some c -> c
-      | None ->
-          let c =
-            match t.nodes.(i) with
-            | True -> 0.0
-            | False -> Float.neg_infinity
-            | Decision { hi; lo; _ } -> log2_add (lc hi) (lc lo)
-            | Decomp kids -> Array.fold_left (fun acc k -> acc +. lc k) 0.0 kids
-            | Free { vars; child } -> lc child +. float_of_int (Array.length vars)
-          in
-          memo.(i) <- Some c;
-          c
+      if not (Float.is_nan memo.(i)) then memo.(i)
+      else begin
+        let s = c.(i) and e = c.(i + 1) in
+        let v =
+          match c.(s) with
+          | 0 -> Float.neg_infinity
+          | 1 -> 0.0
+          | 2 -> log2_add (lc c.(s + 2)) (lc c.(s + 3))
+          | 3 ->
+              let acc = ref 0.0 in
+              for k = s + 1 to e - 1 do
+                acc := !acc +. lc c.(k)
+              done;
+              !acc
+          | _ -> lc c.(s + 1) +. float_of_int (e - s - 2)
+        in
+        memo.(i) <- v;
+        v
+      end
     in
     let rec draw i =
-      match t.nodes.(i) with
-      | True | False -> ()
-      | Decision { hi; lo; hi_fixed; lo_fixed; _ } ->
+      let s = c.(i) and e = c.(i + 1) in
+      match c.(s) with
+      | 0 | 1 -> ()
+      | 2 ->
+          let m = s + 5 + c.(s + 4) and hi = c.(s + 2) and lo = c.(s + 3) in
           (* P(hi) = 1 / (1 + count(lo)/count(hi)) *)
           if Splitmix.float rng *. (1.0 +. Float.pow 2.0 (lc lo -. lc hi)) < 1.0 then begin
-            set hi_fixed;
+            set (s + 5) m;
             draw hi
           end
           else begin
-            set lo_fixed;
+            set m e;
             draw lo
           end
-      | Decomp kids -> Array.iter draw kids
-      | Free { vars; child } ->
-          draw child;
-          Array.iter (fun v -> cur.(pos.(v)) <- Splitmix.bool rng) vars
+      | 3 ->
+          for k = s + 1 to e - 1 do
+            draw c.(k)
+          done
+      | _ ->
+          draw c.(s + 1);
+          for k = s + 2 to e - 1 do
+            cur.(pos.(c.(k))) <- Splitmix.bool rng
+          done
     in
-    let limit =
-      match Bignat.to_int_opt (model_count t) with Some c -> min c limit | None -> limit
-    in
+    let limit = match Bignat.to_int_opt t.total with Some n -> min n limit | None -> limit in
     let seen : (string, unit) Hashtbl.t = Hashtbl.create (min limit 4096) in
     let found = ref 0 in
-    set t.fixed;
+    set c.(size t) c.(size t + 1);
     while !found < limit do
       draw t.root;
       let key = String.init n (fun i -> if cur.(i) then '1' else '0') in
@@ -271,6 +376,10 @@ end
 
 module Cache = Hashtbl.Make (Sig_key)
 
+(* A trace under construction: each node's start in [words], and the
+   node words of [D]'s layout. *)
+type trace_buf = { off : int Vec.t; words : int Vec.t }
+
 type state = {
   clauses : Lit.t array array;
   len : int array; (* clause -> literal count *)
@@ -286,7 +395,7 @@ type state = {
   mutable act_inc : float;
   cache : (Bignat.t * int) Cache.t; (* signature -> (count, node id) *)
   use_cache : bool;
-  nodes : D.node Vec.t option; (* Some: retain the trace *)
+  trace : trace_buf option; (* Some: retain the trace *)
   mutable node_count : int; (* counted in both modes *)
   mutable hits : int;
   mutable misses : int;
@@ -503,48 +612,65 @@ let signature st (comp : int array) : int array =
 
 (* Trace node construction.  [emit] counts nodes in both modes, so
    [count] and [Dnnf.compile] report identical [dnnf_nodes]; only the
-   tracing mode retains them.  Node 0 is the shared False leaf, node 1
-   the shared True leaf. *)
+   tracing mode writes the node's words (the layout of [D]).  Node 0 is
+   the shared False leaf, node 1 the shared True leaf. *)
 let node_false = 0
 let node_true = 1
 
-let emit st node =
+let open_node b tag =
+  Vec.push b.off (Vec.size b.words);
+  Vec.push b.words tag;
+  Vec.size b.off - 1
+
+let emit st tag write =
   st.node_count <- st.node_count + 1;
-  match st.nodes with
+  match st.trace with
   | None -> -1
-  | Some vec ->
-      Vec.push vec node;
-      Vec.size vec - 1
+  | Some b ->
+      let id = open_node b tag in
+      write b.words;
+      id
+
+let mk_decision st var hi lo hi_fixed lo_fixed =
+  emit st D.tag_decision (fun w ->
+      List.iter (Vec.push w) [ var; hi; lo; Array.length hi_fixed ];
+      Array.iter (Vec.push w) hi_fixed;
+      Array.iter (Vec.push w) lo_fixed)
 
 (* [k] is the number of vanished variables; only the tracing mode
    names them in [vars] (the counting mode passes [[||]]). *)
-let mk_free st k vars child = if k = 0 then child else emit st (D.Free { vars; child })
+let mk_free st k vars child =
+  if k = 0 then child
+  else
+    emit st D.tag_free (fun w ->
+        Vec.push w child;
+        Array.iter (Vec.push w) vars)
 
 let mk_decomp st = function
   | [] -> node_true
   | [ c ] -> c
-  | cs -> emit st (D.Decomp (Array.of_list cs))
+  | cs -> emit st D.tag_decomp (fun w -> List.iter (Vec.push w) cs)
 
 (* What makes the trace enumerable, gathered in the tracing mode only so
    that [count] allocates nothing more.  A cached node stays valid
    wherever its signature recurs: both depend only on the residual
    clauses.  [fixed_since st mark] is the projection literals assigned
    since [mark] (a branch's decision first, then what propagation
-   forced); [vanished st pvars stamp k] is the [k] unassigned variables
+   forced), as [Lit.to_index] words; [vanished st pvars stamp k] is the [k] unassigned variables
    of [pvars] no occurrence carries [stamp] for. *)
 let fixed_since st mark =
-  if st.nodes = None then [||]
+  if st.trace = None then [||]
   else begin
     let acc = ref [] in
     for i = Vec.size st.trail - 1 downto mark do
       let v = Vec.get st.trail i in
-      if st.is_proj.(v) then acc := Lit.make v (st.assign.(v) = 1) :: !acc
+      if st.is_proj.(v) then acc := Lit.to_index (Lit.make v (st.assign.(v) = 1)) :: !acc
     done;
     Array.of_list !acc
   end
 
 let vanished st pvars stamp k =
-  if k = 0 || st.nodes = None then [||]
+  if k = 0 || st.trace = None then [||]
   else
     Array.of_seq
       (Seq.filter (fun u -> st.assign.(u) = -1 && st.pv_stamp.(u) <> stamp) (Array.to_seq pvars))
@@ -634,13 +760,13 @@ let rec count_component st depth (comp : int array) : Bignat.t * int =
           if depth > st.max_depth then st.max_depth <- depth;
           let chi, hi, hi_fixed = branch st depth comp pvars best true in
           let clo, lo, lo_fixed = branch st depth comp pvars best false in
-          (Bignat.add chi clo, emit st (D.Decision { var = best; hi; lo; hi_fixed; lo_fixed }))
+          (Bignat.add chi clo, mk_decision st best hi lo hi_fixed lo_fixed)
         end
       in
       if st.use_cache then Cache.replace st.cache key result;
       result
 
-and branch st depth (comp : int array) (pvars : int array) v phase : Bignat.t * int * Lit.t array =
+and branch st depth (comp : int array) (pvars : int array) v phase : Bignat.t * int * int array =
   let mark = Vec.size st.trail in
   match propagate st [ Lit.make v phase ] with
   | exception Conflict ->
@@ -699,12 +825,15 @@ let make_state ~tracing ~use_cache ~deadline (cnf : Cnf.t) : state =
   let proj = Cnf.projection_vars cnf in
   let is_proj = Array.make (nvars + 1) false in
   Array.iter (fun v -> is_proj.(v) <- true) proj;
-  let nodes = if tracing then Some (Vec.create ~dummy:D.True ()) else None in
-  (match nodes with
-  | Some vec ->
-      Vec.push vec D.False;
-      Vec.push vec D.True
-  | None -> ());
+  let trace =
+    if not tracing then None
+    else begin
+      let b = { off = Vec.create ~dummy:0 (); words = Vec.create ~dummy:0 () } in
+      ignore (open_node b D.tag_false);
+      ignore (open_node b D.tag_true);
+      Some b
+    end
+  in
   {
     clauses;
     len = Array.map Array.length clauses;
@@ -720,7 +849,7 @@ let make_state ~tracing ~use_cache ~deadline (cnf : Cnf.t) : state =
     act_inc = 1.0;
     cache = Cache.create 4096;
     use_cache;
-    nodes;
+    trace;
     node_count = 2;
     hits = 0;
     misses = 0;
@@ -867,15 +996,23 @@ let count_opt ?budget ?inprocess ?cache cnf =
 module Dnnf = struct
   include D
 
+  (* The engine's count is the form's total.  The search undoes every
+     branch, so the trail ends holding exactly what the root forced. *)
   let compile ?budget ?(inprocess = true) cnf : t =
-    let _, root, st = engine ~tracing:true ~budget ~inprocess ~cache:true cnf in
-    let nodes, fixed =
-      match st with
-      (* the search undoes every branch, so the trail ends holding
-         exactly what the root forced *)
-      | Some ({ nodes = Some vec; _ } as st) ->
-          (Array.init (Vec.size vec) (Vec.get vec), fixed_since st 0)
-      | _ -> ([| False; True |], [||])
-    in
-    { nodes; root; fixed; projection = Cnf.projection_vars cnf }
+    let total, root, st = engine ~tracing:true ~budget ~inprocess ~cache:true cnf in
+    match st with
+    | Some ({ trace = Some b; _ } as st) ->
+        let append xs =
+          Vec.push b.off (Vec.size b.words);
+          Array.iter (Vec.push b.words) xs
+        in
+        append (fixed_since st 0);
+        append (Cnf.projection_vars cnf);
+        let n = Vec.size b.off and w = Vec.size b.words in
+        let word k =
+          if k > n then Vec.get b.words (k - n - 1)
+          else n + 1 + if k = n then w else Vec.get b.off k
+        in
+        { code = Array.init (n + 1 + w) word; root; total }
+    | _ -> assert false
 end

@@ -76,7 +76,8 @@ val count_opt :
     path ({!count}) only keeps node {e counts}; {!Dnnf.compile}
     additionally retains the nodes together with the literals each
     branch fixed, which makes the trace enumerable ({!Dnnf.iter_models})
-    as well as countable. *)
+    as well as countable.  A trace is stored as one flat int array, and
+    {!Dnnf.node} decodes a node on demand. *)
 module Dnnf : sig
   type node =
     | True  (** the empty conjunction: one model (of no variables) *)
@@ -102,13 +103,19 @@ module Dnnf : sig
   type t
   (** A trace: a DAG of nodes (ids index into the node table; node [0]
       is the shared [False] leaf, node [1] the shared [True] leaf),
-      plus a distinguished root. *)
+      plus a distinguished root and the projected model count.  A
+      trace is immutable apart from a conditioning scratch that
+      {!condition} reuses; it may be shared across domains. *)
 
   val compile : ?budget:float -> ?inprocess:bool -> Cnf.t -> t
   (** Compile a CNF, retaining the full trace.  Inprocessing keeps the
       projected model set, not just its count, so the trace answers
       {!condition} and {!iter_models} for the CNF as given.
       @raise Timeout when the budget is exhausted. *)
+
+  val total : t -> Bignat.t
+  (** The projected model count, as the compiling run counted it:
+      equal to {!count} on the same CNF. *)
 
   val root : t -> int
   (** Root node id. *)
@@ -119,20 +126,20 @@ module Dnnf : sig
   val node : t -> int -> node
   (** [node t i] is node [i]; [0 <= i < size t]. *)
 
-  val model_count : t -> Bignat.t
-  (** Evaluate the trace bottom-up.  Agrees with {!count} on the same
-      CNF by construction (asserted in the test suite). *)
-
-  val condition : t -> Lit.t array -> Bignat.t
-  (** [condition t term] is the number of projected models that agree
-      with the conjunction [term]: the count of the compiled CNF
-      conjoined with the term's unit clauses, in one memoized pass.
-      The root's forced literals and a [Decision] branch's fixed
-      literals must agree with the term (a branch that contradicts it
-      contributes 0); a [Free] node doubles only for the variables the
-      term leaves open.  A variable repeated in [term] counts once, and
-      opposite literals of one variable give 0.
-      @raise Invalid_argument if [term] mentions a variable outside
+  val condition : t -> Lit.t array list -> Bignat.t
+  (** [condition t terms] is the sum over [terms] of the number of
+      projected models that agree with each conjunction: for one term,
+      the count of the compiled CNF conjoined with the term's unit
+      clauses.  Each term takes one memoized pass.  The root's forced
+      literals and a [Decision] branch's fixed literals must agree with
+      the term (a branch that contradicts it contributes 0); a [Free]
+      node doubles only for the variables the term leaves open.  A
+      variable repeated in a term counts once, and opposite literals of
+      one variable give 0.  The sum is a count only when the terms are
+      pairwise disjoint, as the paths of a decision tree are.  The
+      pass's memo is a node-sized scratch kept with [t] and cleared
+      after the call; a concurrent call makes its own.
+      @raise Invalid_argument if a term mentions a variable outside
       the projection. *)
 
   val iter_models : ?limit:int -> t -> (bool array -> unit) -> unit
@@ -148,7 +155,7 @@ module Dnnf : sig
   val sample_models :
     rng:Splitmix.t -> limit:int -> t -> (bool array -> unit) -> unit
   (** [sample_models ~rng ~limit t f] calls [f] on [min limit
-      (model_count t)] distinct projected models drawn uniformly at
+      (total t)] distinct projected models drawn uniformly at
       random without replacement, in draw order.  Each draw descends
       once from the root, taking [hi] with probability
       count([hi]) / count(node); duplicates are redrawn.  The sample

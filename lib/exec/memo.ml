@@ -15,6 +15,9 @@ type 'a t = {
      collisions by comparing full keys *)
   tbl : (string, (string * 'a) list) Hashtbl.t;
   order : (string * string) Queue.t; (* (digest, full key), FIFO for eviction *)
+  (* keys a [find_or_add] caller is computing, and the waiters' wakeup *)
+  pending : (string, unit) Hashtbl.t;
+  settled : Condition.t;
   mutable size : int;
   mutable hits : int;
   mutable misses : int;
@@ -39,6 +42,8 @@ let create ?(capacity = 4096) ?(hash = Digest.string) ?backing ~name () =
     m = Mutex.create ();
     tbl = Hashtbl.create 256;
     order = Queue.create ();
+    pending = Hashtbl.create 8;
+    settled = Condition.create ();
     size = 0;
     hits = 0;
     misses = 0;
@@ -131,10 +136,39 @@ let add t ~key v =
        expected to make its own no-op-if-present decision *)
     Option.iter (fun b -> b.store key v) t.backing
 
+(* The per-key rule.  Under the lock a caller either reads the memory
+   tier, waits while another caller computes its key, or claims the key.
+   The claimant computes outside the lock, so other keys hit and compute
+   meanwhile.  If [f] raises, the claim is dropped and nothing is kept:
+   each waiter wakes, finds the key absent and unclaimed, and the first
+   to look claims it with its own [f]. *)
 let find_or_add t ~key f =
-  match find t ~key with
-  | Some v -> v
+  let d = t.hash key in
+  let rec claim () =
+    match List.assoc_opt key (Option.value (Hashtbl.find_opt t.tbl d) ~default:[]) with
+    | Some v ->
+        t.hits <- t.hits + 1;
+        Some v
+    | None when Hashtbl.mem t.pending key ->
+        Condition.wait t.settled t.m;
+        claim ()
+    | None ->
+        t.misses <- t.misses + 1;
+        Hashtbl.replace t.pending key ();
+        None
+  in
+  match locked t claim with
+  | Some v ->
+      Obs.add (t.name ^ ".hits") 1;
+      v
   | None ->
+      Obs.add (t.name ^ ".misses") 1;
+      let settle () =
+        locked t (fun () ->
+            Hashtbl.remove t.pending key;
+            Condition.broadcast t.settled)
+      in
+      Fun.protect ~finally:settle @@ fun () ->
       let v = f () in
       add t ~key v;
       v

@@ -10,11 +10,14 @@
     Eviction is FIFO over insertion order, bounded by [capacity].
 
     {b Thread safety.}  All operations are serialized by an internal
-    mutex.  {!find_or_add} deliberately computes the value {e outside}
-    the lock: two domains racing on the same absent key may both
-    compute it (the first insert wins); for the deterministic counter
-    workloads this wastes at most one duplicate count and never
-    changes results.
+    mutex.  {!find_or_add} computes the value {e outside} the lock,
+    under a per-key rule: concurrent callers of one absent key wait
+    for a single computation, different keys compute in parallel, a
+    hit never waits behind another key's computation, and a
+    computation that raises is kept by nobody (a waiting caller then
+    computes with its own function).  {!find} followed by {!add} has
+    no such rule: two racers may both compute, and the first insert
+    wins.
 
     {b Persistent tier.}  An optional {!backing} store sits behind the
     memory tier: {!find} consults it on a memory miss (outside the
@@ -67,6 +70,13 @@ val add : 'a t -> key:string -> 'a -> unit
 (** First insert wins: adding an existing key is a no-op. *)
 
 val find_or_add : 'a t -> key:string -> (unit -> 'a) -> 'a
-(** Lookup; on a miss, compute (outside the lock) and insert. *)
+(** Lookup; on a miss, compute (outside the lock) and insert.  While
+    one caller computes [key], other callers of [key] block until it
+    settles; if its [f] raises, the exception reaches that caller only,
+    nothing is stored, and one waiter computes [key] with its own [f].
+    [f] must not ask for [key] itself: it would wait on its own claim.
+    Each call counts one hit or one miss.  It reads the memory tier
+    only ({!add} still writes through), and observes no
+    [lookup_ms]. *)
 
 val stats : 'a t -> stats

@@ -158,7 +158,7 @@ let ddnnf_inprocess_invariance =
 let ddnnf_trace_evaluates =
   qtest ~count:200 "trace evaluation = streamed count" projected_cnf_gen (fun cnf ->
       let t = Exact.Dnnf.compile cnf in
-      Bignat.equal (Exact.Dnnf.model_count t) (Exact.count cnf))
+      Bignat.equal (Exact.Dnnf.condition t [ [||] ]) (Exact.count cnf))
 
 (* [cnf] with [term]'s literals added as unit clauses: the reference
    for conditioning. *)
@@ -168,19 +168,90 @@ let with_units (cnf : Cnf.t) term =
 
 (* up to 6 literals over the projection: with few projection variables
    repeated and opposite literals come up often *)
+let term_gen proj =
+  let open QCheck2.Gen in
+  let+ lits = list_size (int_range 0 6) (pair (int_range 0 (Array.length proj - 1)) bool) in
+  Array.of_list (List.map (fun (i, b) -> Lit.make proj.(i) b) lits)
+
 let conditioned_gen =
   let open QCheck2.Gen in
   let* cnf = projected_cnf_gen in
-  let proj = Cnf.projection_vars cnf in
-  let+ lits = list_size (int_range 0 6) (pair (int_range 0 (Array.length proj - 1)) bool) in
-  (cnf, Array.of_list (List.map (fun (i, b) -> Lit.make proj.(i) b) lits))
+  let+ term = term_gen (Cnf.projection_vars cnf) in
+  (cnf, term)
+
+(* The labelled paths of a random complete decision tree over [proj], up
+   to 4 deep.  A path may test a variable again, either way: a path with
+   opposite literals has no models, and the leaves still partition the
+   space. *)
+let tree_paths_gen proj =
+  let open QCheck2.Gen in
+  let leaf = map (fun b -> [ ([], b) ]) bool in
+  let rec tree depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (1, leaf);
+          ( 3,
+            let* v = map (fun i -> proj.(i)) (int_range 0 (Array.length proj - 1)) in
+            let* hi = tree (depth - 1) in
+            let+ lo = tree (depth - 1) in
+            let under l = List.map (fun (path, b) -> (l :: path, b)) in
+            under (Lit.pos v) hi @ under (Lit.neg_of_var v) lo );
+        ]
+  in
+  tree 4
+
+let side paths label =
+  List.filter_map (fun (path, b) -> if b = label then Some (Array.of_list path) else None) paths
 
 let ddnnf_condition_matches_units =
   qtest ~count:400 "condition (compile c) term = count (c + term units)" conditioned_gen
     (fun (cnf, term) ->
       Bignat.equal
-        (Exact.Dnnf.condition (Exact.Dnnf.compile cnf) term)
+        (Exact.Dnnf.condition (Exact.Dnnf.compile cnf) [ term ])
         (Exact.count (with_units cnf term)))
+
+(* What AccMC's one-side derivation rests on: a tree's two sides
+   partition the space, so their conditioned counts sum to the total the
+   compile kept, which is the projected count. *)
+let ddnnf_condition_sides_partition =
+  qtest ~count:300 "condition t true_paths + condition t false_paths = total t = count"
+    QCheck2.Gen.(
+      let* cnf = projected_cnf_gen in
+      let+ paths = tree_paths_gen (Cnf.projection_vars cnf) in
+      (cnf, paths))
+    (fun (cnf, paths) ->
+      let t = Exact.Dnnf.compile cnf in
+      let total = Exact.Dnnf.total t in
+      let on label = Exact.Dnnf.condition t (side paths label) in
+      Bignat.equal (Bignat.add (on true) (on false)) total
+      && Bignat.equal total (Exact.count cnf))
+
+let ddnnf_condition_list_is_sum =
+  qtest ~count:300 "condition t terms = sum of single-term calls"
+    QCheck2.Gen.(
+      let* cnf = projected_cnf_gen in
+      let+ terms = list_size (int_range 0 5) (term_gen (Cnf.projection_vars cnf)) in
+      (cnf, terms))
+    (fun (cnf, terms) ->
+      let t = Exact.Dnnf.compile cnf in
+      let one acc term = Bignat.add acc (Exact.Dnnf.condition t [ term ]) in
+      Bignat.equal (Exact.Dnnf.condition t terms) (List.fold_left one Bignat.zero terms))
+
+let ddnnf_condition_concurrent () =
+  (* one form conditioned from four domains at once answers as it does
+     alone: each domain conditions with its own scratch *)
+  let analyzer = Mcml_props.Props.analyzer ~scope:4 in
+  let t = Exact.Dnnf.compile (Mcml_alloy.Analyzer.cnf ~symmetry:true analyzer ~pred:"PartialOrder") in
+  let terms =
+    List.init 256 (fun i -> Array.init 3 (fun k -> Lit.make (1 + ((i + (5 * k)) mod 16)) ((i lsr k) land 1 = 0)))
+  in
+  let answers () = List.map (fun term -> Bignat.to_string (Exact.Dnnf.condition t [ term ])) terms in
+  let alone = answers () in
+  List.iter
+    (fun got -> check Alcotest.(list string) "concurrent = alone" alone got)
+    (List.map Domain.join (List.init 4 (fun _ -> Domain.spawn answers)))
 
 let ddnnf_condition_all_properties () =
   (* every property at scope 3, plain and symmetry-broken, conditioned
@@ -209,7 +280,7 @@ let ddnnf_condition_all_properties () =
               check Alcotest.string
                 (Printf.sprintf "%s sym=%b term %d" pred symmetry i)
                 (Bignat.to_string (Exact.count (with_units cnf term)))
-                (Bignat.to_string (Exact.Dnnf.condition dnnf term)))
+                (Bignat.to_string (Exact.Dnnf.condition dnnf [ term ])))
             terms)
         [ false; true ])
     Mcml_props.Props.all
@@ -223,7 +294,7 @@ let ddnnf_trace_shape () =
     Exact.Dnnf.compile (Cnf.make ~nvars:4 [ [| Lit.pos 1 |]; [| Lit.pos 3; Lit.pos 4 |] ])
   in
   check Alcotest.string "worked example count" "6"
-    (Bignat.to_string (Exact.Dnnf.model_count t));
+    (Bignat.to_string (Exact.Dnnf.condition t [ [||] ]));
   (match Exact.Dnnf.node t (Exact.Dnnf.root t) with
   | Exact.Dnnf.Free { vars; child } -> (
       check Alcotest.(array int) "x2 freed at the root" [| 2 |] vars;
@@ -292,7 +363,7 @@ let ddnnf_models_match_count =
       Exact.Dnnf.iter_models t (fun _ -> incr n);
       let all = trace_models cnf in
       let cut = trace_models ~limit cnf in
-      Bignat.equal (Bignat.of_int !n) (Exact.Dnnf.model_count t)
+      Bignat.equal (Bignat.of_int !n) (Exact.Dnnf.condition t [ [||] ])
       && List.length cut = min limit !n
       && List.filteri (fun i _ -> i < limit) all = cut)
 
@@ -557,6 +628,9 @@ let () =
           ddnnf_inprocess_invariance;
           ddnnf_trace_evaluates;
           ddnnf_condition_matches_units;
+          ddnnf_condition_sides_partition;
+          ddnnf_condition_list_is_sum;
+          Alcotest.test_case "concurrent conditioning" `Quick ddnnf_condition_concurrent;
           Alcotest.test_case "condition on all 16 properties" `Slow ddnnf_condition_all_properties;
           Alcotest.test_case "trace shape (worked example)" `Quick ddnnf_trace_shape;
           ddnnf_models_match_brute;

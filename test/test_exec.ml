@@ -154,6 +154,100 @@ let memo_add_first_wins () =
   Memo.add m ~key:"k" 2;
   check Alcotest.(option int) "first insert wins" (Some 1) (Memo.find m ~key:"k")
 
+(* The per-key rule of [find_or_add], across domains.  [wait_until]
+   polls a flag another domain sets, and gives up after 10 s.  [spawn f]
+   runs [f] on a new domain and returns its join, which also gives up
+   after 10 s, so a caller left waiting fails the test instead of
+   hanging it. *)
+let wait_until p =
+  let t0 = Unix.gettimeofday () in
+  while not (p ()) do
+    if Unix.gettimeofday () -. t0 > 10.0 then Alcotest.fail "timed out waiting on another domain";
+    Unix.sleepf 0.001
+  done
+
+let spawn f =
+  let finished = Atomic.make false in
+  let d = Domain.spawn (fun () -> Fun.protect ~finally:(fun () -> Atomic.set finished true) f) in
+  fun () ->
+    wait_until (fun () -> Atomic.get finished);
+    Domain.join d
+
+let memo_one_compile_per_key () =
+  let m = Memo.create ~name:"test.memo" () in
+  let n = 4 in
+  let arrived = Atomic.make 0 and computes = Atomic.make 0 in
+  let compute () =
+    Atomic.incr computes;
+    (* hold the key until every caller has asked for it *)
+    wait_until (fun () -> Atomic.get arrived = n);
+    Unix.sleepf 0.02;
+    "form"
+  in
+  let ask () =
+    Atomic.incr arrived;
+    Memo.find_or_add m ~key:"k" compute
+  in
+  let got = List.map (fun join -> join ()) (List.init n (fun _ -> spawn ask)) in
+  check Alcotest.(list string) "every caller gets the value" (List.init n (fun _ -> "form")) got;
+  check Alcotest.int "one compile" 1 (Atomic.get computes);
+  let s = Memo.stats m in
+  check Alcotest.int "one miss" 1 s.Memo.misses;
+  check Alcotest.int "the other callers hit" (n - 1) s.Memo.hits
+
+let memo_timeout_not_inherited () =
+  (* the first caller compiles with no budget left and times out while a
+     second caller waits on the key; the second then compiles with its
+     own, larger budget and answers *)
+  let open Mcml_counting in
+  let cnf = Mcml_logic.Cnf.make ~nvars:3 [ [| Mcml_logic.Lit.pos 1; Mcml_logic.Lit.pos 2 |] ] in
+  let m : Exact.Dnnf.t Memo.t = Memo.create ~name:"test.memo" () in
+  let claimed = Atomic.make false and waiting = Atomic.make false in
+  let first =
+    spawn (fun () ->
+        match
+          Memo.find_or_add m ~key:"k" (fun () ->
+              Atomic.set claimed true;
+              wait_until (fun () -> Atomic.get waiting);
+              Unix.sleepf 0.02;
+              Exact.Dnnf.compile ~budget:0.0 cnf)
+        with
+        | _ -> false
+        | exception Exact.Timeout -> true)
+  in
+  wait_until (fun () -> Atomic.get claimed);
+  let second =
+    spawn (fun () ->
+        Atomic.set waiting true;
+        Memo.find_or_add m ~key:"k" (fun () -> Exact.Dnnf.compile ~budget:60.0 cnf))
+  in
+  check Alcotest.bool "the first caller times out" true (first ());
+  let form = second () in
+  check Alcotest.string "the waiting caller compiles and answers" "6"
+    (Mcml_logic.Bignat.to_string (Exact.Dnnf.total form));
+  check Alcotest.bool "its form is kept" true
+    (match Memo.find m ~key:"k" with Some f -> f == form | None -> false);
+  check Alcotest.int "two compiles ran, one miss each" 2 (Memo.stats m).Memo.misses
+
+let memo_hit_while_compiling () =
+  let m = Memo.create ~name:"test.memo" () in
+  Memo.add m ~key:"kept" 1;
+  let started = Atomic.make false and release = Atomic.make false in
+  let slow =
+    spawn (fun () ->
+        Memo.find_or_add m ~key:"slow" (fun () ->
+            Atomic.set started true;
+            wait_until (fun () -> Atomic.get release);
+            2))
+  in
+  wait_until (fun () -> Atomic.get started);
+  check Alcotest.int "a kept key answers while another compiles" 1
+    (Memo.find_or_add m ~key:"kept" (fun () -> Alcotest.fail "a kept key was recomputed"));
+  check Alcotest.int "another absent key compiles meanwhile" 3
+    (Memo.find_or_add m ~key:"other" (fun () -> 3));
+  Atomic.set release true;
+  check Alcotest.int "the slow key" 2 (slow ())
+
 (* --- disk cache --------------------------------------------------------- *)
 
 let fresh_dir () =
@@ -560,6 +654,9 @@ let () =
           Alcotest.test_case "FIFO eviction" `Quick memo_eviction;
           Alcotest.test_case "collision safety" `Quick memo_collision_safety;
           Alcotest.test_case "first insert wins" `Quick memo_add_first_wins;
+          Alcotest.test_case "one compile per key across domains" `Quick memo_one_compile_per_key;
+          Alcotest.test_case "a timeout is not inherited" `Quick memo_timeout_not_inherited;
+          Alcotest.test_case "a hit does not wait on another key" `Quick memo_hit_while_compiling;
         ] );
       ( "diskcache",
         [

@@ -270,8 +270,10 @@ let accmc_symmetry_universe () =
 
 (* The conditioned exact route against the paper's literal reduction
    (Tree2CNF sides, four brute-force counts), bit for bit, on every
-   property in both universes.  Trees learn from symmetry-broken data:
-   unrestricted Surjective has too few negatives to balance at scope 3. *)
+   property in both universes.  Each query is asked twice: the second
+   answer comes from the kept forms.  Trees learn from symmetry-broken
+   data: unrestricted Surjective has too few negatives to balance at
+   scope 3. *)
 let accmc_conditioned_matches_brute () =
   List.iter
     (fun prop ->
@@ -281,7 +283,6 @@ let accmc_conditioned_matches_brute () =
       let tree = Option.get (Model.train_tree ~seed:8 data.Pipeline.dataset).Model.tree in
       List.iter
         (fun eval_symmetry ->
-          let got = Option.get (Pipeline.accmc ~backend ~prop ~scope:3 ~eval_symmetry tree) in
           let phi, not_phi = Pipeline.ground_truth prop ~scope:3 ~symmetry:eval_symmetry in
           let want =
             Option.get
@@ -290,29 +291,87 @@ let accmc_conditioned_matches_brute () =
                  ~nprimary:9 tree)
           in
           List.iter
-            (fun (field, f) ->
-              check Alcotest.string
-                (Printf.sprintf "%s sym=%b %s" prop.Props.name eval_symmetry field)
-                (Bignat.to_string (f want)) (Bignat.to_string (f got)))
-            [
-              ("tp", fun c -> c.Accmc.tp);
-              ("fp", fun c -> c.Accmc.fp);
-              ("tn", fun c -> c.Accmc.tn);
-              ("fn", fun c -> c.Accmc.fn);
-            ])
+            (fun ask ->
+              let got = Option.get (Pipeline.accmc ~backend ~prop ~scope:3 ~eval_symmetry tree) in
+              List.iter
+                (fun (field, f) ->
+                  check Alcotest.string
+                    (Printf.sprintf "%s sym=%b %s (%s)" prop.Props.name eval_symmetry field ask)
+                    (Bignat.to_string (f want)) (Bignat.to_string (f got)))
+                [
+                  ("tp", fun c -> c.Accmc.tp);
+                  ("fp", fun c -> c.Accmc.fp);
+                  ("tn", fun c -> c.Accmc.tn);
+                  ("fn", fun c -> c.Accmc.fn);
+                ])
+            [ "first"; "kept" ])
         [ false; true ])
     Props.all
+
+(* AccMC conditions one side of a tree and takes the other from the
+   form's total, so a broken partition would not show in its answers.
+   Here both sides of two trained trees per property are conditioned on
+   ϕ and on the universe, at scopes 4 and 5 with symmetry: each pair
+   sums to the total the compile kept, which is the projected count. *)
+let accmc_sides_sum_to_totals () =
+  let module Dnnf = Mcml_counting.Exact.Dnnf in
+  List.iter
+    (fun scope ->
+      let space = Pipeline.space_cnf ~scope ~symmetry:true in
+      let universe = Dnnf.compile space in
+      check Alcotest.string
+        (Printf.sprintf "scope %d: the universe's total is its count" scope)
+        (Bignat.to_string (Mcml_counting.Exact.count space))
+        (Bignat.to_string (Dnnf.total universe));
+      List.iter
+        (fun prop ->
+          let cnf =
+            Mcml_alloy.Analyzer.cnf ~symmetry:true (Props.analyzer ~scope) ~pred:prop.Props.pred
+          in
+          let phi = Dnnf.compile cnf in
+          check Alcotest.string
+            (Printf.sprintf "%s scope %d: the total is the count" prop.Props.name scope)
+            (Bignat.to_string (Mcml_counting.Exact.count cnf))
+            (Bignat.to_string (Dnnf.total phi));
+          let data =
+            Pipeline.generate prop { Pipeline.scope; symmetry = true; max_positives = 300; seed = 11 }
+          in
+          List.iter
+            (fun seed ->
+              let tree = Option.get (Model.train_tree ~seed data.Pipeline.dataset).Model.tree in
+              let side label =
+                List.filter_map
+                  (fun (conds, leaf) ->
+                    if leaf = label then
+                      Some (Array.of_list (List.map Tree2cnf.lit_of_condition conds))
+                    else None)
+                  (Decision_tree.paths tree)
+              in
+              List.iter
+                (fun (what, form) ->
+                  check Alcotest.string
+                    (Printf.sprintf "%s scope %d tree %d: %s sides" prop.Props.name scope seed what)
+                    (Bignat.to_string (Dnnf.total form))
+                    (Bignat.to_string
+                       (Bignat.add (Dnnf.condition form (side true)) (Dnnf.condition form (side false)))))
+                [ ("phi", phi); ("universe", universe) ])
+            [ 12; 13 ])
+        Props.all)
+    [ 4; 5 ]
 
 let accmc_timeout_not_kept () =
   (* scope 2 is compiled nowhere else in this suite, so the budget-0
      call is the first to compile its symmetry-broken universe: it must
-     time out, and the next call must compile it afresh *)
+     time out, and the next call must compile it afresh.  A finished
+     compile answers under any budget. *)
   let prop = Props.find_exn "PartialOrder" in
   let tree = random_tree ~k:4 ~seed:3 in
   check Alcotest.bool "budget 0 times out" true
     (Pipeline.accmc ~budget:0.0 ~backend ~prop ~scope:2 ~eval_symmetry:true tree = None);
   check Alcotest.bool "the default budget completes" true
-    (Pipeline.accmc ~backend ~prop ~scope:2 ~eval_symmetry:true tree <> None)
+    (Pipeline.accmc ~backend ~prop ~scope:2 ~eval_symmetry:true tree <> None);
+  check Alcotest.bool "budget 0 now answers from the kept forms" true
+    (Pipeline.accmc ~budget:0.0 ~backend ~prop ~scope:2 ~eval_symmetry:true tree <> None)
 
 let accmc_check_total () =
   let prop = Props.find_exn "Function" in
@@ -591,6 +650,8 @@ let () =
             Alcotest.test_case "symmetry-constrained universe" `Slow accmc_symmetry_universe;
             Alcotest.test_case "conditioned = brute Tree2CNF counts, 16 properties" `Slow
               accmc_conditioned_matches_brute;
+            Alcotest.test_case "sides sum to the kept totals, 16 properties at scopes 4 and 5" `Slow
+              accmc_sides_sum_to_totals;
             Alcotest.test_case "a timeout is never kept" `Quick accmc_timeout_not_kept;
             Alcotest.test_case "counts partition the space" `Quick accmc_check_total;
           ] );
