@@ -350,12 +350,11 @@ let write_json path ~seed ~budget ~jobs ~cache ~baseline ~total =
    difference, so the gap is the serving overhead.  Latencies go into
    local histograms (usable without any telemetry sink installed); the
    summary lands in --json under the optional "serve" key. *)
-(* [jitter] > 0 perturbs each request's budget by [jitter * id]: the
-   budget is part of the count-cache key (printed %h, so any float
-   difference separates keys), which turns the workload into pure
-   cache-miss traffic — every request really counts.  The fleet bench
-   needs that: identical requests would be absorbed by single-flight
-   and the shard memos instead of exercising the shards. *)
+(* [jitter] > 0 perturbs each request's budget by [jitter * id].  The
+   budget is part of the fleet router's routing key (printed %h, so any
+   float difference separates keys), so no two requests are merged by
+   its single-flight.  The count cache does not key by budget: the
+   fleet bench turns it off to keep every request really counting. *)
 let serve_requests ?(jitter = 0.0) ~budget ~seed () =
   let props =
     List.map Props.find_exn
@@ -560,9 +559,14 @@ type fleet_worker = {
   mutable fw_stop : bool;
 }
 
-let fleet_worker_create ~use_cache =
+(* The fleet bench measures cache-miss traffic: every server it builds
+   has its count cache off. *)
+let miss_server () =
+  Mcml_serve.Server.create { Mcml_serve.Server.default_config with cache = false }
+
+let fleet_worker_create () =
   let open Mcml_serve in
-  let srv = Server.create { Server.default_config with Server.cache = use_cache } in
+  let srv = miss_server () in
   let w =
     {
       fw_srv = srv;
@@ -629,7 +633,7 @@ let fleet_dispatch workers shard req =
   Mutex.unlock j.fj_m;
   Option.get j.fj_resp
 
-let run_fleet_serve ~shards ~budget ~seed ~use_cache =
+let run_fleet_serve ~shards ~budget ~seed =
   banner
     (Printf.sprintf "serve fleet mode: %d-shard router vs one server, cache-miss traffic"
        shards);
@@ -696,13 +700,13 @@ let run_fleet_serve ~shards ~budget ~seed ~use_cache =
     |> List.sort compare
   in
   let single_wall, single_resps =
-    let srv = Server.create { Server.default_config with Server.cache = use_cache } in
+    let srv = miss_server () in
     let r = pipeline (Server.handle_connection srv) in
     Server.shutdown srv;
     r
   in
   let fleet_wall, fleet_resps =
-    let workers = Array.init shards (fun _ -> fleet_worker_create ~use_cache) in
+    let workers = Array.init shards (fun _ -> fleet_worker_create ()) in
     let router =
       Router.create
         { Router.default_config with Router.shards }
@@ -737,7 +741,7 @@ let run_fleet_serve ~shards ~budget ~seed ~use_cache =
            ("requests", Json.Int n);
            ("shards", Json.Int shards);
            ("cores", Json.Int cores);
-           ("cache_enabled", Json.Bool use_cache);
+           ("cache_enabled", Json.Bool false);
            ( "single",
              Json.Obj
                [
@@ -798,7 +802,8 @@ let () =
          bit-identical tables at any setting)" );
       ( "--no-count-cache",
         Arg.Set no_cache,
-        "  disable the content-addressed count cache" );
+        "  disable the content-addressed count cache (--serve --fleet always \
+         runs with it off)" );
       ( "--json",
         Arg.Set_string json_path,
         "PATH  write a machine-readable summary (wall time and counters per section)" );
@@ -848,8 +853,7 @@ let () =
   let t0 = Mcml_obs.Obs.monotonic_s () in
   if !serve_only && !fleet then
     timed "serve.fleet" (fun () ->
-        run_fleet_serve ~shards:!shards ~budget:!budget ~seed:!seed
-          ~use_cache:(not !no_cache))
+        run_fleet_serve ~shards:!shards ~budget:!budget ~seed:!seed)
   else if !serve_only then
     timed "serve" (fun () ->
         run_serve ~jobs:!jobs ~budget:!budget ~seed:!seed ~use_cache:(not !no_cache))

@@ -318,12 +318,35 @@ for p in $serve_props; do
   done
 done
 
+# serve_reqs TAG [FIELDS]: the 10 count requests, ids prefixed with
+# TAG, each with the extra JSON FIELDS (e.g. ',"deadline_ms":60000')
 serve_reqs() {
   for p in $serve_props; do
     for s in 3 4; do
-      echo "{\"id\":\"$1-$p-$s\",\"kind\":\"count\",\"prop\":\"$p\",\"scope\":$s}"
+      echo "{\"id\":\"$1-$p-$s\",\"kind\":\"count\",\"prop\":\"$p\",\"scope\":$s${2:-}}"
     done
   done
+}
+# same_as_direct WHAT FILE...: every count in each FILE equals the
+# direct CLI answer for its property and scope
+same_as_direct() {
+  what="$1"
+  shift
+  while read -r p s want; do
+    for f in "$@"; do
+      got="$(grep "\"prop\":\"$p\"" "$f" | grep "\"scope\":$s," \
+        | sed -n 's/.*"count":"\([0-9]*\)".*/\1/p')"
+      [ "$got" = "$want" ] || {
+        echo "FAIL: $what count for $p scope $s = '$got', direct CLI = '$want'" >&2
+        exit 1
+      }
+    done
+  done <"$direct"
+}
+# the server's count-cache misses, from a stats request
+cache_misses() {
+  echo '{"id":"s","kind":"stats"}' | "$MCML" client --socket "$1" \
+    | sed -n 's/.*"cache":{[^}]*"misses":\([0-9]*\).*/\1/p'
 }
 out1="$(mktemp /tmp/mcml_client1.XXXXXX.jsonl)"
 out2="$(mktemp /tmp/mcml_client2.XXXXXX.jsonl)"
@@ -341,26 +364,34 @@ for f in "$out1" "$out2"; do
     exit 1
   fi
 done
-while read -r p s want; do
-  for f in "$out1" "$out2"; do
-    got="$(grep "\"prop\":\"$p\"" "$f" | grep "\"scope\":$s," \
-      | sed -n 's/.*"count":"\([0-9]*\)".*/\1/p')"
-    [ "$got" = "$want" ] || {
-      echo "FAIL: served count for $p scope $s = '$got', direct CLI = '$want'" >&2
-      exit 1
-    }
-  done
-done <"$direct"
+same_as_direct served "$out1" "$out2"
 
-echo "== metrics smoke gate: live scrape of the running server =="
-# one deadlined request so the SLO counter families exist, then scrape
-# the registry over the wire and require a well-formed exposition —
-# no restart, no flush
-echo '{"id":"slo","kind":"count","prop":"Reflexive","scope":3,"deadline_ms":60000}' \
-  | "$MCML" client --socket "$sock" >/dev/null || {
-  echo "FAIL: deadlined warmup request failed" >&2
+echo "== deadline gate: deadlined requests hit the count cache =="
+# the same 10 queries with a deadline, which clamps each budget below
+# the 60 s default: the count cache keys without the budget, so every
+# answer must come from it — identical counts, no new miss
+misses="$(cache_misses "$sock")"
+[ -n "$misses" ] || { echo "FAIL: stats has no cache misses field" >&2; exit 1; }
+serve_reqs d ',"deadline_ms":60000' | "$MCML" client --socket "$sock" >"$out1" || {
+  echo "FAIL: deadline client exited nonzero" >&2
   exit 1
 }
+[ "$(wc -l <"$out1")" -eq 10 ] && ! grep -q '"ok":false' "$out1" || {
+  echo "FAIL: expected 10 ok deadlined responses:" >&2
+  cat "$out1" >&2
+  exit 1
+}
+same_as_direct deadlined "$out1"
+[ "$(cache_misses "$sock")" = "$misses" ] || {
+  echo "FAIL: deadlined requests recounted (cache misses $misses -> $(cache_misses "$sock"))" >&2
+  exit 1
+}
+echo "   10/10 deadlined answers from cache, identical to direct CLI"
+
+echo "== metrics smoke gate: live scrape of the running server =="
+# the deadline gate's requests made the SLO counter families exist;
+# scrape the registry over the wire and require a well-formed
+# exposition — no restart, no flush
 metrics="$(mktemp /tmp/mcml_metrics.XXXXXX.txt)"
 "$MCML" client --socket "$sock" metrics >"$metrics" || {
   echo "FAIL: metrics scrape failed" >&2
@@ -444,16 +475,7 @@ for f in "$fout1" "$fout2" "$fout3"; do
     exit 1
   fi
 done
-while read -r p s want; do
-  for f in "$fout1" "$fout2" "$fout3"; do
-    got="$(grep "\"prop\":\"$p\"" "$f" | grep "\"scope\":$s," \
-      | sed -n 's/.*"count":"\([0-9]*\)".*/\1/p')"
-    [ "$got" = "$want" ] || {
-      echo "FAIL: fleet count for $p scope $s = '$got', direct CLI = '$want'" >&2
-      exit 1
-    }
-  done
-done <"$direct"
+same_as_direct fleet "$fout1" "$fout2" "$fout3"
 fhealth="$(mktemp /tmp/mcml_fleet_health.XXXXXX.json)"
 echo '{"id":"h","kind":"health"}' | "$MCML" client --socket "$fsock" >"$fhealth"
 grep -q '"restarts":[1-9]' "$fhealth" || {
@@ -485,14 +507,7 @@ if grep -q '"ok":false' "$fout1"; then
   echo "FAIL: replay returned an error response" >&2
   exit 1
 fi
-while read -r p s want; do
-  got="$(grep "\"prop\":\"$p\"" "$fout1" | grep "\"scope\":$s," \
-    | sed -n 's/.*"count":"\([0-9]*\)".*/\1/p')"
-  [ "$got" = "$want" ] || {
-    echo "FAIL: replayed count for $p scope $s = '$got', direct CLI = '$want'" >&2
-    exit 1
-  }
-done <"$direct"
+same_as_direct replayed "$fout1"
 fstats="$(mktemp /tmp/mcml_fleet_stats.XXXXXX.json)"
 echo '{"id":"s","kind":"stats"}' | "$MCML" client --socket "$fsock" >"$fstats"
 # the merged fleet-wide cache section precedes the per-shard list;

@@ -1079,7 +1079,7 @@ let cache_cmd =
                         Printf.sprintf "shard %d " (Mcml_fleet.Ring.shard r key))
                     (Bignat.to_string o.Mcml_counting.Counter.count)
               | None ->
-                  Printf.printf "%-16s scope %-3d timeout (recorded)\n%!"
+                  Printf.printf "%-16s scope %-3d timeout (not cached)\n%!"
                     prop.Props.name scope)
             scopes)
         props;

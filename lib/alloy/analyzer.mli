@@ -68,7 +68,7 @@ val count :
   pred:string ->
   Mcml_counting.Counter.outcome option
 (** Model count of the predicate over the bounded space.  [cache]
-    memoizes the outcome by full (backend, budget, CNF) content
+    memoizes the outcome by full (backend, CNF) content
     ({!Mcml_counting.Counter.cache}).
 
     {b Thread safety.}  An analyzer value is immutable; translation,

@@ -69,7 +69,7 @@ val counts :
     recombined in a fixed order, so results are identical to the
     sequential path (which is taken verbatim, including its
     short-circuit on the first timeout, when [pool] is absent).
-    [cache] memoizes each (backend, budget, CNF) count outcome —
+    [cache] memoizes each (backend, CNF) count outcome —
     see {!Counter.cache}. *)
 
 val counts_sides :

@@ -5,7 +5,11 @@ type backend = Exact | Approx of Approx.config | Brute
 
 type outcome = { count : Bignat.t; exact : bool; time : float }
 
-type cache = outcome option Memo.t
+(* A completed count, or the largest budget a count of the key timed
+   out under.  Only completed counts reach the disk. *)
+type entry = Done of outcome | Timed_out of float
+
+type cache = entry Memo.t
 
 let name = function
   | Exact -> "exact(ddnnf)"
@@ -35,11 +39,13 @@ let cache_create ?capacity ?disk () =
         {
           Memo.load =
             (fun key ->
-              Option.map Option.some
+              Option.map
+                (fun o -> Done o)
                 (Option.bind (Mcml_exec.Diskcache.find d ~key) outcome_of_string));
           store =
-            (fun key v ->
-              Option.iter (fun o -> Mcml_exec.Diskcache.add d ~key (outcome_to_string o)) v);
+            (fun key -> function
+              | Done o -> Mcml_exec.Diskcache.add d ~key (outcome_to_string o)
+              | Timed_out _ -> ());
         })
       disk
   in
@@ -47,14 +53,16 @@ let cache_create ?capacity ?disk () =
 
 let cache_stats = Memo.stats
 
-(* The key serializes everything the outcome depends on: the backend
-   and all its parameters (for Approx: epsilon, delta, seed,
+(* The key serializes everything a completed outcome depends on: the
+   backend and all its parameters (for Approx: epsilon, delta, seed,
    max_rounds, max_conflicts — two configs differing only in seed may
-   legitimately return different estimates), the budget, and the full
-   CNF content (nvars, projection set — distinguishing [None] from an
-   explicit set — and every literal of every clause, in order).  Floats
-   are printed with %h so distinct budgets never collide. *)
-let cache_key ~budget ~backend (cnf : Cnf.t) =
+   legitimately return different estimates) and the full CNF content
+   (nvars, projection set — distinguishing [None] from an explicit set —
+   and every literal of every clause, in order).  Floats are printed
+   with %h so distinct parameters never collide.  The budget is not in
+   it: a budget decides only whether a count finishes, never what it
+   finishes with. *)
+let cache_key ~backend (cnf : Cnf.t) =
   let buf = Buffer.create (64 + (8 * Cnf.num_literals cnf)) in
   (match backend with
   | Exact -> Buffer.add_string buf "exact"
@@ -64,7 +72,7 @@ let cache_key ~budget ~backend (cnf : Cnf.t) =
         (Printf.sprintf "approx(%h,%h,%d,%s,%d)" epsilon delta seed
            (match max_rounds with None -> "-" | Some r -> string_of_int r)
            max_conflicts));
-  Buffer.add_string buf (Printf.sprintf "|b=%h|n=%d|p=" budget cnf.Cnf.nvars);
+  Buffer.add_string buf (Printf.sprintf "|n=%d|p=" cnf.Cnf.nvars);
   (match cnf.Cnf.projection with
   | None -> Buffer.add_char buf '*'
   | Some vs ->
@@ -117,12 +125,19 @@ let count ?(budget = 5000.0) ?cache ~backend (cnf : Cnf.t) : outcome option =
     match cache with
     | None -> count_uncached ~budget ~backend cnf
     | Some c -> (
-        let key = cache_key ~budget ~backend cnf in
-        match Memo.find c ~key with
-        | Some o -> o
+        let key = cache_key ~backend cnf in
+        (* a timeout answers only a call with no more time than it had *)
+        let usable = function Done _ -> true | Timed_out b -> budget <= b in
+        match Memo.find ~usable c ~key with
+        | Some (Done o) -> Some o
+        | Some (Timed_out _) -> None
         | None ->
             let o = count_uncached ~budget ~backend cnf in
-            Memo.add c ~key o;
+            let entry = match o with Some o -> Done o | None -> Timed_out budget in
+            (* a completed count replaces a timeout, a timeout a shorter one *)
+            Memo.add c ~key entry ~replace:(function
+              | Done _ -> false
+              | Timed_out b -> Option.is_some o || b < budget);
             o)
   in
   (* the end-to-end latency of a count query as the caller sees it

@@ -30,13 +30,18 @@ val name : backend -> string
 (** Human-readable backend name, e.g. ["exact(ddnnf)"] — for display;
     not parseable back (the serve protocol uses its own wire names). *)
 
-type cache = outcome option Mcml_exec.Memo.t
+type cache
 (** Content-addressed memo of count outcomes, keyed by the full
-    (backend, budget, CNF) content — see {!cache_key}.  Timeouts
-    ([None] outcomes) are kept in memory for the life of the process,
-    which saves re-burning the whole budget on a repeated question, but
-    never written to disk.  A cached outcome keeps the {e original}
-    [time] field. *)
+    (backend, CNF) content — see {!cache_key}.  The budget is not part
+    of the key: a finished count is the same under any budget, so it
+    answers every later call of the same query, whatever budget or
+    deadline that call carries.  A timeout is kept in memory only, with
+    the budget it ran under: it answers a later call with no more
+    budget, which saves re-burning that budget, while a call with more
+    time counts again rather than inherit it.  It is never written to
+    disk: it says as much about the load and the clock as about the
+    query.  A cached outcome keeps the {e original} [time] field, which
+    can exceed the budget of the call it answers. *)
 
 val cache_create : ?capacity:int -> ?disk:Mcml_exec.Diskcache.t -> unit -> cache
 (** Bounded (FIFO-evicted, default 4096 entries) cache; its hit/miss/
@@ -46,23 +51,27 @@ val cache_create : ?capacity:int -> ?disk:Mcml_exec.Diskcache.t -> unit -> cache
     as a cache {e hit} and is promoted into memory) and new outcomes
     are written through, so a restarted process answers previously
     counted keys without recounting.  Only completed counts are
-    written; a timeout (or a timeout record an older build wrote) reads
-    back as absent, so a restarted process counts it again.  The caller
-    owns the disk handle (and closes it). *)
+    written; a timeout record an older build wrote reads back as
+    absent, so a restarted process counts it again.  The caller owns
+    the disk handle (and closes it). *)
 
 val cache_stats : cache -> Mcml_exec.Memo.stats
 
-val cache_key : budget:float -> backend:backend -> Cnf.t -> string
+val cache_key : backend:backend -> Cnf.t -> string
 (** The full serialized identity of a count query: backend (with all
-    Approx parameters, including the seed), budget, [nvars], the
-    projection set (an explicit set is distinguished from [None]), and
-    every clause literal.  Exposed for tests. *)
+    Approx parameters, including the seed), [nvars], the projection set
+    (an explicit set is distinguished from [None]), and every clause
+    literal.  No budget: see {!cache}.  Exposed for tests. *)
 
 val count :
   ?budget:float -> ?cache:cache -> backend:backend -> Cnf.t -> outcome option
 (** [count ~backend cnf] runs the chosen counter; [None] on timeout
     ([budget] in seconds, default 5000 like the paper).  With [cache],
-    the query key is looked up first and the computed outcome stored
-    after.  While telemetry is enabled, every call feeds the
-    per-backend latency histogram [counter.count.<backend>_ms]
-    (end-to-end as the caller sees it, cache lookup included). *)
+    the query key is looked up first: a completed count is returned
+    whatever [budget] this call carries, and a kept timeout answers
+    [None] if this call's [budget] is no larger than the one it timed
+    out under.  Otherwise the lookup is a miss, the counter runs under
+    [budget], and its outcome is stored (a timeout in memory only).
+    While telemetry is enabled, every call feeds the per-backend
+    latency histogram [counter.count.<backend>_ms] (end-to-end as the
+    caller sees it, cache lookup included). *)

@@ -73,12 +73,16 @@ let evict_oldest t =
       t.evictions <- t.evictions + 1;
       Obs.add (t.name ^ ".evictions") 1
 
-(* Memory-tier insert (no write-through); [true] if [key] was new. *)
-let insert t ~key v =
+(* Memory-tier insert (no write-through); [true] if [v] was stored.  A
+   replaced value keeps its key's place in the eviction order. *)
+let insert ?(replace = fun _ -> false) t ~key v =
   let d = t.hash key in
   locked t (fun () ->
       let bucket = Option.value (Hashtbl.find_opt t.tbl d) ~default:[] in
-      if List.mem_assoc key bucket then false
+      if List.mem_assoc key bucket then
+        replace (List.assoc key bucket)
+        && (Hashtbl.replace t.tbl d ((key, v) :: List.remove_assoc key bucket);
+            true)
       else begin
         Hashtbl.replace t.tbl d ((key, v) :: bucket);
         Queue.push (d, key) t.order;
@@ -89,7 +93,11 @@ let insert t ~key v =
         true
       end)
 
-let find t ~key =
+let miss t =
+  locked t (fun () -> t.misses <- t.misses + 1);
+  Obs.add (t.name ^ ".misses") 1
+
+let find ?(usable = fun _ -> true) t ~key =
   let timed = Obs.enabled () in
   let t0 = if timed then Obs.monotonic_s () else 0.0 in
   let d = t.hash key in
@@ -100,10 +108,14 @@ let find t ~key =
   in
   let r =
     match mem_hit with
-    | Some _ as v ->
+    | Some v when usable v ->
         locked t (fun () -> t.hits <- t.hits + 1);
         Obs.add (t.name ^ ".hits") 1;
-        v
+        mem_hit
+    | Some _ ->
+        (* present but unusable to this caller: it must recompute *)
+        miss t;
+        None
     | None -> (
         (* the persistent tier is consulted outside the lock: disk I/O
            must not serialize unrelated lookups *)
@@ -121,8 +133,7 @@ let find t ~key =
             Obs.add (t.name ^ ".disk_hits") 1;
             Some v
         | None ->
-            locked t (fun () -> t.misses <- t.misses + 1);
-            Obs.add (t.name ^ ".misses") 1;
+            miss t;
             None)
   in
   (* lookup cost includes hashing the (potentially large) key *)
@@ -130,8 +141,8 @@ let find t ~key =
     Obs.observe (t.name ^ ".lookup_ms") ((Obs.monotonic_s () -. t0) *. 1000.0);
   r
 
-let add t ~key v =
-  if insert t ~key v then
+let add ?replace t ~key v =
+  if insert ?replace t ~key v then
     (* write-through outside the memo lock; the backing store is
        expected to make its own no-op-if-present decision *)
     Option.iter (fun b -> b.store key v) t.backing

@@ -1,11 +1,11 @@
 (** Content-addressed, bounded, thread-safe memo cache.
 
     Entries are keyed by the {e full content string} the caller
-    serializes (for the count cache: backend, budget, and the entire
-    CNF).  Internally keys are addressed by a short digest, but the
-    full key is stored and compared on lookup, so a digest collision
-    degrades to a miss — never to a wrong value ("hash-collision
-    safety"; the test suite forces collisions through [hash]).
+    serializes (for the count cache: the backend and the entire CNF).
+    Internally keys are addressed by a short digest, but the full key
+    is stored and compared on lookup, so a digest collision degrades to
+    a miss — never to a wrong value ("hash-collision safety"; the test
+    suite forces collisions through [hash]).
 
     Eviction is FIFO over insertion order, bounded by [capacity].
 
@@ -17,7 +17,7 @@
     computation that raises is kept by nobody (a waiting caller then
     computes with its own function).  {!find} followed by {!add} has
     no such rule: two racers may both compute, and the first insert
-    wins.
+    wins unless {!add}'s [replace] accepts the later one.
 
     {b Persistent tier.}  An optional {!backing} store sits behind the
     memory tier: {!find} consults it on a memory miss (outside the
@@ -47,7 +47,7 @@ type 'a backing = {
 
 type stats = {
   hits : int;  (** memory- or backing-tier hits *)
-  misses : int;  (** absent from both tiers *)
+  misses : int;  (** absent from both tiers, or rejected by [usable] *)
   evictions : int;
   size : int;
   backing_hits : int;  (** the subset of [hits] served by the backing tier *)
@@ -64,10 +64,17 @@ val create :
     its short address and defaults to [Digest.string] (MD5); it is
     injectable only so tests can force collisions. *)
 
-val find : 'a t -> key:string -> 'a option
+val find : ?usable:('a -> bool) -> 'a t -> key:string -> 'a option
+(** A memory-tier value that [usable] (default: every value) rejects
+    reads as [None] and counts as a miss, since the caller must
+    recompute it; the backing tier is not consulted for it.  A value
+    loaded from the backing tier is always usable. *)
 
-val add : 'a t -> key:string -> 'a -> unit
-(** First insert wins: adding an existing key is a no-op. *)
+val add : ?replace:('a -> bool) -> 'a t -> key:string -> 'a -> unit
+(** First insert wins: adding an existing key is a no-op, unless
+    [replace] (default: never) accepts the value present.  A replaced
+    value keeps its key's place in the eviction order, and the new one
+    is written through. *)
 
 val find_or_add : 'a t -> key:string -> (unit -> 'a) -> 'a
 (** Lookup; on a miss, compute (outside the lock) and insert.  While

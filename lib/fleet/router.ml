@@ -87,10 +87,15 @@ let record t (resp : Protocol.response) =
 
 (* The content identity of a counting request: its canonical JSON with
    the caller-specific fields (id, trace, deadline) removed.  Same
-   parameters => same key => same ring position => same shard (whose
-   memo/disk cache then recognizes the same Counter.cache_key), and
-   same single-flight — three layers keyed consistently by one
-   string.  Trace context is caller identity, never content: two
+   parameters => same key => same ring position => same shard, and
+   same single-flight.  The key keeps the budget, because single-flight
+   must: a follower must not inherit the timeout of a leader that ran
+   under a smaller budget.  The ring shares the key, so one query asked
+   under two budgets may land on two shards.  The shard's count cache
+   does not key by budget ({!Mcml_counting.Counter.cache}): once a
+   count finishes there, it answers any budget, and a timeout is
+   counted again only by a call with a larger budget.  Trace context
+   is caller identity, never content: two
    identical requests from different traces must still dedup. *)
 let routing_key (req : Protocol.request) =
   match req.Protocol.kind with

@@ -3,6 +3,7 @@ module Json = Mcml_obs.Json
 module Metrics = Mcml_obs.Metrics
 module Probe = Mcml_obs.Probe
 module Pool = Mcml_exec.Pool
+module Memo = Mcml_exec.Memo
 module Props = Mcml_props.Props
 module Counter = Mcml_counting.Counter
 module Bignat = Mcml_logic.Bignat
@@ -48,6 +49,7 @@ type t = {
   cache : Counter.cache option;
   disk : Mcml_exec.Diskcache.t option;
       (** persistent tier behind [cache]; owned (and closed) here *)
+  cnfs : Mcml_logic.Cnf.t Memo.t;  (** translations, see [translate] *)
   inflight : int Atomic.t;  (** admitted counting requests not yet finished *)
   fe : Frontend.t;
   started : float;
@@ -86,6 +88,10 @@ let register_probes t =
       | Some s -> s.Obs.p99
       | None -> 0.0)
 
+(* Translations a server keeps: the 16 study properties at scopes 3-5
+   in both symmetry and negation modes are 192 keys (DESIGN.md §8). *)
+let cnf_capacity = 256
+
 let create cfg =
   let cfg = { cfg with jobs = max 1 cfg.jobs; admission = max 0 cfg.admission } in
   let disk =
@@ -102,6 +108,7 @@ let create cfg =
            Some (Counter.cache_create ~capacity:cfg.cache_capacity ?disk ())
          else None);
       disk;
+      cnfs = Memo.create ~capacity:cnf_capacity ~name:"serve.cnf_memo" ();
       inflight = Atomic.make 0;
       fe =
         Frontend.create ~conn_span:"serve.conn" ~queue_cap:cfg.queue_cap
@@ -162,6 +169,17 @@ let resolve_scope (q : Protocol.query) =
   | None ->
       Mcml.Experiments.scope_for Mcml.Experiments.fast q.prop ~symmetry:q.symmetry
 
+(* One translation per query per server: a repeated count skips Alloy
+   translation and Tseitin.  The count cache stays keyed by the CNF's
+   content, so its disk records never outlive a build that translates
+   differently. *)
+let translate t (q : Protocol.query) ~scope =
+  Memo.find_or_add t.cnfs
+    ~key:(Printf.sprintf "%s|%d|%b|%b" q.prop.Props.pred scope q.symmetry q.negate)
+    (fun () ->
+      Mcml_alloy.Analyzer.cnf ~negate:q.negate ~symmetry:q.symmetry
+        (Props.analyzer ~scope) ~pred:q.prop.Props.pred)
+
 (* The deadline-to-budget mapping: the time left until the request's
    deadline clamps the counter budget, so deadline expiry takes the
    counters' existing timeout path.  [None] = already expired. *)
@@ -182,10 +200,8 @@ let run_count t ~deadline (q : Protocol.query) =
   | None -> Error expired
   | Some budget -> (
       let scope = resolve_scope q in
-      let analyzer = Props.analyzer ~scope in
       match
-        Mcml_alloy.Analyzer.count ~negate:q.negate ~symmetry:q.symmetry ~budget
-          ?cache:t.cache ~backend:q.backend analyzer ~pred:q.prop.Props.pred
+        Counter.count ~budget ?cache:t.cache ~backend:q.backend (translate t q ~scope)
       with
       | Some o ->
           Ok

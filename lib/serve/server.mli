@@ -3,11 +3,13 @@
 
     One server owns one {!Mcml_exec.Pool} and one shared
     content-addressed count cache ({!Mcml_counting.Counter.cache}), so
-    a warm process answers repeated queries without re-counting and
-    concurrent requests share both.  Connections speak the JSONL
-    {!Protocol} through a {!Frontend}; the server decides what it
-    admits: admin kinds, parse errors and rejections are answered
-    inline, counting requests run on the pool.
+    a warm process answers repeated queries without re-counting,
+    whatever budget or deadline they carry, and concurrent requests
+    share both.  It also translates each (property, scope, symmetry,
+    negation) once, so a repeated count pays only for its cache lookup.
+    Connections speak the JSONL {!Protocol} through a {!Frontend}; the
+    server decides what it admits: admin kinds, parse errors and
+    rejections are answered inline, counting requests run on the pool.
 
     {b Bounded admission, explicit overload.}  At most
     [config.admission] counting requests are in flight per server at

@@ -154,6 +154,24 @@ let memo_add_first_wins () =
   Memo.add m ~key:"k" 2;
   check Alcotest.(option int) "first insert wins" (Some 1) (Memo.find m ~key:"k")
 
+let memo_replace_usable () =
+  let m = Memo.create ~capacity:2 ~name:"test.memo" () in
+  Memo.add m ~key:"a" 1;
+  Memo.add m ~key:"b" 2;
+  Memo.add m ~key:"a" 3 ~replace:(fun v -> v > 1);
+  check Alcotest.(option int) "replace declined" (Some 1) (Memo.find m ~key:"a");
+  Memo.add m ~key:"a" 3 ~replace:(fun v -> v = 1);
+  check Alcotest.(option int) "replaced" (Some 3) (Memo.find m ~key:"a");
+  check Alcotest.(option int) "unusable reads as absent" None
+    (Memo.find m ~key:"a" ~usable:(fun v -> v < 3));
+  (* a replaced key keeps its place: it is still the oldest *)
+  Memo.add m ~key:"c" 4;
+  check Alcotest.(option int) "a evicted first" None (Memo.find m ~key:"a");
+  let s = Memo.stats m in
+  check Alcotest.int "size" 2 s.Memo.size;
+  check Alcotest.int "an unusable value is a miss" 2 s.Memo.misses;
+  check Alcotest.int "hits" 2 s.Memo.hits
+
 (* The per-key rule of [find_or_add], across domains.  [wait_until]
    polls a flag another domain sets, and gives up after 10 s.  [spawn f]
    runs [f] on a new domain and returns its join, which also gives up
@@ -457,41 +475,61 @@ let counter_cache_roundtrip () =
 let counter_cache_key_distinguishes () =
   let open Mcml_counting in
   let cnf = small_cnf () in
-  let k b = Counter.cache_key ~budget:30.0 ~backend:b cnf in
+  let k b = Counter.cache_key ~backend:b cnf in
   let approx seed = Counter.Approx { Approx.default with Approx.seed } in
   Alcotest.(check bool)
     "backends differ" false
     (k Counter.Exact = k (approx 1));
   Alcotest.(check bool) "seeds differ" false (k (approx 1) = k (approx 2));
   Alcotest.(check bool)
-    "budgets differ" false
-    (Counter.cache_key ~budget:30.0 ~backend:Counter.Exact cnf
-    = Counter.cache_key ~budget:31.0 ~backend:Counter.Exact cnf);
-  Alcotest.(check bool)
     "same query, same key" true
-    (k Counter.Exact = Counter.cache_key ~budget:30.0 ~backend:Counter.Exact cnf)
+    (k Counter.Exact = Counter.cache_key ~backend:Counter.Exact cnf);
+  (* a budget decides only whether a count finishes, so a count made
+     under one budget answers a call under another *)
+  let cache = Counter.cache_create () in
+  let count budget = Counter.count ~budget ~cache ~backend:Counter.Exact cnf in
+  check Alcotest.bool "budget 30 completes" true (count 30.0 <> None);
+  check Alcotest.bool "budget 31 is answered" true (count 31.0 <> None);
+  let s = Counter.cache_stats cache in
+  check Alcotest.int "budgets share a key: one miss" 1 s.Memo.misses;
+  check Alcotest.int "budgets share a key: one hit" 1 s.Memo.hits
 
 let counter_cache_disk_keeps_answers () =
-  (* a timeout depends on the load and the clock: the disk tier must
-     not record one, and a "t" record an older build wrote must read as
-     absent, so the count is made again *)
+  (* a timeout depends on the load and the clock: the disk never records
+     one, and a "t" record an older build wrote reads as absent, so the
+     count is made again.  In memory a timeout answers only a call with
+     no more budget.  A completed count answers any budget, after a
+     restart too. *)
   let open Mcml_counting in
   let cnf = small_cnf () in
-  let key budget = Counter.cache_key ~budget ~backend:Counter.Exact cnf in
+  let key = Counter.cache_key ~backend:Counter.Exact cnf in
   let count ~cache budget = Counter.count ~budget ~cache ~backend:Counter.Exact cnf in
   let dir = fresh_dir () in
   let dc = Diskcache.open_ dir in
   let cache = Counter.cache_create ~disk:dc () in
   check Alcotest.bool "budget 0 times out" true (count ~cache 0.0 = None);
+  check Alcotest.(option string) "no timeout on disk" None (Diskcache.find dc ~key);
+  check Alcotest.bool "budget 0 again times out" true (count ~cache 0.0 = None);
+  check Alcotest.int "from memory" 1 (Counter.cache_stats cache).Memo.hits;
   check Alcotest.bool "budget 30 completes" true (count ~cache 30.0 <> None);
-  Diskcache.add dc ~key:(key 7.0) "t";
+  check Alcotest.int "budget 30 missed and counted" 2 (Counter.cache_stats cache).Memo.misses;
+  check Alcotest.bool "the count now answers budget 0" true (count ~cache 0.0 <> None);
+  let s = Counter.cache_stats cache in
+  check Alcotest.int "it replaced the timeout" 1 s.Memo.size;
+  check Alcotest.int "two hits" 2 s.Memo.hits;
+  let old_timeout = Counter.cache_key ~backend:Counter.Brute cnf in
+  Diskcache.add dc ~key:old_timeout "t";
   Diskcache.close dc;
   let dc2 = Diskcache.open_ dir in
-  check Alcotest.(option string) "no entry for the timed-out key" None
-    (Diskcache.find dc2 ~key:(key 0.0));
-  check Alcotest.bool "the completed count is kept" true (Diskcache.find dc2 ~key:(key 30.0) <> None);
+  check Alcotest.bool "the completed count is kept" true
+    (Diskcache.find dc2 ~key <> None);
   let cache2 = Counter.cache_create ~disk:dc2 () in
-  check Alcotest.bool "an old timeout record is counted again" true (count ~cache:cache2 7.0 <> None);
+  check Alcotest.bool "it answers a third budget" true (count ~cache:cache2 7.0 <> None);
+  let s = Counter.cache_stats cache2 in
+  check Alcotest.int "from disk, not recounted" 1 s.Memo.backing_hits;
+  check Alcotest.int "no miss" 0 s.Memo.misses;
+  check Alcotest.bool "an old timeout record is counted again" true
+    (Counter.count ~budget:7.0 ~cache:cache2 ~backend:Counter.Brute cnf <> None);
   check Alcotest.int "a miss, not a hit" 1 (Counter.cache_stats cache2).Memo.misses;
   Diskcache.close dc2
 
@@ -654,6 +692,7 @@ let () =
           Alcotest.test_case "FIFO eviction" `Quick memo_eviction;
           Alcotest.test_case "collision safety" `Quick memo_collision_safety;
           Alcotest.test_case "first insert wins" `Quick memo_add_first_wins;
+          Alcotest.test_case "replace and usable" `Quick memo_replace_usable;
           Alcotest.test_case "one compile per key across domains" `Quick memo_one_compile_per_key;
           Alcotest.test_case "a timeout is not inherited" `Quick memo_timeout_not_inherited;
           Alcotest.test_case "a hit does not wait on another key" `Quick memo_hit_while_compiling;

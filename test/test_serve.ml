@@ -171,6 +171,14 @@ let with_server ?(cfg = Server.default_config) f =
   let srv = Server.create cfg in
   Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> f srv)
 
+let count_req ?deadline_ms ?scope ?(budget = 30.0) name =
+  {
+    Protocol.id = Json.Null;
+    trace = None;
+    deadline_ms;
+    kind = Protocol.Count (mk_query ?scope ~budget name);
+  }
+
 let result_member resp field =
   match resp.Protocol.body with
   | Error (code, msg) ->
@@ -185,15 +193,9 @@ let result_member resp field =
 let execute_count_matches_direct () =
   with_server (fun srv ->
       let prop = Mcml_props.Props.find_exn "Reflexive" in
-      let req =
-        {
-          Protocol.id = Json.Int 1;
-          trace = None;
-          deadline_ms = None;
-          kind = Protocol.Count (mk_query ~scope:3 ~budget:30.0 "Reflexive");
-        }
+      let served =
+        result_member (Server.execute srv (count_req ~scope:3 "Reflexive")) "count"
       in
-      let served = result_member (Server.execute srv req) "count" in
       let direct =
         match
           Mcml_alloy.Analyzer.count ~budget:30.0
@@ -227,6 +229,73 @@ let execute_health_stats () =
           | Some (Json.Obj _), Some (Json.Obj _) -> ()
           | _ -> Alcotest.failf "stats payload: %s" (Json.to_string payload))
       | Error (_, msg) -> Alcotest.failf "stats failed: %s" msg)
+
+(* ---------------------------------------------------------------------- *)
+(* Served answers are cached, not attempts                                 *)
+(* ---------------------------------------------------------------------- *)
+
+let cache_stat srv field =
+  let stats =
+    { Protocol.id = Json.Null; trace = None; deadline_ms = None; kind = Protocol.Stats }
+  in
+  match (Server.execute srv stats).Protocol.body with
+  | Ok payload -> (
+      match Option.bind (Json.member "cache" payload) (Json.member field) with
+      | Some (Json.Int n) -> n
+      | _ -> Alcotest.failf "stats lacks cache.%s: %s" field (Json.to_string payload))
+  | Error (_, msg) -> Alcotest.failf "stats failed: %s" msg
+
+let served srv req = Conn_cases.code_of (Server.execute srv req)
+
+(* The names of the spans [f] closed, under an in-memory sink. *)
+let spans_of f =
+  let module Obs = Mcml_obs.Obs in
+  let events = ref [] in
+  Obs.set_sink { Obs.emit = (fun e -> events := e :: !events); flush = ignore };
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_sink Obs.null;
+      Obs.reset_counters ())
+    f;
+  List.filter_map (function Obs.Span_end { name; _ } -> Some name | _ -> None) !events
+
+let occurrences name names = List.length (List.filter (String.equal name) names)
+
+let deadline_hits_batch_answer () =
+  with_server (fun srv ->
+      check Alcotest.string "batch count" "ok"
+        (served srv (count_req ~scope:4 "PartialOrder"));
+      let hits = cache_stat srv "hits" and misses = cache_stat srv "misses" in
+      (* 20 s left of a 30 s budget: the deadline clamps the budget *)
+      check Alcotest.string "deadlined count" "ok"
+        (served srv (count_req ~deadline_ms:20000.0 ~scope:4 "PartialOrder"));
+      check Alcotest.int "one more hit" (hits + 1) (cache_stat srv "hits");
+      check Alcotest.int "no more misses" misses (cache_stat srv "misses"))
+
+let timeout_answers_no_more_budget () =
+  with_server (fun srv ->
+      let tiny () = served srv (count_req ~budget:1e-9 ~scope:4 "PartialOrder") in
+      check Alcotest.string "a tiny budget times out" "timeout" (tiny ());
+      check Alcotest.string "the same budget again" "timeout" (tiny ());
+      check Alcotest.int "answered from memory" 1 (cache_stat srv "misses");
+      check Alcotest.string "budget 30 counts" "ok"
+        (served srv (count_req ~scope:4 "PartialOrder"));
+      check Alcotest.int "a second miss" 2 (cache_stat srv "misses");
+      check Alcotest.string "the count answers the tiny budget" "ok" (tiny ()))
+
+let identical_counts_translate_once () =
+  let spans =
+    spans_of (fun () ->
+        with_server
+          ~cfg:{ Server.default_config with Server.cache = false }
+          (fun srv ->
+            for _ = 1 to 2 do
+              check Alcotest.string "count" "ok"
+                (served srv (count_req ~scope:4 "PartialOrder"))
+            done))
+  in
+  check Alcotest.int "one translation" 1 (occurrences "tseitin.encode" spans);
+  check Alcotest.int "two counts" 2 (occurrences "count.exact" spans)
 
 (* ---------------------------------------------------------------------- *)
 (* Connections (socketpair end-to-end)                                     *)
@@ -341,13 +410,7 @@ let slo_counters_accumulate () =
   @@ fun () ->
   with_server (fun srv ->
       let count ?deadline_ms prop scope =
-        Server.execute srv
-          {
-            Protocol.id = Json.Null;
-            trace = None;
-            deadline_ms;
-            kind = Protocol.Count (mk_query ~scope ~budget:30.0 prop);
-          }
+        Server.execute srv (count_req ?deadline_ms ~scope prop)
       in
       (* no deadline: no SLO accounting at all *)
       check Alcotest.string "undeadlined ok" "ok" (code_of (count "Reflexive" 3));
@@ -544,6 +607,15 @@ let () =
           Alcotest.test_case "count matches direct Analyzer.count" `Quick
             execute_count_matches_direct;
           Alcotest.test_case "health and stats" `Quick execute_health_stats;
+        ] );
+      ( "cache",
+        [
+          Alcotest.test_case "a deadline hits a batch answer" `Quick
+            deadline_hits_batch_answer;
+          Alcotest.test_case "a timeout answers no more budget" `Quick
+            timeout_answers_no_more_budget;
+          Alcotest.test_case "identical counts translate once" `Quick
+            identical_counts_translate_once;
         ] );
       ( "connection",
         [
