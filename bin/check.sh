@@ -109,11 +109,8 @@ echo "   32/32 enumerations list exactly the exact count"
 
 echo "== smoke: mcml stats --trace =="
 trace="$(mktemp /tmp/mcml_trace.XXXXXX.jsonl)"
-out="$(dune exec bin/main.exe -- stats -p Reflexive -s 3 --trace "$trace")"
-echo "$out" | grep -q "span tree" || {
-  echo "FAIL: stats did not print a span tree" >&2
-  exit 1
-}
+live="$(mktemp /tmp/mcml_live.XXXXXX.txt)"
+dune exec bin/main.exe -- stats -p Reflexive -s 3 --trace "$trace" >"$live"
 [ -s "$trace" ] || {
   echo "FAIL: --trace wrote no events" >&2
   exit 1
@@ -124,12 +121,20 @@ grep -q '"kind":"span_end"' "$trace" || {
 }
 
 echo "== trace schema validation (stats --from-trace) =="
-# every line must parse as a known schema-v2 event, every span must be
-# balanced, every parent id must resolve: --from-trace enforces all of it
-dune exec bin/main.exe -- stats --from-trace "$trace" >/dev/null || {
+# every line must parse as a known schema-v3 event, every span must be
+# balanced, every parent id must resolve: --from-trace enforces all of
+# it, and then prints the report the live run printed after its three
+# result lines, byte for byte
+replay="$(mktemp /tmp/mcml_replay.XXXXXX.txt)"
+dune exec bin/main.exe -- stats --from-trace "$trace" >"$replay" || {
   echo "FAIL: the smoke trace did not validate" >&2
   exit 1
 }
+if ! tail -n +4 "$live" | diff - "$replay"; then
+  echo "FAIL: the live stats report differs from its trace's replay" >&2
+  exit 1
+fi
+rm -f "$live" "$replay"
 # negative: an unknown event kind must be rejected (schema drift gate)
 bad="$(mktemp /tmp/mcml_trace_bad.XXXXXX.jsonl)"
 cp "$trace" "$bad"
@@ -141,20 +146,33 @@ fi
 # negative: a dangling parent id must be rejected
 cp "$trace" "$bad"
 {
-  echo '{"ts":1.0,"kind":"span_start","name":"x","id":999999,"parent":888888,"domain":0}'
-  echo '{"ts":1.1,"kind":"span_end","name":"x","id":999999,"parent":888888,"domain":0,"dur_ms":0.1}'
+  echo '{"ts":1.0,"kind":"span_start","name":"x","id":999999,"parent":888888,"domain":0,"pid":1}'
+  echo '{"ts":1.1,"kind":"span_end","name":"x","id":999999,"parent":888888,"domain":0,"pid":1,"dur_ms":0.1}'
 } >>"$bad"
 if dune exec bin/main.exe -- stats --from-trace "$bad" >/dev/null 2>&1; then
   echo "FAIL: a trace with a dangling parent id validated" >&2
   exit 1
 fi
-echo "== smoke: mcml profile --from-trace =="
+# negative: a schema-v2 line (no pid) must be rejected, naming the field
+cp "$trace" "$bad"
+echo '{"ts":1.0,"kind":"span_start","name":"x","id":999999,"domain":0}' >>"$bad"
+st=0; err="$(dune exec bin/main.exe -- stats --from-trace "$bad" 2>&1 >/dev/null)" || st=$?
+[ "$st" -eq 1 ] && echo "$err" | grep -q 'missing field "pid"' \
+  || { echo "FAIL: a v2 trace line exited $st: $err" >&2; exit 1; }
+# the replay-only views need a trace, and exclude each other: usage errors
+for flags in "--shape -p Reflexive -s 3" "--from-trace $trace --top 3 --folded"; do
+  st=0
+  # shellcheck disable=SC2086
+  dune exec bin/main.exe -- stats $flags >/dev/null 2>&1 || st=$?
+  [ "$st" -eq 2 ] || { echo "FAIL: stats $flags exited $st (want 2)" >&2; exit 1; }
+done
+echo "== smoke: mcml stats --from-trace --folded =="
 # folded stacks for flamegraph.pl/speedscope: "path value" per line,
-# integer microseconds, plus a self-time table on the other stream
+# integer microseconds
 folded="$(mktemp /tmp/mcml_folded.XXXXXX.txt)"
-dune exec bin/main.exe -- profile --from-trace "$trace" -o "$folded" >/dev/null
+dune exec bin/main.exe -- stats --from-trace "$trace" --folded >"$folded"
 [ -s "$folded" ] || {
-  echo "FAIL: profile wrote no folded stacks" >&2
+  echo "FAIL: stats --folded printed no folded stacks" >&2
   exit 1
 }
 if grep -q -v '^[^ ][^ ]* [0-9][0-9]*$' "$folded"; then

@@ -91,26 +91,25 @@ let verbose_stats_arg =
     & flag
     & info [ "verbose-stats" ]
         ~doc:
-          "After the command finishes, print an aggregated span tree and the \
-           counter table to stdout.")
+          "After the command finishes, print to stdout the report \
+           'mcml stats --from-trace' prints for its trace: the aggregated \
+           span forest, latency and counter tables.")
+
+let trace_sink ~who path =
+  try Mcml_obs.Obs.jsonl path
+  with Sys_error msg ->
+    Printf.eprintf "%s: cannot open trace file: %s\n" who msg;
+    exit 2
+
+(* Tee [sink] onto whatever sink is installed, and flush at exit. *)
+let add_sink sink =
+  let open Mcml_obs in
+  Obs.set_sink (if Obs.enabled () then Obs.tee (Obs.sink ()) sink else sink);
+  at_exit Obs.flush
 
 let install_obs trace verbose =
-  let open Mcml_obs in
-  let trace_sink path =
-    try Obs.jsonl path
-    with Sys_error msg ->
-      Printf.eprintf "mcml: cannot open trace file: %s\n" msg;
-      exit 2
-  in
-  let sinks =
-    (match trace with Some path -> [ trace_sink path ] | None -> [])
-    @ (if verbose then [ Obs.console () ] else [])
-  in
-  match sinks with
-  | [] -> ()
-  | s :: rest ->
-      Obs.set_sink (List.fold_left Obs.tee s rest);
-      at_exit Obs.flush
+  Option.iter (fun path -> add_sink (trace_sink ~who:"mcml" path)) trace;
+  if verbose then add_sink (Mcml_obs.Trace.live ())
 
 let obs_term = Term.(const install_obs $ trace_arg $ verbose_stats_arg)
 
@@ -139,20 +138,10 @@ let trace_dir_arg =
    so a respawned shard never clobbers its predecessor's trace — teed
    onto whatever sink --trace/--verbose-stats installed. *)
 let install_process_trace ~role dir =
-  let open Mcml_obs in
   mkdir_p dir;
-  let path =
-    Filename.concat dir (Printf.sprintf "%s-%d.jsonl" role (Unix.getpid ()))
-  in
-  let sink =
-    try Obs.jsonl path
-    with Sys_error msg ->
-      Printf.eprintf "mcml %s: cannot open trace file: %s\n" role msg;
-      exit 2
-  in
-  if Obs.enabled () then Obs.set_sink (Obs.tee (Obs.sink ()) sink)
-  else Obs.set_sink sink;
-  at_exit Obs.flush
+  add_sink
+    (trace_sink ~who:("mcml " ^ role)
+       (Filename.concat dir (Printf.sprintf "%s-%d.jsonl" role (Unix.getpid ()))))
 
 (* A bounded ring of the most recent events, dumped on demand.  The
    SIGUSR1 handler only flips a flag: dumping takes the Obs lock, and a
@@ -420,46 +409,36 @@ let diff_cmd =
       const run $ obs_term $ prop_arg $ scope_arg $ symmetry_arg $ seed_arg $ budget_arg
       $ backend_arg)
 
-(* --- trace replay helpers (stats --from-trace, profile) -------------------------- *)
+(* --- trace replay helpers (stats --from-trace) ----------------------------------- *)
 
-let load_trace path =
-  match Mcml_obs.Trace.load path with
+(* [load] a trace file or directory: unreadable exits 2, malformed 1 *)
+let load_trace load src =
+  match load src with
   | exception Sys_error msg ->
       Printf.eprintf "mcml: cannot read trace: %s\n" msg;
       exit 2
   | Error errs ->
-      Printf.eprintf "mcml: malformed trace %s:\n" path;
+      Printf.eprintf "mcml: malformed trace %s:\n" src;
       List.iter (fun e -> Printf.eprintf "  %s\n" e) errs;
       exit 1
   | Ok t -> t
 
-let load_trace_dir dir =
-  match Mcml_obs.Trace.load_dir dir with
-  | exception Sys_error msg ->
-      Printf.eprintf "mcml: cannot read trace dir: %s\n" msg;
-      exit 2
-  | Error errs ->
-      Printf.eprintf "mcml: malformed trace dir %s:\n" dir;
-      List.iter (fun e -> Printf.eprintf "  %s\n" e) errs;
-      exit 1
-  | Ok t -> t
-
-(* The profiler's ranking: per span name, the time spent in that span
-   itself (children excluded), largest first. *)
-let print_self_times oc t ~top =
+(* Per span name, the time spent in that span itself (children
+   excluded), largest first. *)
+let print_self_times t ~top =
   let rows = Mcml_obs.Trace.self_times t in
   let total = List.fold_left (fun acc (_, _, s) -> acc +. s) 0.0 rows in
   let shown =
     if top > 0 && top < List.length rows then top else List.length rows
   in
-  Printf.fprintf oc "-- self time (top %d of %d, total %.3fms) %s\n" shown
+  Printf.printf "-- self time (top %d of %d, total %.3fms) %s\n" shown
     (List.length rows) total
     (String.make 24 '-');
-  Printf.fprintf oc "%-36s %10s %14s %7s\n" "span" "calls" "self" "share";
+  Printf.printf "%-36s %10s %14s %7s\n" "span" "calls" "self" "share";
   List.iteri
     (fun i (name, calls, self) ->
       if i < shown then
-        Printf.fprintf oc "%-36s %10d %12.3fms %6.1f%%\n" name calls self
+        Printf.printf "%-36s %10d %12.3fms %6.1f%%\n" name calls self
           (if total > 0.0 then 100.0 *. self /. total else 0.0))
     rows
 
@@ -474,10 +453,9 @@ let stats_cmd =
           ~doc:
             "Instead of running a pipeline, read back a JSONL trace written \
              by --trace: validate every line against the schema (unknown \
-             event kinds, dangling or cyclic parent ids, and unbalanced \
-             spans are fatal), then print the reconstructed span forest, \
-             per-domain breakdown, latency and counter tables.  Exits 1 on \
-             a malformed trace.")
+             event kinds, missing fields, dangling or cyclic parent ids, \
+             and unbalanced spans are fatal), then print the report a live \
+             run prints.  Exits 1 on a malformed trace.")
   in
   let from_trace_dir_arg =
     Arg.(
@@ -489,7 +467,7 @@ let stats_cmd =
              $(docv) — the layout a fleet run with --trace-dir writes (one \
              file per process).  Remote parent references are resolved \
              across files; a dangling one is as fatal as a dangling local \
-             parent.  The replay adds a per-process table and the \
+             parent.  The report adds a per-process table and the \
              cross-process parent edge count.")
   in
   let shape_arg =
@@ -510,38 +488,60 @@ let stats_cmd =
       & info [ "top" ] ~docv:"N"
           ~doc:
             "With --from-trace: print only the top $(docv) spans by self \
-             time (the profiler's aggregation; 0 = all spans), instead of \
-             the full replay.")
+             time (children excluded; 0 = all spans), instead of the \
+             report.")
   in
-  let replay_trace t ~shape ~top =
+  let folded_arg =
+    Arg.(
+      value
+      & flag
+      & info [ "folded" ]
+          ~doc:
+            "With --from-trace: print only folded stacks for flamegraph.pl \
+             or speedscope, one 'root;child;leaf MICROSECONDS' line (self \
+             time) per aggregated call path; a merged fleet's root frames \
+             read pidN/name.")
+  in
+  let replay_trace t ~shape ~top ~folded =
     if shape then print_string (Mcml_obs.Trace.shape t)
+    else if folded then
+      (* flamegraph.pl wants integer values; integer microseconds keep
+         sub-millisecond spans from rounding away *)
+      List.iter
+        (fun (stack, self_ms) ->
+          Printf.printf "%s %.0f\n" stack (Float.round (self_ms *. 1000.0)))
+        (Mcml_obs.Trace.folded t)
     else
       match top with
-      | Some n -> print_self_times stdout t ~top:n
+      | Some n -> print_self_times t ~top:n
       | None -> Mcml_obs.Trace.render stdout t
   in
-  let run () from_trace from_trace_dir shape top prop scope symmetry seed budget
-      backend =
+  let run trace _verbose from_trace from_trace_dir shape top folded prop scope
+      symmetry seed budget backend =
+    let usage msg =
+      Printf.eprintf "mcml stats: %s\n" msg;
+      exit 2
+    in
+    let views = List.length (List.filter Fun.id [ shape; top <> None; folded ]) in
+    if views > 1 then usage "--shape, --top and --folded are mutually exclusive";
+    let replaying = from_trace <> None || from_trace_dir <> None in
+    if views > 0 && not replaying then
+      usage "--shape, --top and --folded need --from-trace or --from-trace-dir";
+    (* a live run prints the report itself: --verbose-stats adds nothing *)
+    install_obs trace (not replaying);
     match (from_trace, from_trace_dir) with
     | Some _, Some _ ->
-        Printf.eprintf
-          "mcml stats: --from-trace and --from-trace-dir are mutually \
-           exclusive\n";
-        exit 2
-    | Some path, None -> replay_trace (load_trace path) ~shape ~top
-    | None, Some dir -> replay_trace (load_trace_dir dir) ~shape ~top
+        usage "--from-trace and --from-trace-dir are mutually exclusive"
+    | Some path, None ->
+        replay_trace (load_trace Mcml_obs.Trace.load path) ~shape ~top ~folded
+    | None, Some dir ->
+        replay_trace (load_trace Mcml_obs.Trace.load_dir dir) ~shape ~top ~folded
     | None, None ->
     let prop =
       match prop with
       | Some p -> p
-      | None ->
-          Printf.eprintf "mcml: stats needs --property (or --from-trace FILE)\n";
-          exit 2
+      | None -> usage "needs --property (or --from-trace FILE)"
     in
-    let open Mcml_obs in
-    (* Always show the aggregated span tree on stdout; keep whatever sink
-       --trace installed (tee-ing onto the default null sink is harmless). *)
-    Obs.set_sink (Obs.tee (Obs.console ()) (Obs.sink ()));
     let scope = Option.value scope ~default:(default_scope prop ~symmetry) in
     Printf.printf "# instrumented run: %s at scope %d (%s, %s backend)\n%!"
       prop.Props.name scope
@@ -566,105 +566,21 @@ let stats_cmd =
             Printf.printf "phi   : acc=%.4f f1=%.4f (%.1fs)\n%!"
               (Mcml_ml.Metrics.accuracy c) (Mcml_ml.Metrics.f1 c) counts.Accmc.time
         | None -> print_endline "phi   : timeout"));
-    print_newline ();
-    Obs.flush ()
+    Mcml_obs.Obs.flush ()
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Run an instrumented generate/train/count pipeline and print the \
-          aggregated span tree, latency and counter tables (combine with \
-          --trace for a JSONL trace) — or, with --from-trace FILE, validate \
-          and replay an existing trace instead (--from-trace-dir merges a \
-          fleet's per-process traces into one cross-process forest).")
+         "Run an instrumented generate/train/count pipeline and print its \
+          report: the aggregated span forest, latency and counter tables \
+          (combine with --trace for a JSONL trace) — or, with --from-trace \
+          FILE, validate an existing trace and print the same report, its \
+          shape, its top spans by self time or its folded stacks \
+          (--from-trace-dir merges a fleet's per-process traces).")
     Term.(
-      const run $ obs_term $ from_trace_arg $ from_trace_dir_arg $ shape_arg
-      $ top_arg $ prop_opt_arg $ scope_arg $ symmetry_arg $ seed_arg
-      $ budget_arg $ backend_arg)
-
-(* --- profile --------------------------------------------------------------------- *)
-
-let profile_cmd =
-  let from_trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "from-trace" ] ~docv:"FILE"
-          ~doc:"JSONL trace written by --trace to profile.")
-  in
-  let from_trace_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "from-trace-dir" ] ~docv:"DIR"
-          ~doc:
-            "Merge and profile a fleet's per-process traces (the directory \
-             --trace-dir wrote).  Every stack's root frame is qualified as \
-             pidN/name, so router and shard self-times never collide in \
-             the flamegraph.")
-  in
-  let top_arg =
-    Arg.(
-      value
-      & opt int 10
-      & info [ "top" ] ~docv:"N"
-          ~doc:"Rows in the self-time table (0 = all spans).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:
-            "Write the folded stacks to $(docv) instead of stdout (the \
-             self-time table then goes to stdout instead of stderr).")
-  in
-  let run () path dir top out =
-    let t =
-      match (path, dir) with
-      | Some p, None -> load_trace p
-      | None, Some d -> load_trace_dir d
-      | _ ->
-          Printf.eprintf
-            "mcml profile: exactly one of --from-trace or --from-trace-dir \
-             is required\n";
-          exit 2
-    in
-    let folded = Mcml_obs.Trace.folded t in
-    (* flamegraph.pl wants integer values; integer microseconds keep
-       sub-millisecond spans from rounding away *)
-    let render oc =
-      List.iter
-        (fun (stack, self_ms) ->
-          Printf.fprintf oc "%s %.0f\n" stack (Float.round (self_ms *. 1000.0)))
-        folded
-    in
-    let table_oc =
-      match out with
-      | Some file ->
-          let oc = open_out file in
-          render oc;
-          close_out oc;
-          Printf.printf "wrote %d folded stacks to %s\n" (List.length folded) file;
-          stdout
-      | None ->
-          render stdout;
-          stderr
-    in
-    print_self_times table_oc t ~top
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Replay a JSONL trace into flamegraph-compatible folded stacks \
-          (one 'root;child;leaf MICROSECONDS' line per aggregated call \
-          path, self time only) plus a top-N self-time table. Pipe the \
-          folded output into flamegraph.pl or paste it into speedscope. \
-          With --from-trace-dir, profiles a merged multi-process fleet \
-          trace.")
-    Term.(
-      const run $ obs_term $ from_trace_arg $ from_trace_dir_arg $ top_arg
-      $ out_arg)
+      const run $ trace_arg $ verbose_stats_arg $ from_trace_arg
+      $ from_trace_dir_arg $ shape_arg $ top_arg $ folded_arg $ prop_opt_arg
+      $ scope_arg $ symmetry_arg $ seed_arg $ budget_arg $ backend_arg)
 
 (* --- exp ------------------------------------------------------------------------- *)
 
@@ -1184,60 +1100,70 @@ let client_cmd =
         | Unix.ECONNREFUSED | Unix.ENOENT -> Error (`Retry (2, msg))
         | _ -> Error (`Fatal (2, msg)))
   in
-  let connect_with_retry path ~retries ~retry_ms =
-    match with_retries ~retries ~retry_ms (fun () -> connect path) with
-    | Ok fd -> fd
-    | Error ((`Retry e | `Fatal e), attempts) -> fail ~retries ~attempts e
+  (* One exchange on a connected socket: a sender thread writes the
+     requests and half-closes, so responses stream back while requests
+     are still being written — no deadlock however long the input is.
+     A failed write (the server went away) shows on the reading side. *)
+  let exchange fd ~send ~recv =
+    let sender =
+      Thread.create
+        (fun () ->
+          (try
+             let oc = Unix.out_channel_of_descr fd in
+             send oc;
+             flush oc
+           with Sys_error _ -> ());
+          try Unix.shutdown fd Unix.SHUTDOWN_SEND
+          with Unix.Unix_error (_, _, _) -> ())
+        ()
+    in
+    let r = recv (Unix.in_channel_of_descr fd) in
+    Thread.join sender;
+    r
   in
   (* One-shot scrape: send a metrics request, unwrap the exposition
      text from the JSON envelope, return it raw (greppable, and exactly
      what a Prometheus file-based scraper wants on disk).
 
-     Unlike the streaming path below, the *whole exchange* — connect,
-     write, read — retries under --retries: a restarting shard or
-     server can accept the connection and die before answering, and a
-     scrape that survives the connect only to fail on the first read
-     has learned nothing the next attempt can't fix.  Protocol-level
-     failures (a bad response, an error body) are fatal immediately:
-     retrying them would just repeat the answer. *)
-  let scrape_with_retry path ~retries ~retry_ms =
-    let attempt_once () =
-      Result.bind (connect path) (fun fd ->
-          Fun.protect
-            ~finally:(fun () ->
-              try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              match
-                let oc = Unix.out_channel_of_descr fd in
-                output_string oc "{\"id\":0,\"kind\":\"metrics\"}\n";
-                flush oc;
-                (try Unix.shutdown fd Unix.SHUTDOWN_SEND
-                 with Unix.Unix_error _ -> ());
-                input_line (Unix.in_channel_of_descr fd)
-              with
-              | exception End_of_file ->
-                  Error (`Retry (1, "server closed without answering"))
-              | exception Sys_error msg ->
-                  Error (`Retry (1, "exchange failed: " ^ msg))
-              | line -> (
-                  match Mcml_serve.Protocol.response_of_string line with
-                  | Error msg -> Error (`Fatal (1, "bad response: " ^ msg))
-                  | Ok { Mcml_serve.Protocol.body = Error (code, msg); _ } ->
-                      Error
-                        (`Fatal
-                           (1, Mcml_serve.Protocol.code_name code ^ ": " ^ msg))
-                  | Ok { Mcml_serve.Protocol.body = Ok payload; _ } -> (
-                      match Mcml_obs.Json.member "exposition" payload with
-                      | Some (Mcml_obs.Json.Str text) -> Ok text
-                      | _ ->
-                          Error
-                            (`Fatal
-                               (1, "metrics response without exposition text"))))))
-    in
-    match with_retries ~retries ~retry_ms attempt_once with
-    | Ok text -> text
-    | Error (`Fatal e, _) -> fail ~retries e
-    | Error (`Retry e, attempts) -> fail ~retries ~attempts e
+     Unlike the stdin stream, the *whole exchange* — connect, write,
+     read — retries under --retries: a restarting shard or server can
+     accept the connection and die before answering, and a scrape that
+     survives the connect only to fail on the first read has learned
+     nothing the next attempt can't fix.  Protocol-level failures (a bad
+     response, an error body) are fatal immediately: retrying them would
+     just repeat the answer. *)
+  let scrape ic =
+    match input_line ic with
+    | exception End_of_file ->
+        Error (`Retry (1, "server closed without answering"))
+    | exception Sys_error msg -> Error (`Retry (1, "exchange failed: " ^ msg))
+    | line -> (
+        match Mcml_serve.Protocol.response_of_string line with
+        | Error msg -> Error (`Fatal (1, "bad response: " ^ msg))
+        | Ok { Mcml_serve.Protocol.body = Error (code, msg); _ } ->
+            Error (`Fatal (1, Mcml_serve.Protocol.code_name code ^ ": " ^ msg))
+        | Ok { Mcml_serve.Protocol.body = Ok payload; _ } -> (
+            match Mcml_obs.Json.member "exposition" payload with
+            | Some (Mcml_obs.Json.Str text) -> Ok text
+            | _ -> Error (`Fatal (1, "metrics response without exposition text"))))
+  in
+  let copy_stdin oc =
+    try
+      while true do
+        let line = input_line stdin in
+        if String.trim line <> "" then begin
+          output_string oc line;
+          output_char oc '\n'
+        end
+      done
+    with End_of_file -> ()
+  in
+  let print_responses ic =
+    try
+      while true do
+        print_endline (input_line ic)
+      done
+    with End_of_file | Sys_error _ -> ()
   in
   let check_arg =
     Arg.(
@@ -1258,7 +1184,20 @@ let client_cmd =
         exit 2);
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     if request = Some "metrics" then begin
-      let text = scrape_with_retry path ~retries ~retry_ms in
+      let attempt () =
+        Result.bind (connect path) (fun fd ->
+            Fun.protect
+              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+              (fun () ->
+                exchange fd ~recv:scrape ~send:(fun oc ->
+                    output_string oc "{\"id\":0,\"kind\":\"metrics\"}\n")))
+      in
+      let text =
+        match with_retries ~retries ~retry_ms attempt with
+        | Ok text -> text
+        | Error (`Fatal e, _) -> fail ~retries e
+        | Error (`Retry e, attempts) -> fail ~retries ~attempts e
+      in
       print_string text;
       (if check then
          match Mcml_obs.Metrics.lint text with
@@ -1268,38 +1207,12 @@ let client_cmd =
              exit 1);
       exit 0
     end;
-    let fd = connect_with_retry path ~retries ~retry_ms in
-    (* a separate sender thread lets responses stream back while stdin
-       is still being copied — no deadlock however long the input is *)
-    let sender =
-      Thread.create
-        (fun () ->
-          (try
-             let oc = Unix.out_channel_of_descr fd in
-             (try
-                while true do
-                  let line = input_line stdin in
-                  if String.trim line <> "" then begin
-                    output_string oc line;
-                    output_char oc '\n'
-                  end
-                done
-              with End_of_file -> ());
-             flush oc
-           with Sys_error _ -> ());
-          (* half-close: tell the server we are done sending, keep reading *)
-          try Unix.shutdown fd Unix.SHUTDOWN_SEND
-          with Unix.Unix_error (_, _, _) -> ())
-        ()
-    in
-    let ic = Unix.in_channel_of_descr fd in
-    (try
-       while true do
-         print_endline (input_line ic)
-       done
-     with End_of_file | Sys_error _ -> ());
-    Thread.join sender;
-    Unix.close fd
+    (* a stream retries only its connect: stdin cannot be read twice *)
+    match with_retries ~retries ~retry_ms (fun () -> connect path) with
+    | Error ((`Retry e | `Fatal e), attempts) -> fail ~retries ~attempts e
+    | Ok fd ->
+        exchange fd ~send:copy_stdin ~recv:print_responses;
+        Unix.close fd
   in
   Cmd.v
     (Cmd.info "client"
@@ -1329,7 +1242,6 @@ let () =
             train_eval_cmd;
             diff_cmd;
             stats_cmd;
-            profile_cmd;
             exp_cmd;
             serve_cmd;
             fleet_cmd;

@@ -66,6 +66,13 @@ let to_string j =
 
 exception Parse_error of int * string
 
+(* The deepest document this repository writes nests 6 levels: a fleet
+   router's JSON [metrics] response (envelope, result, shards list, one
+   shard, its histograms, one histogram).  Every boundary decoder
+   parses with this function, so a line of ['['] must fail at a fixed
+   depth instead of recursing once per byte. *)
+let max_depth = 64
+
 let of_string (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
@@ -164,10 +171,12 @@ let of_string (s : string) : (t, string) result =
           | Some x -> Float x
           | None -> fail "bad number")
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth = max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d levels" max_depth)
     | Some '{' ->
         advance ();
         skip_ws ();
@@ -182,7 +191,7 @@ let of_string (s : string) : (t, string) result =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             fields := (k, v) :: !fields;
             skip_ws ();
             match peek () with
@@ -203,7 +212,7 @@ let of_string (s : string) : (t, string) result =
         else begin
           let items = ref [] in
           let rec items_loop () =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             items := v :: !items;
             skip_ws ();
             match peek () with
@@ -222,7 +231,7 @@ let of_string (s : string) : (t, string) result =
     | Some c -> fail (Printf.sprintf "unexpected %C" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

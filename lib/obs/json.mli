@@ -26,9 +26,14 @@ val to_string : t -> string
 
 val to_buffer : Buffer.t -> t -> unit
 
+val max_depth : int
+(** The deepest nesting of arrays and objects {!of_string} accepts
+    (64). *)
+
 val of_string : string -> (t, string) result
 (** Parse a complete JSON text (leading/trailing whitespace allowed).
-    Returns [Error msg] with a position on malformed input. *)
+    Returns [Error msg] with a position on malformed input, and on
+    nesting deeper than {!max_depth} (the message names the limit). *)
 
 val member : string -> t -> t option
 (** [member k j] is the value of field [k] if [j] is an object. *)

@@ -63,8 +63,8 @@ external monotonic_s : unit -> (float[@unboxed])
 
 (* One lock serializes counter/histogram mutation and sink emission.
    The layer is called from worker domains once an Mcml_exec pool is in
-   play; sinks (a shared Buffer + channel, the console accumulator
-   tree) and the metric tables are unsynchronized otherwise.  Lock
+   play; sinks (a shared Buffer + channel, the live report's
+   accumulator) and the metric tables are unsynchronized otherwise.  Lock
    ordering: this lock is a leaf — never call back into user code
    while holding it (built-in sinks qualify: they touch no Obs API). *)
 let lock = Mutex.create ()
@@ -297,13 +297,6 @@ let event_of_json j =
     | Some (Json.Int p) -> Ok (Some p)
     | Some _ -> Error "field \"parent\" is not an integer"
   in
-  (* v2 files carry no [pid]: default 0, so old traces still load *)
-  let pid_field () =
-    match Json.member "pid" j with
-    | None -> Ok 0
-    | Some (Json.Int p) -> Ok p
-    | Some _ -> Error "field \"pid\" is not an integer"
-  in
   let trace_field () =
     match Json.member "trace" j with
     | None -> Ok None
@@ -334,7 +327,7 @@ let event_of_json j =
       let* id = int_field "id" in
       let* parent = parent_field () in
       let* domain = int_field "domain" in
-      let* pid = pid_field () in
+      let* pid = int_field "pid" in
       let* trace = trace_field () in
       let* remote = remote_field () in
       Ok (Span_start { ts; name; id; parent; domain; pid; trace; remote })
@@ -342,7 +335,7 @@ let event_of_json j =
       let* id = int_field "id" in
       let* parent = parent_field () in
       let* domain = int_field "domain" in
-      let* pid = pid_field () in
+      let* pid = int_field "pid" in
       let* trace = trace_field () in
       let* remote = remote_field () in
       let* dur_ms = float_field "dur_ms" in
@@ -364,7 +357,7 @@ let event_of_json j =
            { ts; name; id; parent; domain; pid; trace; remote; dur_ms; attrs })
   | "counter" ->
       let* value = float_field "value" in
-      let* pid = pid_field () in
+      let* pid = int_field "pid" in
       Ok (Counter { ts; name; value; pid })
   | "histogram" ->
       let* count = int_field "count" in
@@ -372,7 +365,7 @@ let event_of_json j =
       let* p90 = float_field "p90_ms" in
       let* p99 = float_field "p99_ms" in
       let* max = float_field "max_ms" in
-      let* pid = pid_field () in
+      let* pid = int_field "pid" in
       Ok (Histogram { ts; name; stats = { count; p50; p90; p99; max }; pid })
   | k -> Error (Printf.sprintf "unknown event kind %S" k)
 
@@ -382,7 +375,7 @@ let event_of_json j =
    so a snapshot can tell the kinds apart (OpenMetrics exposition emits
    [counter] vs [gauge] TYPE lines).  [counters ()] still returns the
    merged view — callers that diff "all numeric telemetry" around a
-   region (bench sections, the console sink) predate the split. *)
+   region (bench sections) predate the split. *)
 let counter_table : (string, float ref) Hashtbl.t = Hashtbl.create 64
 let gauge_table : (string, float ref) Hashtbl.t = Hashtbl.create 32
 
@@ -716,134 +709,3 @@ let tee a b =
         a.flush ();
         b.flush ());
   }
-
-(* Console sink: aggregate the span stream into a tree where repeated
-   same-name children of one parent collapse into a single row (call
-   count, total duration, numeric attributes summed).  Enumerating 3000
-   solutions must print one "solver.solve ×3000" row, not 3000 rows.
-   Parentage follows span ids — a live map of open span id → aggregate
-   node — so concurrent domains cannot corrupt each other's nesting. *)
-
-module Console = struct
-  type node = {
-    name : string;
-    mutable calls : int;
-    mutable total_ms : float;
-    mutable attrs : (string * attr) list; (* numeric summed, other last-wins *)
-    mutable children : node list; (* reverse first-seen order *)
-  }
-
-  let fresh name = { name; calls = 0; total_ms = 0.0; attrs = []; children = [] }
-
-  let child_of parent name =
-    match List.find_opt (fun n -> n.name = name) parent.children with
-    | Some n -> n
-    | None ->
-        let n = fresh name in
-        parent.children <- n :: parent.children;
-        n
-
-  let merge_attr acc (k, v) =
-    match (List.assoc_opt k acc, v) with
-    | Some (Int a), Int b -> (k, Int (a + b)) :: List.remove_assoc k acc
-    | Some (Float a), Float b -> (k, Float (a +. b)) :: List.remove_assoc k acc
-    | Some (Int a), Float b | Some (Float b), Int a ->
-        (k, Float (float_of_int a +. b)) :: List.remove_assoc k acc
-    | Some _, v -> (k, v) :: List.remove_assoc k acc
-    | None, v -> (k, v) :: acc
-
-  let attr_str = function
-    | Int i -> string_of_int i
-    | Float x -> if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x else Printf.sprintf "%.3g" x
-    | Bool b -> string_of_bool b
-    | Str s -> s
-
-  let dur_str ms =
-    if ms >= 1000.0 then Printf.sprintf "%.2fs" (ms /. 1000.0)
-    else if ms >= 1.0 then Printf.sprintf "%.1fms" ms
-    else Printf.sprintf "%.3fms" ms
-
-  let rec print_node oc indent n =
-    let attrs =
-      match List.rev n.attrs with
-      | [] -> ""
-      | l ->
-          "  {"
-          ^ String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ attr_str v) l)
-          ^ "}"
-    in
-    let calls = if n.calls > 1 then Printf.sprintf " x%d" n.calls else "" in
-    Printf.fprintf oc "%s%s%s  %s%s\n" indent n.name calls (dur_str n.total_ms) attrs;
-    List.iter (print_node oc (indent ^ "  ")) (List.rev n.children)
-
-  let make oc =
-    let root = fresh "<root>" in
-    (* open span id -> the aggregate node its Span_end will credit *)
-    let open_spans : (int, node) Hashtbl.t = Hashtbl.create 64 in
-    let counter_events = ref [] in
-    let hist_events = ref [] in
-    let emit = function
-      | Span_start { id; parent; name; _ } ->
-          let pnode =
-            match parent with
-            | Some pid -> (
-                match Hashtbl.find_opt open_spans pid with
-                | Some n -> n
-                | None -> root (* parent already closed or foreign: top level *))
-            | None -> root
-          in
-          Hashtbl.replace open_spans id (child_of pnode name)
-      | Span_end { id; dur_ms; attrs; _ } -> (
-          match Hashtbl.find_opt open_spans id with
-          | None -> () (* end without start: drop *)
-          | Some node ->
-              Hashtbl.remove open_spans id;
-              node.calls <- node.calls + 1;
-              node.total_ms <- node.total_ms +. dur_ms;
-              node.attrs <- List.fold_left merge_attr node.attrs attrs)
-      | Counter { name; value; _ } -> counter_events := (name, value) :: !counter_events
-      | Histogram { name; stats; _ } -> hist_events := (name, stats) :: !hist_events
-    in
-    let flush () =
-      if root.children <> [] || !counter_events <> [] || !hist_events <> []
-      then begin
-        if root.children <> [] then begin
-          Printf.fprintf oc "-- span tree %s\n" (String.make 52 '-');
-          List.iter (print_node oc "") (List.rev root.children)
-        end;
-        (match List.rev !hist_events with
-        | [] -> ()
-        | hs ->
-            Printf.fprintf oc "-- latency %s\n" (String.make 54 '-');
-            Printf.fprintf oc "%-32s %8s %9s %9s %9s %9s\n" "histogram" "count"
-              "p50" "p90" "p99" "max";
-            List.iter
-              (fun (name, s) ->
-                Printf.fprintf oc "%-32s %8d %9s %9s %9s %9s\n" name s.count
-                  (dur_str s.p50) (dur_str s.p90) (dur_str s.p99) (dur_str s.max))
-              hs);
-        (match List.rev !counter_events with
-        | [] -> ()
-        | cs ->
-            Printf.fprintf oc "-- counters %s\n" (String.make 53 '-');
-            List.iter
-              (fun (name, v) ->
-                let pretty =
-                  if Float.is_integer v && Float.abs v < 1e15 then
-                    Printf.sprintf "%.0f" v
-                  else Printf.sprintf "%.3f" v
-                in
-                Printf.fprintf oc "%-40s %14s\n" name pretty)
-              cs);
-        (* reset so a later flush doesn't reprint the same data *)
-        root.children <- [];
-        counter_events := [];
-        hist_events := [];
-        Hashtbl.reset open_spans;
-        Stdlib.flush oc
-      end
-    in
-    { emit; flush }
-end
-
-let console ?(oc = stdout) () = Console.make oc

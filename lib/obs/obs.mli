@@ -12,11 +12,13 @@
     Events flow to whatever sink is installed:
     - {!null} — drops everything (the default);
     - {!jsonl} — one JSON object per line, machine-readable traces;
-    - {!console} — accumulates an aggregated span tree and prints it
-      (plus the counter and latency tables) on {!flush};
     - {!stats_only} — records no events but leaves the counter and
-      histogram tables live (used by [bench --json]);
-    - {!tee} — duplicates events to two sinks.
+      histogram tables live (used by [bench --json] and by daemons
+      that answer [metrics] scrapes without a trace);
+    - {!tee} — duplicates events to two sinks;
+    - {!Trace.live} — aggregates the stream as it arrives and prints
+      on {!flush} the report [mcml stats --from-trace] prints for the
+      same events.
 
     {b Span identity (schema v3).}  Every span carries a fresh
     process-unique [id], the [id] of its parent span (the span that
@@ -34,10 +36,9 @@
     wire and the shard rehydrates it, so the merged forest (see
     {!Trace.merge}) stays well-formed across the whole fleet.
 
-    The JSONL event schema, one object per line ([parent] is omitted
-    for root spans, [trace] when no trace id is active, [remote] for
-    local spans; v2 files — no [pid]/[trace]/[remote] — still parse,
-    with [pid] defaulting to [0]):
+    The JSONL event schema, v3, one object per line ([parent] is
+    omitted for root spans, [trace] when no trace id is active,
+    [remote] for local spans; every event carries [pid]):
     {v
     {"ts":<unix s>,"kind":"span_start","name":"solver.solve",
      "id":17,"parent":16,"domain":0,"pid":4242,"trace":901237...}
@@ -107,11 +108,11 @@ type event =
     }
   | Counter of { ts : float; name : string; value : float; pid : int }
   | Histogram of { ts : float; name : string; stats : hist_stats; pid : int }
-      (** [pid] is the emitting process ([0] when parsed from a v2
-          file); [trace] the distributed trace id active when the span
-          opened; [remote] the cross-process parent reference
-          [(pid, span id)] for a span adopted from another process —
-          mutually exclusive with a local [parent]. *)
+      (** [pid] is the emitting process; [trace] the distributed
+          trace id active when the span opened; [remote] the
+          cross-process parent reference [(pid, span id)] for a span
+          adopted from another process — mutually exclusive with a
+          local [parent]. *)
 
 type sink = { emit : event -> unit; flush : unit -> unit }
 
@@ -123,16 +124,6 @@ val jsonl : string -> sink
 (** [jsonl path] opens (truncates) [path] and writes one JSON line per
     event.  [flush] flushes the channel; the channel is closed at
     process exit. *)
-
-val console : ?oc:out_channel -> unit -> sink
-(** Accumulates an aggregated span tree — repeated same-name children
-    of one parent collapse into a single row with a call count, total
-    duration and summed numeric attributes; parentage follows span ids,
-    so the tree is correct even when spans from several domains
-    interleave — and pretty-prints it, followed by the counter and
-    latency tables, on [flush].  Printing resets the accumulator, so a
-    second [flush] with no new spans prints nothing.  [oc] defaults to
-    [stdout]. *)
 
 val stats_only : unit -> sink
 (** Ignores all events.  Unlike {!null} it still turns {!enabled} on,
@@ -264,9 +255,8 @@ val counter_value : string -> float
 
 val counters : unit -> (string * float) list
 (** Sorted snapshot of all counters {e and} gauges, merged — the
-    historical "everything numeric" view that bench section deltas and
-    the console sink consume.  Use {!monotonic_counters} / {!gauges}
-    when the kind matters. *)
+    "everything numeric" view that bench section deltas consume.  Use
+    {!monotonic_counters} / {!gauges} when the kind matters. *)
 
 val monotonic_counters : unit -> (string * float) list
 (** Sorted snapshot of the monotonic counters only ({!add}/{!addf}). *)
@@ -399,7 +389,7 @@ val event_to_json : event -> Json.t
 
 val event_of_json : Json.t -> (event, string) result
 (** Parse one event object back (the inverse of {!event_to_json}).
-    Accepts both schema v3 and v2 lines — a missing [pid] defaults to
-    [0], missing [trace]/[remote] to [None].  [Error] names the
-    offending field — an unknown ["kind"] is an error, which is what
-    lets trace validation reject schema drift. *)
+    Every field but [parent], [trace], [remote] and [attrs] is
+    required, [pid] included, so a pre-v3 line is an error.  [Error]
+    names the offending field — an unknown ["kind"] is an error, which
+    is what lets trace validation reject schema drift. *)

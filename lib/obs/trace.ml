@@ -11,6 +11,17 @@ type span = {
   children : span list;
 }
 
+(* One row of the report: the spans on one path from a root, with
+   same-name siblings collapsed (call count, total duration, numeric
+   attributes summed, other attributes last-wins). *)
+type node = {
+  a_name : string;
+  mutable a_calls : int;
+  mutable a_total_ms : float;
+  mutable a_attrs : (string * Obs.attr) list; (* most recently merged first *)
+  mutable a_children : node list; (* reverse first-seen order *)
+}
+
 type t = {
   roots : span list;
   num_spans : int;
@@ -20,7 +31,123 @@ type t = {
   pids : (int * int * float) list;
   remote_edges : int;
   cross_pid_edges : int;
+  tree : node;
 }
+
+(* --- the report's tally --------------------------------------------------- *)
+
+(* The live sink and the replay feed events to one of these in stream
+   order, so the same events give the same rows, in the same order,
+   with the same float sums. *)
+type tally = {
+  root : node;
+  rows : (int * int, node * int) Hashtbl.t; (* span -> its row, start domain *)
+  by_domain : (int, int ref * float ref) Hashtbl.t;
+  by_pid : (int, int ref * float ref) Hashtbl.t;
+  counters : (int * string, float) Hashtbl.t; (* last value per process *)
+  hists : (int * string, Obs.hist_stats) Hashtbl.t; (* last summary per process *)
+}
+
+let fresh_node name =
+  { a_name = name; a_calls = 0; a_total_ms = 0.0; a_attrs = []; a_children = [] }
+
+let tally () =
+  {
+    root = fresh_node "<root>";
+    rows = Hashtbl.create 64;
+    by_domain = Hashtbl.create 8;
+    by_pid = Hashtbl.create 8;
+    counters = Hashtbl.create 64;
+    hists = Hashtbl.create 32;
+  }
+
+(* idempotent: a row made early for a parent is found again at its start *)
+let child_of parent name =
+  match List.find_opt (fun n -> n.a_name = name) parent.a_children with
+  | Some n -> n
+  | None ->
+      let n = fresh_node name in
+      parent.a_children <- n :: parent.a_children;
+      n
+
+let merge_attr acc (k, v) =
+  match (List.assoc_opt k acc, v) with
+  | Some (Obs.Int a), Obs.Int b -> (k, Obs.Int (a + b)) :: List.remove_assoc k acc
+  | Some (Obs.Float a), Obs.Float b ->
+      (k, Obs.Float (a +. b)) :: List.remove_assoc k acc
+  | Some (Obs.Int a), Obs.Float b | Some (Obs.Float b), Obs.Int a ->
+      (k, Obs.Float (float_of_int a +. b)) :: List.remove_assoc k acc
+  | Some _, v -> (k, v) :: List.remove_assoc k acc
+  | None, v -> (k, v) :: acc
+
+let bump tbl key dur_ms =
+  match Hashtbl.find_opt tbl key with
+  | Some (n, d) ->
+      incr n;
+      d := !d +. dur_ms
+  | None -> Hashtbl.add tbl key (ref 1, ref dur_ms)
+
+(* A span's row hangs under its parent's, local or remote; [orphan up]
+   gives the row for a parent [up] that has none in [rows]. *)
+let row_under tl ~orphan up name =
+  child_of
+    (match Option.bind up (Hashtbl.find_opt tl.rows) with
+    | Some (n, _) -> n
+    | None -> orphan up)
+    name
+
+(* With [forget], an ended span leaves [rows], which then holds open
+   spans only. *)
+let feed tl ~forget ~orphan = function
+  | Obs.Span_start { name; id; parent; domain; pid; remote; _ } ->
+      let up = match parent with Some p -> Some (pid, p) | None -> remote in
+      Hashtbl.replace tl.rows (pid, id) (row_under tl ~orphan up name, domain)
+  | Obs.Span_end { id; pid; dur_ms; attrs; _ } -> (
+      match Hashtbl.find_opt tl.rows (pid, id) with
+      | None -> ()
+      | Some (node, domain) ->
+          if forget then Hashtbl.remove tl.rows (pid, id);
+          node.a_calls <- node.a_calls + 1;
+          node.a_total_ms <- node.a_total_ms +. dur_ms;
+          node.a_attrs <- List.fold_left merge_attr node.a_attrs attrs;
+          bump tl.by_domain domain dur_ms;
+          bump tl.by_pid pid dur_ms)
+  | Obs.Counter { name; value; pid; _ } -> Hashtbl.replace tl.counters (pid, name) value
+  | Obs.Histogram { name; stats; pid; _ } -> Hashtbl.replace tl.hists (pid, name) stats
+
+(* every list below has unique keys, so this sorts by key *)
+let sorted_bindings f tbl = List.sort compare (Hashtbl.fold f tbl [])
+let breakdown = sorted_bindings (fun k (n, d) acc -> (k, !n, !d) :: acc)
+
+(* Counters sum across processes (each reports its own total);
+   histograms cannot, so when spans came from more than one process
+   their names are qualified as [pidN/name]. *)
+let of_tally tl ~roots ~remote_edges ~cross_pid_edges =
+  let sums = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun (_, name) v ->
+      Hashtbl.replace sums name
+        (match Hashtbl.find_opt sums name with Some s -> s +. v | None -> v))
+    tl.counters;
+  let domains = breakdown tl.by_domain in
+  {
+    roots;
+    num_spans = List.fold_left (fun acc (_, n, _) -> acc + n) 0 domains;
+    counters = sorted_bindings (fun k v acc -> (k, v) :: acc) sums;
+    histograms =
+      sorted_bindings
+        (fun (pid, name) stats acc ->
+          ( (if Hashtbl.length tl.by_pid > 1 then Printf.sprintf "pid%d/%s" pid name
+             else name),
+            stats )
+          :: acc)
+        tl.hists;
+    domains;
+    pids = breakdown tl.by_pid;
+    remote_edges;
+    cross_pid_edges;
+    tree = tl.root;
+  }
 
 (* Mutable shadow of [span] used during reconstruction; frozen into
    the immutable tree once every stream is fully validated. *)
@@ -44,52 +171,35 @@ type open_span = {
    references obey the single-stream discipline (started earlier in the
    same serialized stream); remote parent references are collected in
    pass 1 and resolved across {e all} streams in pass 2, where a
-   reference that no stream satisfies is fatal — exactly the v2
+   reference that no stream satisfies is fatal — exactly the local
    dangling-parent rule lifted to the fleet.  A final reachability walk
-   rejects remote-edge cycles, which pass 2's local checks cannot see. *)
+   rejects remote-edge cycles, which pass 2's local checks cannot see.
+   A valid forest is then tallied for the report, streams in order. *)
 let merge_streams streams =
   let errors = ref [] in
   let by_key : (int * int, open_span) Hashtbl.t = Hashtbl.create 256 in
   let roots = ref [] in
   let pending_remote = ref [] in (* (open_span, label, index) reverse order *)
-  let counters : (string, float) Hashtbl.t = Hashtbl.create 64 in
-  let hists = ref [] in
-  let event_pids : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let at label i =
+    match label with
+    | None -> Printf.sprintf "event %d" i
+    | Some l -> Printf.sprintf "%s: event %d" l i
+  in
   List.iter
     (fun (label, events) ->
-      let at i =
-        match label with
-        | None -> Printf.sprintf "event %d" i
-        | Some l -> Printf.sprintf "%s: event %d" l i
-      in
       let err i fmt =
         Printf.ksprintf
-          (fun m -> errors := Printf.sprintf "%s: %s" (at i) m :: !errors)
+          (fun m -> errors := Printf.sprintf "%s: %s" (at label i) m :: !errors)
           fmt
       in
-      (* counters are last-value-wins within a stream, summed across
-         streams: each process reports its own final total *)
-      let local_counters : (string, float) Hashtbl.t = Hashtbl.create 16 in
       List.iteri
         (fun i ev ->
           match ev with
           | Obs.Span_start { name; id; parent; domain; pid; trace; remote; _ }
             ->
-              Hashtbl.replace event_pids pid ();
               if Hashtbl.mem by_key (pid, id) then
                 err i "duplicate span id %d (pid %d)" id pid
               else begin
-                (* the sink serializes writes, so a resolvable local
-                   parent has always been started by an earlier line of
-                   the same stream — a forward or unknown reference is
-                   corruption, and it also makes local parent cycles
-                   impossible in an accepted trace *)
-                (match parent with
-                | Some p when not (Hashtbl.mem by_key (pid, p)) ->
-                    err i "span %d (%s): dangling parent id %d" id name p
-                | Some p when p = id ->
-                    err i "span %d (%s): parent cycle" id name
-                | _ -> ());
                 if parent <> None && remote <> None then
                   err i "span %d (%s): both local and remote parent" id name;
                 let sp =
@@ -107,19 +217,22 @@ let merge_streams streams =
                     o_closed = false;
                   }
                 in
-                (match parent with
-                | Some p when Hashtbl.mem by_key (pid, p) ->
-                    let pn = Hashtbl.find by_key (pid, p) in
-                    pn.o_children <- sp :: pn.o_children
-                | Some _ -> () (* dangling: already an error *)
-                | None -> (
-                    match remote with
-                    | Some _ -> pending_remote := (sp, label, i) :: !pending_remote
-                    | None -> roots := sp :: !roots));
+                (* the sink serializes writes, so a resolvable local
+                   parent has always been started by an earlier line of
+                   the same stream — a forward or unknown reference (the
+                   span itself included) is corruption, and it also
+                   makes local parent cycles impossible in an accepted
+                   trace *)
+                (match (parent, remote) with
+                | Some p, _ -> (
+                    match Hashtbl.find_opt by_key (pid, p) with
+                    | Some pn -> pn.o_children <- sp :: pn.o_children
+                    | None -> err i "span %d (%s): dangling parent id %d" id name p)
+                | None, Some _ -> pending_remote := (sp, label, i) :: !pending_remote
+                | None, None -> roots := sp :: !roots);
                 Hashtbl.add by_key (pid, id) sp
               end
           | Obs.Span_end { name; id; pid; dur_ms; attrs; _ } -> (
-              Hashtbl.replace event_pids pid ();
               match Hashtbl.find_opt by_key (pid, id) with
               | None -> err i "span_end for unknown span id %d (%s)" id name
               | Some sp when sp.o_closed ->
@@ -131,18 +244,8 @@ let merge_streams streams =
                   sp.o_closed <- true;
                   sp.o_dur_ms <- dur_ms;
                   sp.o_attrs <- attrs)
-          | Obs.Counter { name; value; pid; _ } ->
-              Hashtbl.replace event_pids pid ();
-              Hashtbl.replace local_counters name value
-          | Obs.Histogram { name; stats; pid; _ } ->
-              Hashtbl.replace event_pids pid ();
-              hists := (pid, name, stats) :: !hists)
-        events;
-      Hashtbl.iter
-        (fun name value ->
-          let prev = Option.value (Hashtbl.find_opt counters name) ~default:0.0 in
-          Hashtbl.replace counters name (prev +. value))
-        local_counters)
+          | Obs.Counter _ | Obs.Histogram _ -> ())
+        events)
     streams;
   Hashtbl.iter
     (fun (pid, id) sp ->
@@ -158,11 +261,7 @@ let merge_streams streams =
   List.iter
     (fun (sp, label, i) ->
       let rpid, rid = Option.get sp.o_remote in
-      let where =
-        match label with
-        | None -> Printf.sprintf "event %d" i
-        | Some l -> Printf.sprintf "%s: event %d" l i
-      in
+      let where = at label i in
       match Hashtbl.find_opt by_key (rpid, rid) with
       | None ->
           errors :=
@@ -219,46 +318,24 @@ let merge_streams streams =
           children = List.rev_map freeze sp.o_children;
         }
       in
-      let roots = List.rev_map freeze !roots in
-      let num_spans = Hashtbl.length by_key in
-      let breakdown key_of =
-        let tbl : (int, int ref * float ref) Hashtbl.t = Hashtbl.create 8 in
-        Hashtbl.iter
-          (fun _ sp ->
-            let n, d =
-              match Hashtbl.find_opt tbl (key_of sp) with
-              | Some cell -> cell
-              | None ->
-                  let cell = (ref 0, ref 0.0) in
-                  Hashtbl.add tbl (key_of sp) cell;
-                  cell
+      let tl = tally () in
+      (* a remote parent from a later stream: make its row first *)
+      let rec orphan = function
+        | None -> tl.root
+        | Some key ->
+            let sp = Hashtbl.find by_key key in
+            let up =
+              match sp.o_parent with Some p -> Some (sp.o_pid, p) | None -> sp.o_remote
             in
-            incr n;
-            d := !d +. sp.o_dur_ms)
-          by_key;
-        Hashtbl.fold (fun k (n, d) acc -> (k, !n, !d) :: acc) tbl []
-        |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+            let row = row_under tl ~orphan up sp.o_name in
+            Hashtbl.replace tl.rows key (row, sp.o_domain);
+            row
       in
-      let multi_pid = Hashtbl.length event_pids > 1 in
+      List.iter (fun (_, evs) -> List.iter (feed tl ~forget:false ~orphan) evs) streams;
       Ok
-        {
-          roots;
-          num_spans;
-          counters =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters []
-            |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-          histograms =
-            List.rev !hists
-            |> List.map (fun (pid, name, stats) ->
-                   ( (if multi_pid then Printf.sprintf "pid%d/%s" pid name
-                      else name),
-                     stats ))
-            |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-          domains = breakdown (fun sp -> sp.o_domain);
-          pids = breakdown (fun sp -> sp.o_pid);
-          remote_edges = !remote_edges;
-          cross_pid_edges = !cross_pid_edges;
-        }
+        (of_tally tl
+           ~roots:(List.rev_map freeze !roots)
+           ~remote_edges:!remote_edges ~cross_pid_edges:!cross_pid_edges)
 
 let of_events events = merge_streams [ (None, events) ]
 let merge streams = merge_streams (List.map (fun (l, e) -> (Some l, e)) streams)
@@ -311,47 +388,19 @@ let load_dir dir =
     | [] -> merge streams
   end
 
-(* --- aggregation ------------------------------------------------------- *)
-
-(* Collapse same-name siblings: the "shape" of a forest is the tree of
-   (name, call count) nodes, children ordered by name. *)
-type agg = {
-  a_name : string;
-  mutable a_calls : int;
-  mutable a_total_ms : float;
-  mutable a_children : agg list; (* reverse first-seen order *)
-}
-
-let agg_child_of parent name =
-  match List.find_opt (fun n -> n.a_name = name) parent.a_children with
-  | Some n -> n
-  | None ->
-      let n = { a_name = name; a_calls = 0; a_total_ms = 0.0; a_children = [] } in
-      parent.a_children <- n :: parent.a_children;
-      n
-
-let aggregate t =
-  let root = { a_name = "<root>"; a_calls = 0; a_total_ms = 0.0; a_children = [] } in
-  let rec go parent sp =
-    let node = agg_child_of parent sp.name in
-    node.a_calls <- node.a_calls + 1;
-    node.a_total_ms <- node.a_total_ms +. sp.dur_ms;
-    List.iter (go node) sp.children
-  in
-  List.iter (go root) t.roots;
-  root
+(* --- shape --------------------------------------------------------------- *)
 
 let shape t =
   let buf = Buffer.create 256 in
   let by_name l =
-    List.sort (fun a b -> String.compare a.a_name b.a_name) (List.rev l)
+    List.sort (fun a b -> String.compare a.a_name b.a_name) l
   in
   let rec go indent n =
     Buffer.add_string buf
       (Printf.sprintf "%s%s x%d\n" indent n.a_name n.a_calls);
     List.iter (go (indent ^ "  ")) (by_name n.a_children)
   in
-  List.iter (go "") (by_name (aggregate t).a_children);
+  List.iter (go "") (by_name t.tree.a_children);
   Buffer.contents buf
 
 (* --- profiling --------------------------------------------------------- *)
@@ -421,59 +470,97 @@ let folded t =
   Hashtbl.fold (fun path self acc -> (path, !self) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* --- the report ---------------------------------------------------------- *)
+
 let dur_str ms =
   if ms >= 1000.0 then Printf.sprintf "%.2fs" (ms /. 1000.0)
   else if ms >= 1.0 then Printf.sprintf "%.1fms" ms
   else Printf.sprintf "%.3fms" ms
 
-let render ?(per_domain = true) oc t =
+let attr_str = function
+  | Obs.Int i -> string_of_int i
+  | Obs.Float x ->
+      if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+      else Printf.sprintf "%.3g" x
+  | Obs.Bool b -> string_of_bool b
+  | Obs.Str s -> s
+
+let render oc t =
+  let section title =
+    Printf.fprintf oc "-- %s %s\n" title (String.make (61 - String.length title) '-')
+  in
   Printf.fprintf oc "-- span forest (%d spans, %d domain%s) %s\n" t.num_spans
     (List.length t.domains)
     (if List.length t.domains = 1 then "" else "s")
     (String.make 30 '-');
   let rec print indent n =
     let calls = if n.a_calls > 1 then Printf.sprintf " x%d" n.a_calls else "" in
-    Printf.fprintf oc "%s%s%s  %s\n" indent n.a_name calls (dur_str n.a_total_ms);
+    let attrs =
+      match List.rev n.a_attrs with
+      | [] -> ""
+      | l ->
+          "  {"
+          ^ String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ attr_str v) l)
+          ^ "}"
+    in
+    Printf.fprintf oc "%s%s%s  %s%s\n" indent n.a_name calls
+      (dur_str n.a_total_ms) attrs;
     List.iter (print (indent ^ "  ")) (List.rev n.a_children)
   in
-  List.iter (print "") (List.rev (aggregate t).a_children);
-  if per_domain && List.length t.domains > 1 then begin
-    Printf.fprintf oc "-- per domain %s\n" (String.make 51 '-');
+  List.iter (print "") (List.rev t.tree.a_children);
+  let breakdown title label rows =
+    section title;
     List.iter
-      (fun (dom, n, total) ->
-        Printf.fprintf oc "domain %-3d %6d spans  %10s total\n" dom n (dur_str total))
-      t.domains
-  end;
+      (fun (k, n, total) ->
+        Printf.fprintf oc "%s %6d spans  %10s total\n" (label k) n (dur_str total))
+      rows
+  in
+  if List.length t.domains > 1 then
+    breakdown "per domain" (Printf.sprintf "domain %-3d") t.domains;
   if List.length t.pids > 1 then begin
-    Printf.fprintf oc "-- per process %s\n" (String.make 50 '-');
-    List.iter
-      (fun (pid, n, total) ->
-        Printf.fprintf oc "pid %-7d %6d spans  %10s total\n" pid n
-          (dur_str total))
-      t.pids;
+    breakdown "per process" (Printf.sprintf "pid %-7d") t.pids;
     Printf.fprintf oc "cross-process parent edges: %d\n" t.cross_pid_edges
   end;
-  (match t.histograms with
-  | [] -> ()
-  | hs ->
-      Printf.fprintf oc "-- latency %s\n" (String.make 54 '-');
-      Printf.fprintf oc "%-32s %8s %9s %9s %9s %9s\n" "histogram" "count" "p50"
-        "p90" "p99" "max";
-      List.iter
-        (fun (name, s) ->
-          Printf.fprintf oc "%-32s %8d %9s %9s %9s %9s\n" name s.Obs.count
-            (dur_str s.Obs.p50) (dur_str s.Obs.p90) (dur_str s.Obs.p99)
-            (dur_str s.Obs.max))
-        hs);
-  match t.counters with
-  | [] -> ()
-  | cs ->
-      Printf.fprintf oc "-- counters %s\n" (String.make 53 '-');
-      List.iter
-        (fun (name, v) ->
-          let pretty =
-            if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-            else Printf.sprintf "%.3f" v
-          in
-          Printf.fprintf oc "%-40s %14s\n" name pretty)
-        cs
+  if t.histograms <> [] then begin
+    section "latency";
+    Printf.fprintf oc "%-32s %8s %9s %9s %9s %9s\n" "histogram" "count" "p50"
+      "p90" "p99" "max";
+    List.iter
+      (fun (name, s) ->
+        Printf.fprintf oc "%-32s %8d %9s %9s %9s %9s\n" name s.Obs.count
+          (dur_str s.Obs.p50) (dur_str s.Obs.p90) (dur_str s.Obs.p99)
+          (dur_str s.Obs.max))
+      t.histograms
+  end;
+  if t.counters <> [] then begin
+    section "counters";
+    List.iter
+      (fun (name, v) ->
+        let pretty =
+          if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+          else Printf.sprintf "%.3f" v
+        in
+        Printf.fprintf oc "%-40s %14s\n" name pretty)
+      t.counters
+  end
+
+(* The live sink keeps only the spans still open, so its memory is the
+   tally's, not the stream's.  A span whose parent has already ended
+   (or lives in another process) has no row to hang under and is
+   tallied at the top level; the replay nests it. *)
+let live ?(oc = stdout) () =
+  let tl = tally () in
+  let unprinted = ref false in
+  let emit ev =
+    unprinted := true;
+    feed tl ~forget:true ~orphan:(fun _ -> tl.root) ev
+  in
+  let flush () =
+    if !unprinted then begin
+      unprinted := false;
+      (* no forest: [render] reads only the tally *)
+      render oc (of_tally tl ~roots:[] ~remote_edges:0 ~cross_pid_edges:0);
+      Stdlib.flush oc
+    end
+  in
+  { Obs.emit; flush }

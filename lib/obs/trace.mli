@@ -1,8 +1,9 @@
-(** Reading JSONL traces back (schema v3; v2 files still load):
-    per-line validation, span forest reconstruction from ids —
-    including cross-process merging of one file per fleet process —
-    per-domain and per-process breakdowns, and a canonical "shape"
-    rendering for comparing runs.
+(** Reading JSONL traces back (schema v3): per-line validation, span
+    forest reconstruction from ids — including cross-process merging of
+    one file per fleet process — the report [mcml stats] prints, a
+    canonical "shape" rendering for comparing runs, self times and
+    folded stacks.  {!live} prints the same report for a running
+    process, aggregating events as they arrive.
 
     A trace is {e well-formed} when every line parses as a known
     event, every span id is started at most once and ended exactly as
@@ -34,7 +35,7 @@
     durations), so two shapes can be compared with [String.equal]. *)
 
 type span = {
-  pid : int;  (** emitting process; [0] for v2 traces *)
+  pid : int;  (** emitting process *)
   id : int;
   parent : int option;
   remote_parent : (int * int) option;
@@ -49,16 +50,20 @@ type span = {
   children : span list;  (** in start order (remote children first) *)
 }
 
+type node
+(** One row of the report: the spans on one path from a root, same-name
+    siblings collapsed. *)
+
 type t = {
   roots : span list;  (** the forest, in start order *)
   num_spans : int;
   counters : (string * float) list;
-      (** final values, sorted by name; summed across processes in a
-          merged trace *)
+      (** the last value per process, summed across processes, sorted
+          by name *)
   histograms : (string * Obs.hist_stats) list;
-      (** sorted by name; in a merged multi-process trace names are
-          qualified as [pidN/name] (summaries cannot be merged
-          bucket-wise) *)
+      (** the last summary per process and name, sorted by name; in a
+          merged multi-process trace names are qualified as [pidN/name]
+          (summaries cannot be merged bucket-wise) *)
   domains : (int * int * float) list;
       (** per domain: (domain id, span count, summed span duration in
           ms), sorted by domain id *)
@@ -69,6 +74,7 @@ type t = {
   cross_pid_edges : int;
       (** remote edges whose endpoints live in different processes —
           the number a fleet run must show for tracing to be working *)
+  tree : node;  (** the forest aggregated for {!render} and {!shape} *)
 }
 
 val of_events : Obs.event list -> (t, string list) result
@@ -128,11 +134,19 @@ val folded : t -> (string * float) list
     one qualification disambiguates all frames below it (a shard span
     adopted by a router continues the router's stack). *)
 
-val render : ?per_domain:bool -> out_channel -> t -> unit
-(** Human-readable report: the aggregated span forest (children in
-    start order with call counts and total durations), the latency
-    table, the counter table, and — with [per_domain] (default true)
-    when the trace spans more than one domain — the per-domain
-    breakdown.  A merged multi-process trace additionally gets a
-    per-process table ending in a greppable
-    [cross-process parent edges: N] line. *)
+val render : out_channel -> t -> unit
+(** The report: a [-- span forest (N spans, D domains)] header; the
+    aggregated forest (same-name siblings collapsed into one row with
+    a call count, total duration and summed numeric attributes, rows in
+    first-start order); a per-domain table when more than one domain
+    ran spans; a per-process table ending in a greppable
+    [cross-process parent edges: N] line when more than one process
+    did; then the latency and counter tables. *)
+
+val live : ?oc:out_channel -> unit -> Obs.sink
+(** A sink that aggregates events as they arrive and, on [flush],
+    renders the report {!load} followed by {!render} gives for the same
+    events — except that a span starting after its parent ended sits
+    at the top level, because the sink keeps only open spans, never
+    the stream.  A [flush] with no new events since the last one prints
+    nothing.  [oc] defaults to [stdout]. *)

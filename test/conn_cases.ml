@@ -120,3 +120,23 @@ let overlong_then_valid handle =
     [ "null"; "2" ] (ids rs);
   check Alcotest.(list string) "outcomes" [ "bad_request"; "ok" ]
     (List.map code_of rs)
+
+(* A line nested past the JSON depth limit fails at the limit, not once
+   per byte, and the connection keeps serving. *)
+let nested_then_valid handle =
+  let rs =
+    exchange handle [ String.make 100_000 '['; "{\"id\":2,\"kind\":\"health\"}" ]
+  in
+  check Alcotest.(list string) "one rejection (null id), then the next request"
+    [ "null"; "2" ] (ids rs);
+  check Alcotest.(list string) "outcomes" [ "bad_request"; "ok" ]
+    (List.map code_of rs);
+  match (List.hd rs).Protocol.body with
+  | Error (_, msg) ->
+      let limit = Printf.sprintf "deeper than %d levels" Json.max_depth in
+      let n = String.length limit in
+      let rec has i =
+        i + n <= String.length msg && (String.sub msg i n = limit || has (i + 1))
+      in
+      check Alcotest.bool ("names the depth: " ^ msg) true (has 0)
+  | Ok _ -> Alcotest.fail "nested line answered ok"

@@ -441,6 +441,10 @@ let router_overlong_line () =
   with_real_fleet ~shards:2 (fun t ->
       Conn_cases.overlong_then_valid (Router.handle_connection t))
 
+let router_nested_line () =
+  with_real_fleet ~shards:2 (fun t ->
+      Conn_cases.nested_then_valid (Router.handle_connection t))
+
 let () =
   Alcotest.run "mcml_fleet"
     [
@@ -478,5 +482,7 @@ let () =
             router_drain_ends_loop;
           Alcotest.test_case "overlong line, then a valid line" `Quick
             router_overlong_line;
+          Alcotest.test_case "nested line, then a valid line" `Quick
+            router_nested_line;
         ] );
     ]

@@ -1,5 +1,5 @@
 (* Tests for the telemetry layer: span nesting, counters, the sink
-   contract (null/jsonl/stats_only), and the JSON printer/parser. *)
+   contract (null/jsonl/stats_only/live), and the JSON printer/parser. *)
 
 open Mcml_obs
 
@@ -209,7 +209,7 @@ let jsonl_roundtrip () =
       check Alcotest.bool "has ts" true
         (Option.is_some (Option.bind (Json.member "ts" j) Json.to_float_opt));
       check Alcotest.bool "has kind" true (Option.is_some (Json.member "kind" j));
-      (* every line must parse back as a known schema-v2 event *)
+      (* every line must parse back as a known schema-v3 event *)
       check Alcotest.bool "parses as an event" true
         (Result.is_ok (Obs.event_of_json j));
       match Json.member "kind" j with
@@ -683,30 +683,20 @@ let event_json_roundtrip () =
       {|{"ts":1.0,"kind":"mystery","name":"x"}|};
       {|{"ts":1.0,"kind":"span_start","name":"x"}|};
       {|{"kind":"counter","name":"x","value":1.0}|};
-      {|{"ts":1.0,"kind":"span_end","name":"x","id":1,"domain":0}|};
+      {|{"ts":1.0,"kind":"span_end","name":"x","id":1,"domain":0,"pid":1}|};
       (* a remote reference must carry both integer pid and id *)
-      {|{"ts":1.0,"kind":"span_start","name":"x","id":1,"domain":0,"remote":{"pid":3}}|};
-      {|{"ts":1.0,"kind":"span_start","name":"x","id":1,"domain":0,"remote":7}|};
-    ]
-
-let event_json_v2_compat () =
-  (* schema-v2 lines (no pid, no trace, no remote) still parse; the
-     missing pid defaults to 0 *)
+      {|{"ts":1.0,"kind":"span_start","name":"x","id":1,"domain":0,"pid":1,"remote":{"pid":3}}|};
+      {|{"ts":1.0,"kind":"span_start","name":"x","id":1,"domain":0,"pid":1,"remote":7}|};
+    ];
+  (* schema-v2 lines carry no pid: rejected, and the error names it *)
   List.iter
     (fun s ->
-      let j =
-        match Json.of_string s with Ok j -> j | Error e -> Alcotest.failf "bad fixture: %s" e
-      in
-      match Obs.event_of_json j with
-      | Error msg -> Alcotest.failf "v2 line %s rejected: %s" s msg
-      | Ok (Obs.Span_start { pid; trace; remote; _ }) ->
-          check Alcotest.int "pid defaults to 0" 0 pid;
-          check Alcotest.bool "no trace" true (trace = None);
-          check Alcotest.bool "no remote" true (remote = None)
-      | Ok (Obs.Span_end { pid; _ })
-      | Ok (Obs.Counter { pid; _ })
-      | Ok (Obs.Histogram { pid; _ }) ->
-          check Alcotest.int "pid defaults to 0" 0 pid)
+      match Result.map Obs.event_of_json (Json.of_string s) with
+      | Ok (Error msg) ->
+          check Alcotest.string (Printf.sprintf "rejects %s" s)
+            {|missing field "pid"|} msg
+      | Ok (Ok _) -> Alcotest.failf "v2 line %s parsed" s
+      | Error e -> Alcotest.failf "bad fixture: %s" e)
     [
       {|{"ts":1.0,"kind":"span_start","name":"x","id":1,"domain":0}|};
       {|{"ts":1.1,"kind":"span_end","name":"x","id":1,"domain":0,"dur_ms":0.5}|};
@@ -870,27 +860,93 @@ let trace_merge_dangling_remote () =
   | Ok _ -> Alcotest.fail "dual parentage must be fatal"
   | Error _ -> ()
 
-let trace_v2_stream_still_loads () =
-  (* a pre-v3 trace file: no pid/trace/remote fields anywhere *)
-  let path = Filename.temp_file "mcml_obs_v2" ".jsonl" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  let oc = open_out path in
-  output_string oc
-    {|{"ts":1.0,"kind":"span_start","name":"outer","id":1,"domain":0}
-{"ts":1.1,"kind":"span_start","name":"inner","id":2,"parent":1,"domain":0}
-{"ts":1.2,"kind":"span_end","name":"inner","id":2,"parent":1,"domain":0,"dur_ms":0.1}
-{"ts":1.3,"kind":"span_end","name":"outer","id":1,"domain":0,"dur_ms":0.3}
-{"ts":1.4,"kind":"counter","name":"c","value":2}
-|};
-  close_out oc;
-  match Trace.load path with
-  | Error errs -> Alcotest.failf "v2 trace rejected: %s" (String.concat "; " errs)
-  | Ok t ->
-      check Alcotest.int "2 spans" 2 t.Trace.num_spans;
-      check Alcotest.int "no remote edges" 0 t.Trace.remote_edges;
-      check Alcotest.bool "single pid 0" true
-        (match t.Trace.pids with [ (0, 2, _) ] -> true | _ -> false)
+(* The live sink and the replay print one report, byte for byte, for
+   one stream: two domains, a child of the second [task] starting
+   before one of the first's (rows follow start order, not forest
+   order), summed Int/Float attributes beside last-wins strings, and
+   counters and histograms flushed twice (the last value wins). *)
+let live_report_equals_replay () =
+  let span ~domain ?parent ~id name =
+    Obs.Span_start { ts = 0.0; name; id; parent; domain; pid = 7; trace = None; remote = None }
+  in
+  let span_end ~domain ?parent ?(attrs = []) ~id ~dur name =
+    Obs.Span_end
+      { ts = 1.0; name; id; parent; domain; pid = 7; trace = None; remote = None;
+        dur_ms = dur; attrs }
+  in
+  let hist name count =
+    Obs.Histogram
+      { ts = 2.0; name; pid = 7;
+        stats = { Obs.count; p50 = 0.5; p90 = 1.0; p99 = 2.0; max = 2.0 } }
+  in
+  let counter name value = Obs.Counter { ts = 2.0; name; value; pid = 7 } in
+  let events =
+    [
+      span ~domain:0 ~id:1 "req";
+      span ~domain:1 ~parent:1 ~id:2 "task";
+      span ~domain:0 ~parent:1 ~id:3 "task";
+      span ~domain:0 ~parent:3 ~id:4 "b";
+      span ~domain:1 ~parent:2 ~id:5 "a";
+      span_end ~domain:0 ~parent:3 ~id:4 ~dur:0.5 "b"
+        ~attrs:[ ("n", Obs.Int 2); ("mode", Obs.Str "compile") ];
+      span_end ~domain:0 ~parent:1 ~id:3 ~dur:1.25 "task"
+        ~attrs:[ ("n", Obs.Int 3); ("rate", Obs.Float 0.5); ("mode", Obs.Str "count") ];
+      counter "hits" 1.0;
+      hist "task" 1;
+      span_end ~domain:1 ~parent:2 ~id:5 ~dur:0.75 "a";
+      span_end ~domain:1 ~parent:1 ~id:2 ~dur:2.0 "task"
+        ~attrs:[ ("n", Obs.Int 4); ("rate", Obs.Float 0.25); ("mode", Obs.Str "compile") ];
+      span_end ~domain:0 ~id:1 ~dur:3.5 "req" ~attrs:[ ("ok", Obs.Bool true) ];
+      counter "hits" 3.0;
+      counter "bytes" 2.5;
+      hist "task" 2;
+      hist "req" 1;
+    ]
+  in
+  let printed f =
+    let path = Filename.temp_file "mcml_report" ".txt" in
+    Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    @@ fun () ->
+    let oc = open_out path in
+    f oc;
+    close_out oc;
+    String.concat "\n" (read_lines path)
+  in
+  let live =
+    printed (fun oc ->
+        let sink = Trace.live ~oc () in
+        List.iter sink.Obs.emit events;
+        sink.Obs.flush ())
+  in
+  let replay =
+    printed (fun oc ->
+        match Trace.of_events events with
+        | Ok t -> Trace.render oc t
+        | Error errs -> Alcotest.failf "invalid stream: %s" (String.concat "; " errs))
+  in
+  check Alcotest.string "live report = replay" replay live;
+  let lines = String.split_on_char '\n' live in
+  List.iter
+    (fun l -> check Alcotest.bool ("has " ^ l) true (List.mem l lines))
+    [
+      "-- span forest (5 spans, 2 domains) ------------------------------";
+      "req  3.5ms  {ok=true}";
+      "  task x2  3.2ms  {n=7, rate=0.75, mode=compile}";
+      "    b  0.500ms  {n=2, mode=compile}";
+      "    a  0.750ms";
+      "domain 0        3 spans       5.2ms total";
+      "domain 1        2 spans       2.8ms total";
+      "task                                    2   0.500ms     1.0ms     2.0ms     2.0ms";
+      "hits                                                  3";
+      "bytes                                             2.500";
+    ];
+  check Alcotest.bool "b before a" true
+    (List.find_index (String.equal "    b  0.500ms  {n=2, mode=compile}") lines
+    < List.find_index (String.equal "    a  0.750ms") lines);
+  check Alcotest.string "a flush with no new events prints nothing" ""
+    (printed (fun oc ->
+         let sink = Trace.live ~oc () in
+         sink.Obs.flush ()))
 
 let flight_ring () =
   with_clean_obs @@ fun () ->
@@ -1066,7 +1122,27 @@ let json_rejects_garbage () =
     (fun s ->
       check Alcotest.bool (Printf.sprintf "rejects %S" s) true
         (Result.is_error (Json.of_string s)))
-    [ "{"; "[1,"; "1 2"; "\"unterminated"; "{\"a\":}"; "nul"; "" ]
+    [ "{"; "[1,"; "1 2"; "\"unterminated"; "{\"a\":}"; "nul"; "" ];
+  (* nesting: the limit parses; one level more fails there, naming it,
+     and so does a 1 MiB line of '[' *)
+  let nested d = String.concat "" (List.init d (fun _ -> "{\"a\":[")) in
+  let closed d = nested d ^ String.concat "" (List.init d (fun _ -> "]}")) in
+  check Alcotest.bool "at the limit" true
+    (Result.is_ok (Json.of_string (closed (Json.max_depth / 2))));
+  List.iter
+    (fun (s, offset) ->
+      match Json.of_string s with
+      | Ok _ -> Alcotest.failf "%d bytes of nesting parsed" (String.length s)
+      | Error msg ->
+          check Alcotest.string "fails at the limit, naming it"
+            (Printf.sprintf
+               "JSON parse error at offset %d: nesting deeper than %d levels"
+               offset Json.max_depth)
+            msg)
+    [
+      (closed ((Json.max_depth / 2) + 1), String.length (nested (Json.max_depth / 2)));
+      (String.make (1 lsl 20) '[', Json.max_depth);
+    ]
 
 let () =
   Alcotest.run "obs"
@@ -1109,7 +1185,7 @@ let () =
           Alcotest.test_case "remote adoption" `Quick trace_remote_adoption;
           Alcotest.test_case "cross-process merge" `Quick trace_merge_cross_process;
           Alcotest.test_case "dangling remote parent" `Quick trace_merge_dangling_remote;
-          Alcotest.test_case "v2 trace still loads" `Quick trace_v2_stream_still_loads;
+          Alcotest.test_case "live report = replay" `Quick live_report_equals_replay;
           Alcotest.test_case "flight recorder ring" `Quick flight_ring;
         ] );
       ( "probes",
@@ -1125,7 +1201,6 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick json_roundtrip;
           Alcotest.test_case "event round-trip" `Quick event_json_roundtrip;
-          Alcotest.test_case "v2 event compat" `Quick event_json_v2_compat;
           Alcotest.test_case "errors" `Quick json_rejects_garbage;
         ] );
     ]

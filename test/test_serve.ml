@@ -309,6 +309,9 @@ let connection_in_order () = with_server (fun srv -> in_order (Server.handle_con
 let connection_overlong_line () =
   with_server (fun srv -> overlong_then_valid (Server.handle_connection srv))
 
+let connection_nested_line () =
+  with_server (fun srv -> nested_then_valid (Server.handle_connection srv))
+
 let unbalanceable_is_bad_request () =
   (* unrestricted Surjective at scope 3 has 343 positives and 169
      negatives: no balanced dataset, which is the caller's input, not a
@@ -622,6 +625,8 @@ let () =
           Alcotest.test_case "responses in request order" `Quick connection_in_order;
           Alcotest.test_case "overlong line, then a valid line" `Quick
             connection_overlong_line;
+          Alcotest.test_case "nested line, then a valid line" `Quick
+            connection_nested_line;
           Alcotest.test_case "unbalanceable data is a bad request" `Quick
             unbalanceable_is_bad_request;
           Alcotest.test_case "deadline expiry keeps the connection" `Quick
