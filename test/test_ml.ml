@@ -426,6 +426,37 @@ let golden_trees () =
         "aca7c9786e814ef3d81e3645960af8bf" );
     ]
 
+(* The two non-tree learners on the same sets: the MLP's probability
+   and the SVM's margin over the whole input space, printed with %h.
+   Recorded before the MLP's flat input-major rewrite, so any change in
+   initialisation order, summation order or Adam's arithmetic fails
+   here. *)
+let golden_nets () =
+  let inputs k = List.init (1 lsl k) (fun m -> Array.init k (fun i -> m land (1 lsl i) <> 0)) in
+  List.iter
+    (fun (name, score, expected) ->
+      let print fmt (ds : Dataset.t) =
+        let f = score ds in
+        List.iter (fun x -> Format.fprintf fmt "%h@." (f x)) (inputs ds.Dataset.nfeatures)
+      in
+      check Alcotest.string name expected (digest_of print))
+    [
+      ( "MLP probabilities",
+        (fun ds ->
+          Mlp.probability
+            (Mlp.train
+               ~params:{ Mlp.hidden = 64; epochs = 40; batch = 32; learning_rate = 5e-3 }
+               ~rng:(Splitmix.create 44) ds)),
+        "3fb2f0920de6d16b3faf5fcf4379f45e" );
+      ( "SVM decision values",
+        (fun ds ->
+          Linear_svm.decision_value
+            (Linear_svm.train
+               ~params:{ Linear_svm.lambda = 1e-4; epochs = 30 }
+               ~rng:(Splitmix.create 45) ds)),
+        "c41ec2c2ed37b4919df9aa455222e5c5" );
+    ]
+
 (* --- unified model interface ------------------------------------------------------------- *)
 
 let model_names () =
@@ -516,7 +547,11 @@ let () =
           bnn_weights_are_binary;
           Alcotest.test_case "shapes" `Quick bnn_shapes;
         ] );
-      ("golden", [ Alcotest.test_case "every tree family" `Quick golden_trees ]);
+      ( "golden",
+        [
+          Alcotest.test_case "every tree family" `Quick golden_trees;
+          Alcotest.test_case "MLP and SVM" `Quick golden_nets;
+        ] );
       ( "model",
         [
           Alcotest.test_case "names" `Quick model_names;
