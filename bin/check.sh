@@ -232,6 +232,18 @@ if ! diff "$j1_out.strip" "$j4_out.strip"; then
   exit 1
 fi
 rm -f "$j1_out.strip" "$j4_out.strip"
+# Tables 2 and 4 train all six models once per class ratio, the ratios
+# in parallel at --jobs 4: a learner's scratch buffer shared between
+# domains would race and change a row.
+for table in 2 4; do
+  dune exec bin/main.exe -- exp "$table" --jobs 1 >"$j1_out.exp"
+  dune exec bin/main.exe -- exp "$table" --jobs 4 >"$j4_out.exp"
+  if ! diff "$j1_out.exp" "$j4_out.exp"; then
+    echo "FAIL: table $table output differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+  fi
+done
+rm -f "$j1_out.exp" "$j4_out.exp"
 grep -q '"jobs":1' "$j1_json" || { echo "FAIL: jobs missing from jobs=1 JSON" >&2; exit 1; }
 grep -q '"jobs":4' "$j4_json" || { echo "FAIL: jobs missing from jobs=4 JSON" >&2; exit 1; }
 for field in cache_hits cache_misses wall_s; do

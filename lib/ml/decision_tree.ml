@@ -13,13 +13,14 @@ type params = {
 let default_params = { max_depth = None; min_samples_split = 2; max_features = None }
 
 (* The one CART grower.  A node owns the samples [idx.(lo) .. idx.(hi - 1)]:
-   [node] gives their impurity and the leaf they would make, [split] the
-   score of splitting them on a feature ([infinity] when a side would be
-   empty).  The candidates are every feature in order, or a fresh draw of
-   [max_features] of them at each split node.  The lowest score wins, the
-   first on a tie, and under [strict] only below the node's impurity.
-   Only the winner is partitioned, stably and in place, so a criterion
-   sees each side's samples in their order in [ds]. *)
+   [node] gives their impurity and the leaf they would make; for a node
+   that will split, [split idx lo hi] gives the score of splitting them
+   on a feature ([infinity] when a side would be empty).  The candidates
+   are every feature in order, or a fresh draw of [max_features] of them
+   at each split node.  The lowest score wins, the first on a tie, and
+   under [strict] only below the node's impurity.  Only the winner is
+   partitioned, stably and in place, so a criterion sees each side's
+   samples in their order in [ds]. *)
 let grow ~node ~split ~strict ?rng params (ds : Dataset.t) =
   let n = Dataset.size ds and k = ds.Dataset.nfeatures in
   let samples = ds.Dataset.samples in
@@ -64,9 +65,10 @@ let grow ~node ~split ~strict ?rng params (ds : Dataset.t) =
     if impurity = 0.0 || hi - lo < params.min_samples_split || too_deep depth then Leaf leaf
     else begin
       if ncand < k then Option.iter draw rng;
+      let score_of = split idx lo hi in
       let best = ref (if strict then impurity else infinity) and feature = ref (-1) in
       for c = 0 to ncand - 1 do
-        let score = split idx lo hi pool.(c) in
+        let score = score_of pool.(c) in
         if score < !best then begin
           best := score;
           feature := pool.(c)
@@ -139,7 +141,7 @@ let train ?(params = default_params) ?weights ?rng (ds : Dataset.t) : t =
 let regression_tree ~max_depth (ds : Dataset.t) ~targets =
   if Array.length targets <> Dataset.size ds then
     invalid_arg "Decision_tree.regression_tree: targets length";
-  let samples = ds.Dataset.samples in
+  let samples = ds.Dataset.samples and k = ds.Dataset.nfeatures in
   let sums = Array.make 2 0.0 and counts = Array.make 2 0 and errors = Array.make 2 0.0 in
   let means = Array.make 2 0.0 in
   (* Per side of feature [f] (one side when [f < 0]): the sum and count
@@ -169,9 +171,70 @@ let regression_tree ~max_depth (ds : Dataset.t) ~targets =
     squared_errors idx lo hi (-1);
     (errors.(0), means.(0))
   in
-  let split idx lo hi f =
+  let exact idx lo hi f =
     squared_errors idx lo hi f;
     if counts.(0) = 0 || counts.(1) = 0 then infinity else errors.(0) +. errors.(1)
+  in
+  (* The screen.  A node that will split first makes one pass over its
+     samples for Q = Σ t² and, per feature and side j, S_j = Σ t and
+     n_j, each side summed directly.  Q − S₀²/n₀ − S₁²/n₁ is the split's
+     squared error in exact arithmetic; only the features whose estimate
+     is within 2δ of the least get the exact score above.
+
+     The bound, to first order in u = ε/2, with n the node's size, Q_j
+     side j's Σ t² and pow within one ulp:
+     - the estimate is within (3n + 4)·u·Q of the true error: Q̂ within
+       n·u·Q; Ŝ_j within n_j·u·Σ|t|, so Ŝ_j² within 2·n_j²·u·Q_j
+       (Cauchy–Schwarz) and Ŝ_j²/n_j within (2n_j + 2)·u·Q_j with its
+       own two roundings; two subtractions, u·Q each;
+     - the exact score is within (n + 4)·u·Q: a side mean off by Δ adds
+       only n_j·Δ², as the deviations sum to zero; a square carries 4u
+       (subtraction, squaring, pow), a side's sum (n_j − 1)·u, the final
+       addition u.
+     So |estimate − exact| ≤ (4n + 8)·u·Q, and δ = 4·(n + 8)·ε·(Q +
+     min_float) = (8n + 64)·u·(Q + min_float) is over twice that; the
+     rest covers second-order terms, rounding δ and the cutoff, and
+     underflow (a sum that underflows is exact; a product or quotient
+     loses at most u·min_float).  If f has the least exact score and g
+     the least estimate, est f ≤ exact f + δ ≤ exact g + δ ≤ est g + 2δ:
+     every feature tied at the least exact score is scored, so the
+     winner, the first on a tie and the strict-improvement test are
+     those of scoring all.  A cutoff that is not finite (a square or a
+     sum overflowed, or no split is valid) scores every feature. *)
+  let side_sums = Array.make (2 * k) 0.0 and set_counts = Array.make k 0 in
+  let estimates = Array.make k 0.0 in
+  let split idx lo hi =
+    Array.fill side_sums 0 (2 * k) 0.0;
+    Array.fill set_counts 0 k 0;
+    let q = ref 0.0 in
+    for i = lo to hi - 1 do
+      let s = idx.(i) in
+      let t = targets.(s) and x = samples.(s).Dataset.features in
+      q := !q +. (t *. t);
+      for f = 0 to k - 1 do
+        let j = Bool.to_int x.(f) in
+        side_sums.((2 * f) + j) <- side_sums.((2 * f) + j) +. t;
+        set_counts.(f) <- set_counts.(f) + j
+      done
+    done;
+    let n = hi - lo and least = ref infinity in
+    for f = 0 to k - 1 do
+      let n1 = set_counts.(f) in
+      let n0 = n - n1 in
+      let e =
+        if n0 = 0 || n1 = 0 then infinity
+        else
+          let s0 = side_sums.(2 * f) and s1 = side_sums.((2 * f) + 1) in
+          !q -. (s0 *. s0 /. float_of_int n0) -. (s1 *. s1 /. float_of_int n1)
+      in
+      estimates.(f) <- e;
+      if e < !least then least := e
+    done;
+    let delta = 4.0 *. float_of_int (n + 8) *. epsilon_float *. (!q +. Float.min_float) in
+    let cutoff = !least +. (2.0 *. delta) in
+    if Float.is_finite cutoff then fun f ->
+      if estimates.(f) <= cutoff then exact idx lo hi f else infinity
+    else exact idx lo hi
   in
   grow ~node ~split ~strict:true { default_params with max_depth = Some max_depth } ds
 

@@ -44,7 +44,9 @@ let train ?(params = default_params) ~rng (ds : Dataset.t) =
 
 let decision_value t features =
   let acc = ref t.b in
-  Array.iteri (fun f v -> if features.(f) then acc := !acc +. v) t.w;
+  for f = 0 to Array.length t.w - 1 do
+    if features.(f) then acc := !acc +. t.w.(f)
+  done;
   !acc
 
 let predict t features = decision_value t features > 0.0

@@ -8,19 +8,15 @@ let add a b =
 let of_predictions ~predicted ~actual =
   if Array.length predicted <> Array.length actual then
     invalid_arg "Metrics.of_predictions: length mismatch";
-  let c = ref zero in
-  Array.iteri
-    (fun i p ->
-      let a = actual.(i) in
-      c :=
-        add !c
-          (match (p, a) with
-          | true, true -> { zero with tp = 1.0 }
-          | true, false -> { zero with fp = 1.0 }
-          | false, false -> { zero with tn = 1.0 }
-          | false, true -> { zero with fn = 1.0 }))
-    predicted;
-  !c
+  let tp = ref 0 and fp = ref 0 and tn = ref 0 and fn = ref 0 in
+  for i = 0 to Array.length predicted - 1 do
+    match (predicted.(i), actual.(i)) with
+    | true, true -> incr tp
+    | true, false -> incr fp
+    | false, false -> incr tn
+    | false, true -> incr fn
+  done;
+  { tp = float_of_int !tp; fp = float_of_int !fp; tn = float_of_int !tn; fn = float_of_int !fn }
 
 let safe_div num den = if den = 0.0 then 0.0 else num /. den
 

@@ -59,7 +59,6 @@ let train_attrs kind (ds : Dataset.t) (m : t) =
       @ [
           ("tree_depth", Obs.Int (Decision_tree.depth tree));
           ("tree_leaves", Obs.Int (Decision_tree.num_leaves tree));
-          ("tree_paths", Obs.Int (List.length (Decision_tree.paths tree)));
         ]
 
 let instrumented kind ds f =

@@ -231,6 +231,103 @@ let regression_tree_splits () =
     (Invalid_argument "Decision_tree.regression_tree: targets length") (fun () ->
       ignore (Decision_tree.regression_tree ~max_depth:3 ds ~targets:[| 1.0 |]))
 
+(* A regression-tree grower written from scratch over lists: every
+   feature scored by two passes per side with [** 2.0], mean leaves, a
+   split only on a strict improvement, the first feature on a tie.  It
+   screens nothing, so [regression_tree] must grow the same tree. *)
+let reference_regression_tree ~max_depth ~k items =
+  let sse items =
+    let n = float_of_int (List.length items) in
+    let mean = List.fold_left (fun acc (_, t) -> acc +. t) 0.0 items /. n in
+    (List.fold_left (fun acc (_, t) -> acc +. ((t -. mean) ** 2.0)) 0.0 items, mean)
+  in
+  let rec grow items depth =
+    let impurity, mean = sse items in
+    if impurity = 0.0 || List.length items < 2 || depth >= max_depth then Decision_tree.Leaf mean
+    else begin
+      let best = ref impurity and feature = ref (-1) in
+      for f = 0 to k - 1 do
+        match List.partition (fun (x, _) -> x.(f)) items with
+        | [], _ | _, [] -> ()
+        | yes, no ->
+            let score = fst (sse no) +. fst (sse yes) in
+            if score < !best then begin
+              best := score;
+              feature := f
+            end
+      done;
+      if !feature < 0 then Decision_tree.Leaf mean
+      else
+        let yes, no = List.partition (fun (x, _) -> x.(!feature)) items in
+        Decision_tree.Split
+          { feature = !feature; if_false = grow no (depth + 1); if_true = grow yes (depth + 1) }
+    end
+  in
+  grow items 0
+
+let rec regression_tree_to_string = function
+  | Decision_tree.Leaf v -> Printf.sprintf "%h" v
+  | Decision_tree.Split { feature; if_false; if_true } ->
+      Printf.sprintf "(x%d %s %s)" feature (regression_tree_to_string if_false)
+        (regression_tree_to_string if_true)
+
+(* Cases aimed at the screen's bound: constant targets, targets one ulp
+   apart (every estimate is rounding noise), targets from 1e-8 to 1e3,
+   a few repeated levels, GBDT-like residuals, and targets near 2^512
+   whose squares overflow though their deviations' do not; columns that
+   are constant or copy column 0 (exact ties); 1 to 2,000 samples. *)
+let screen_case =
+  let open QCheck2.Gen in
+  let* n = oneof [ int_range 1 12; int_range 1 2000 ] in
+  let* k = int_range 1 8 and* kind = int_bound 5 and* depth = int_range 1 4 in
+  let* seed = int_bound 1_000_000 in
+  return (n, k, kind, depth, seed)
+
+let screen_data (n, k, kind, _, seed) =
+  let rng = Splitmix.create seed in
+  (* column c: random (0), constant (1, 2) or a copy of column 0 (3) *)
+  let modes = Array.init k (fun _ -> Splitmix.int rng 4) in
+  let base = Splitmix.float rng *. 10.0 in
+  let target () =
+    match kind with
+    | 0 -> base
+    | 1 -> if Splitmix.bool rng then Float.succ base else base
+    | 2 ->
+        let m = 10.0 ** ((Splitmix.float rng *. 11.0) -. 8.0) in
+        if Splitmix.bool rng then m else -.m
+    | 3 -> base *. float_of_int (Splitmix.int rng 3)
+    | 4 -> (if Splitmix.bool rng then 1.0 else 0.0) -. (0.5 +. (Splitmix.float rng *. 0.01))
+    | _ -> Float.ldexp (1.0 +. (float_of_int (Splitmix.int rng 8) *. epsilon_float)) 512
+  in
+  List.init n (fun _ ->
+      let x = Array.make k false in
+      for c = 0 to k - 1 do
+        x.(c) <-
+          (match modes.(c) with
+          | 1 -> true
+          | 2 -> false
+          | 3 -> x.(0)
+          | _ -> Splitmix.bool rng)
+      done;
+      (x, target ()))
+
+let regression_tree_screen =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"screened scoring grows the two-pass tree"
+       ~print:(fun (n, k, kind, depth, seed) ->
+         Printf.sprintf "n=%d k=%d kind=%d depth=%d seed=%d" n k kind depth seed)
+       screen_case
+       (fun ((_, k, _, max_depth, _) as case) ->
+         let items = screen_data case in
+         let ds =
+           Dataset.make ~nfeatures:k
+             (List.map (fun (x, _) -> { Dataset.features = x; label = false }) items)
+         in
+         let targets = Array.of_list (List.map snd items) in
+         String.equal
+           (regression_tree_to_string (Decision_tree.regression_tree ~max_depth ds ~targets))
+           (regression_tree_to_string (reference_regression_tree ~max_depth ~k items))))
+
 let gbdt_learns_majority () =
   let ds = dataset_of_target ~k:3 ~n:300 ~seed:15 majority3 in
   let m = Gradient_boosting.train ds in
@@ -398,9 +495,11 @@ let digest_of print =
   Format.pp_print_flush fmt ();
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* every input over [k] features *)
+let inputs k = List.init (1 lsl k) (fun m -> Array.init k (fun i -> m land (1 lsl i) <> 0))
+
 let golden_trees () =
   let dt params fmt ds = Decision_tree.pp fmt (Decision_tree.train ~params ds) in
-  let inputs k = List.init (1 lsl k) (fun m -> Array.init k (fun i -> m land (1 lsl i) <> 0)) in
   List.iter
     (fun (name, print, expected) -> check Alcotest.string name expected (digest_of print))
     [
@@ -432,7 +531,6 @@ let golden_trees () =
    initialisation order, summation order or Adam's arithmetic fails
    here. *)
 let golden_nets () =
-  let inputs k = List.init (1 lsl k) (fun m -> Array.init k (fun i -> m land (1 lsl i) <> 0)) in
   List.iter
     (fun (name, score, expected) ->
       let print fmt (ds : Dataset.t) =
@@ -522,6 +620,7 @@ let () =
         [
           Alcotest.test_case "constant fit" `Quick regression_tree_fits_constant;
           Alcotest.test_case "single split" `Quick regression_tree_splits;
+          regression_tree_screen;
           Alcotest.test_case "gbdt learns majority" `Quick gbdt_learns_majority;
         ] );
       ( "random-forest",
