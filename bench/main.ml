@@ -1,21 +1,18 @@
-(* Benchmark harness: regenerates every experimental table of the paper
-   (Tables 1-9) in the scaled-down "fast" configuration, then the
-   symmetry-breaking ablation.
+(* Benchmark harness: the regression gate over the paper's Tables 1-9
+   (the scaled-down "fast" configuration), the symmetry-breaking
+   ablation and the in-process fleet benchmark.  `mcml exp N` prints
+   any one table; perfbench (BENCHMARK.json) measures the served path.
 
    Usage:
-     dune exec bench/main.exe              # tables + ablation
-     dune exec bench/main.exe -- --table 3 # one table only
-     dune exec bench/main.exe -- --budget 120 --seed 1
-     dune exec bench/main.exe -- --table 1 --jobs 4 --json out.json *)
+     dune exec bench/main.exe                   # tables + ablation
+     dune exec bench/main.exe -- --tables --json out.json \
+       --baseline BENCH_baseline.json --gate 2.0
+     dune exec bench/main.exe -- --serve --fleet --shards 4 --budget 5 *)
 
 open Mcml
 open Mcml_props
 
 let fmt = Format.std_formatter
-
-(* ---------------------------------------------------------------------- *)
-(* Table regeneration                                                      *)
-(* ---------------------------------------------------------------------- *)
 
 let banner title =
   Format.fprintf fmt "@.=== %s ===@.@." title
@@ -29,56 +26,8 @@ let run_table cfg n =
       exit 2
 
 (* ---------------------------------------------------------------------- *)
-(* Machine-readable summary (--json)                                       *)
+(* Timed sections and the regression gate                                  *)
 (* ---------------------------------------------------------------------- *)
-
-(* Each timed section records its wall time, the delta of every
-   telemetry counter across the section, and the per-section latency
-   distributions (histogram snapshots diffed across the section;
-   counters and histograms accumulate when a non-null sink is
-   installed — --json installs the cheap [stats_only] sink for exactly
-   this purpose). *)
-type section = {
-  sec_name : string;
-  sec_wall : float;
-  sec_counters : (string * float) list;
-  sec_latency : (string * Mcml_obs.Obs.hist_stats) list;
-}
-
-let sections : section list ref = ref []
-
-(* Summary of the --serve benchmark (set by [run_serve], emitted by
-   [write_json] under the optional "serve" key). *)
-let serve_summary : Mcml_obs.Json.t option ref = ref None
-
-let timed name f =
-  let c0 = Mcml_obs.Obs.counters () in
-  let h0 = Mcml_obs.Obs.histogram_copies () in
-  let t0 = Mcml_obs.Obs.monotonic_s () in
-  f ();
-  let wall = Mcml_obs.Obs.monotonic_s () -. t0 in
-  let c1 = Mcml_obs.Obs.counters () in
-  let delta =
-    List.filter_map
-      (fun (k, v1) ->
-        let v0 = Option.value (List.assoc_opt k c0) ~default:0.0 in
-        if v1 -. v0 <> 0.0 then Some (k, v1 -. v0) else None)
-      c1
-  in
-  let latency =
-    List.filter_map
-      (fun (k, h) ->
-        let d =
-          match List.assoc_opt k h0 with
-          | Some prev -> Mcml_obs.Obs.Histogram.diff h prev
-          | None -> h
-        in
-        Option.map (fun s -> (k, s)) (Mcml_obs.Obs.Histogram.stats d))
-      (Mcml_obs.Obs.histogram_copies ())
-  in
-  sections :=
-    { sec_name = name; sec_wall = wall; sec_counters = delta; sec_latency = latency }
-    :: !sections
 
 (* Latency histograms the regression gate compares alongside section
    walls: a counter rewrite can regress its per-call latency (what its
@@ -87,14 +36,13 @@ let timed name f =
    gate subjects, and so is the exact AccMC query (compile once,
    condition on the tree's paths), which no longer makes count
    queries.  So are positive enumeration and the dataset generation
-   around it, which every table pays for.  The gated
-   statistic is the *median*: with ~32-100 calls per section the p99
-   is the single slowest sample, and one scheduler or major-GC hiccup
-   moves it 5-6x run-to-run on a shared host (observed on sections
-   whose code hadn't changed at all), while the median is stable
-   within ~1.3x yet still moves by the full rewrite factor when an
-   optimization is reverted.  The p99 ratio is printed alongside for
-   the record, unvetoed.  Keys absent from either run are skipped. *)
+   around it, which every table pays for.  The gated statistic is the
+   *median*: with ~32-100 calls per section the p99 is the single
+   slowest sample, and one scheduler or major-GC hiccup moves it 5-6x
+   run-to-run on a shared host (observed on sections whose code hadn't
+   changed at all), while the median is stable within ~1.3x yet still
+   moves by the full rewrite factor when an optimization is reverted.
+   The p99 ratio is printed alongside for the record, unvetoed. *)
 let gated_latency_keys =
   [
     "counter.count.approx_ms";
@@ -104,84 +52,89 @@ let gated_latency_keys =
     "pipeline.generate";
   ]
 
-(* Per-section baseline wall times — and the p99 of every gated latency
-   key the section carries — out of a previous --json summary (a
-   jobs=1 run): speedup_vs_jobs1 fields and the --gate regression
-   check.  Any unusable baseline — unreadable, unparsable, or without
-   a single (name, wall_s) section — is a hard exit 2, never a silent
-   "as if no baseline was given": the CI gate must not pass vacuously. *)
+(* Each timed section records its wall time and the distribution of
+   every gated latency key across it (histogram snapshots diffed
+   around the section; they accumulate because the cheap [stats_only]
+   sink is installed). *)
+type section = {
+  sec_name : string;
+  sec_wall : float;
+  sec_latency : (string * Mcml_obs.Obs.hist_stats) list;
+}
+
+let sections : section list ref = ref []
+
+(* The fleet summary of --serve --fleet, under the "serve" key. *)
+let serve_summary : Mcml_obs.Json.t option ref = ref None
+
+let timed name f =
+  let open Mcml_obs in
+  let h0 = Obs.histogram_copies () in
+  let t0 = Obs.monotonic_s () in
+  f ();
+  let wall = Obs.monotonic_s () -. t0 in
+  let latency =
+    List.filter_map
+      (fun (k, h) ->
+        if not (List.mem k gated_latency_keys) then None
+        else
+          let d =
+            match List.assoc_opt k h0 with
+            | Some prev -> Obs.Histogram.diff h prev
+            | None -> h
+          in
+          Option.map (fun s -> (k, s)) (Obs.Histogram.stats d))
+      (Obs.histogram_copies ())
+  in
+  sections := { sec_name = name; sec_wall = wall; sec_latency = latency } :: !sections
+
+(* Per-section wall times and gated latencies ([count], p50, p99) out
+   of a previous --json summary.  Any unusable baseline — unreadable,
+   unparsable, or without a single (name, wall_s) section — is a hard
+   exit 2, never a silent "as if no baseline was given": the CI gate
+   must not pass vacuously. *)
 let read_baseline path =
   let open Mcml_obs in
-  let text =
-    try
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    with Sys_error msg ->
-      Format.eprintf "bench: cannot read --baseline %s: %s@." path msg;
-      exit 2
+  let fail fmt =
+    Format.kasprintf
+      (fun msg ->
+        Format.eprintf "bench: --baseline %s %s@." path msg;
+        exit 2)
+      fmt
   in
-  match Json.of_string text with
-  | Error msg ->
-      Format.eprintf "bench: cannot parse --baseline %s: %s@." path msg;
-      exit 2
-  | Ok doc -> (
-      (* a pre-v3 summary lacks the percentile fields the gate and the
-         speedup report assume; name the schema we need instead of
-         failing later with a confusing "no usable sections" *)
-      let expected = "mcml.bench.v3" in
-      (match Json.member "schema" doc with
-      | Some (Json.Str s) when s = expected -> ()
-      | Some (Json.Str s) ->
-          Format.eprintf
-            "bench: --baseline %s has schema %S but this binary needs %S — \
-             regenerate it with the current bench --json@."
-            path s expected;
-          exit 2
-      | _ ->
-          Format.eprintf
-            "bench: --baseline %s carries no \"schema\" field (expected %S) — \
-             it predates the versioned summary format; regenerate it with the \
-             current bench --json@."
-            path expected;
-          exit 2);
-      match Json.member "sections" doc with
-      | Some (Json.List secs) -> (
-          match
-            List.filter_map
-              (fun s ->
-                match
-                  ( Json.member "name" s,
-                    Option.bind (Json.member "wall_s" s) Json.to_float_opt )
-                with
-                | Some (Json.Str name), Some wall ->
-                    let lat =
-                      List.filter_map
-                        (fun key ->
-                          Option.bind (Json.member "latency" s) (fun l ->
-                              Option.bind (Json.member key l) (fun h ->
-                                  let f name =
-                                    Option.bind (Json.member name h)
-                                      Json.to_float_opt
-                                  in
-                                  match (f "p50_ms", f "p99_ms") with
-                                  | Some p50, Some p99 -> Some (key, (p50, p99))
-                                  | _ -> None)))
-                        gated_latency_keys
-                    in
-                    Some (name, (wall, lat))
-                | _ -> None)
-              secs
-          with
-          | [] ->
-              Format.eprintf "bench: --baseline %s has no usable sections@." path;
-              exit 2
-          | base -> base)
-      | _ ->
-          Format.eprintf "bench: --baseline %s has no sections@." path;
-          exit 2)
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg -> fail "cannot be read: %s" msg
+  in
+  let doc =
+    match Json.of_string text with Ok d -> d | Error msg -> fail "cannot be parsed: %s" msg
+  in
+  let expected = "mcml.bench.v3" in
+  (match Json.member "schema" doc with
+  | Some (Json.Str s) when s = expected -> ()
+  | Some (Json.Str s) ->
+      fail "has schema %S, not %S: regenerate it with bench --json" s expected
+  | _ -> fail "has no \"schema\" field (expected %S): regenerate it with bench --json" expected);
+  let num j name = Option.bind (Json.member name j) Json.to_float_opt in
+  let latency s key =
+    Option.bind (Json.member "latency" s) (fun l ->
+        Option.bind (Json.member key l) (fun h ->
+            match (num h "count", num h "p50_ms", num h "p99_ms") with
+            | Some n, Some p50, Some p99 -> Some (key, (int_of_float n, p50, p99))
+            | _ -> None))
+  in
+  let section s =
+    match (Json.member "name" s, num s "wall_s") with
+    | Some (Json.Str name), Some wall ->
+        Some (name, (wall, List.filter_map (latency s) gated_latency_keys))
+    | _ -> None
+  in
+  match Json.member "sections" doc with
+  | Some (Json.List secs) -> (
+      match List.filter_map section secs with
+      | [] -> fail "has no usable sections"
+      | base -> base)
+  | _ -> fail "has no sections"
 
 (* The regression gate: every section that appears in both runs must
    not have slowed down by more than [factor] — its wall time, and the
@@ -189,16 +142,20 @@ let read_baseline path =
    rewrite's win is held across later PRs even when the section wall
    absorbs it).  Sections (and latencies) below a small absolute floor
    in both runs are skipped — at that scale the ratio measures
-   scheduler noise, not the code.  Exit 1 on violation so bin/check.sh
-   can gate on it. *)
+   scheduler noise, not the code.  A median over fewer than
+   [gate_min_samples] calls in either run is printed but never vetoes:
+   a single dataset generation is as noisy as a p99.  Exit 1 on
+   violation so bin/check.sh can gate on it. *)
 let gate_floor_s = 0.05
 let gate_floor_ms = 20.0
+let gate_min_samples = 5
 
 let run_gate ~factor ~baseline =
   let violations = ref 0 and compared = ref 0 in
+  let verdict ratio = if ratio > factor then (incr violations; "FAIL") else "ok" in
   Format.fprintf fmt "@.=== regression gate (fail on >%.2fx slowdown) ===@." factor;
   List.iter
-    (fun { sec_name; sec_wall; sec_latency; _ } ->
+    (fun { sec_name; sec_wall; sec_latency } ->
       match List.assoc_opt sec_name baseline with
       | None -> ()
       | Some (base, _) when base < gate_floor_s && sec_wall < gate_floor_s ->
@@ -207,28 +164,27 @@ let run_gate ~factor ~baseline =
       | Some (base, base_lat) ->
           incr compared;
           let ratio = if base > 0.0 then sec_wall /. base else Float.infinity in
-          let verdict = if ratio > factor then (incr violations; "FAIL") else "ok" in
-          Format.fprintf fmt "  %-12s %8.3fs vs %8.3fs  %5.2fx  %s@." sec_name
-            sec_wall base ratio verdict;
+          Format.fprintf fmt "  %-12s %8.3fs vs %8.3fs  %5.2fx  %s@." sec_name sec_wall
+            base ratio (verdict ratio);
           List.iter
-            (fun (key, (base_p50, base_p99)) ->
+            (fun (key, (base_n, base_p50, base_p99)) ->
               match List.assoc_opt key sec_latency with
               | None -> ()
               | Some (st : Mcml_obs.Obs.hist_stats) ->
                   let p50 = st.Mcml_obs.Obs.p50 and p99 = st.Mcml_obs.Obs.p99 in
+                  let n = st.Mcml_obs.Obs.count in
+                  let ratio = if base_p50 > 0.0 then p50 /. base_p50 else Float.infinity in
+                  let line = Format.fprintf fmt "    %s p50 %7.1fms vs %7.1fms  %5.2fx  " in
                   if base_p50 < gate_floor_ms && p50 < gate_floor_ms then ()
+                  else if n < gate_min_samples || base_n < gate_min_samples then begin
+                    line key p50 base_p50 ratio;
+                    Format.fprintf fmt "(%d vs %d samples, unvetoed)@." n base_n
+                  end
                   else begin
                     incr compared;
-                    let ratio =
-                      if base_p50 > 0.0 then p50 /. base_p50 else Float.infinity
-                    in
-                    let verdict =
-                      if ratio > factor then (incr violations; "FAIL") else "ok"
-                    in
-                    Format.fprintf fmt
-                      "    %s p50 %7.1fms vs %7.1fms  %5.2fx  %s  (p99 %.1fms \
-                       vs %.1fms, unvetoed)@."
-                      key p50 base_p50 ratio verdict p99 base_p99
+                    line key p50 base_p50 ratio;
+                    Format.fprintf fmt "%s  (p99 %.1fms vs %.1fms, unvetoed)@."
+                      (verdict ratio) p99 base_p99
                   end)
             base_lat)
     (List.rev !sections);
@@ -243,97 +199,31 @@ let run_gate ~factor ~baseline =
   end;
   Format.fprintf fmt "  gate passed (%d section(s) compared)@." !compared
 
-(* End-of-run runtime section: peak RSS / CPU time from getrusage, the
-   GC totals, and a final probe snapshot of every gauge — so a stored
-   BENCH_*.json tracks memory alongside latency.  Additive to schema
-   v3: [--gate] reads only "sections", so old baselines keep working. *)
-let runtime_json () =
+let write_json path =
   let open Mcml_obs in
-  let num v =
-    if Float.is_integer v && Float.abs v < 1e15 then Json.Int (int_of_float v)
-    else Json.Float v
-  in
-  Probe.sample ();
-  let ru = Probe.rusage () in
-  let g = Gc.quick_stat () in
-  Json.Obj
-    [
-      ("max_rss_bytes", num ru.Probe.max_rss_bytes);
-      ("cpu_user_s", Json.Float ru.Probe.user_s);
-      ("cpu_sys_s", Json.Float ru.Probe.sys_s);
-      ( "gc",
-        Json.Obj
-          [
-            ("minor_words", num g.Gc.minor_words);
-            ("promoted_words", num g.Gc.promoted_words);
-            ("major_words", num g.Gc.major_words);
-            ("heap_words", Json.Int g.Gc.heap_words);
-            ("minor_collections", Json.Int g.Gc.minor_collections);
-            ("major_collections", Json.Int g.Gc.major_collections);
-            ("compactions", Json.Int g.Gc.compactions);
-          ] );
-      ("gauges", Json.Obj (List.map (fun (k, v) -> (k, num v)) (Obs.gauges ())));
-    ]
-
-let write_json path ~seed ~budget ~jobs ~cache ~baseline ~total =
-  let open Mcml_obs in
-  let num v =
-    if Float.is_integer v && Float.abs v < 1e15 then Json.Int (int_of_float v)
-    else Json.Float v
-  in
-  let hist_json (s : Mcml_obs.Obs.hist_stats) =
+  let hist_json (s : Obs.hist_stats) =
     Json.Obj
       [
-        ("count", Json.Int s.Mcml_obs.Obs.count);
-        ("p50_ms", Json.Float s.Mcml_obs.Obs.p50);
-        ("p90_ms", Json.Float s.Mcml_obs.Obs.p90);
-        ("p99_ms", Json.Float s.Mcml_obs.Obs.p99);
-        ("max_ms", Json.Float s.Mcml_obs.Obs.max);
+        ("count", Json.Int s.Obs.count);
+        ("p50_ms", Json.Float s.Obs.p50);
+        ("p99_ms", Json.Float s.Obs.p99);
       ]
   in
-  let section { sec_name; sec_wall; sec_counters; sec_latency } =
-    let speedup =
-      match List.assoc_opt sec_name baseline with
-      | Some (base, _) when sec_wall > 0.0 ->
-          [ ("speedup_vs_jobs1", Json.Float (base /. sec_wall)) ]
-      | _ -> []
-    in
+  let section { sec_name; sec_wall; sec_latency } =
     Json.Obj
-      ([ ("name", Json.Str sec_name); ("wall_s", Json.Float sec_wall) ]
-      @ speedup
-      @ [
-          ("counters", Json.Obj (List.map (fun (k, v) -> (k, num v)) sec_counters));
-          ("latency", Json.Obj (List.map (fun (k, s) -> (k, hist_json s)) sec_latency));
-        ])
-  in
-  let ch, cm, ce =
-    match cache with
-    | None -> (0, 0, 0)
-    | Some c ->
-        let s = Mcml_counting.Counter.cache_stats c in
-        Mcml_exec.Memo.(s.hits, s.misses, s.evictions)
+      [
+        ("name", Json.Str sec_name);
+        ("wall_s", Json.Float sec_wall);
+        ("latency", Json.Obj (List.map (fun (k, s) -> (k, hist_json s)) sec_latency));
+      ]
   in
   let doc =
     Json.Obj
       ([
-        ("schema", Json.Str "mcml.bench.v3");
-        ("seed", Json.Int seed);
-        ("budget_s", Json.Float budget);
-        ("jobs", Json.Int jobs);
-        ("cache_enabled", Json.Bool (Option.is_some cache));
-        ("cache_hits", Json.Int ch);
-        ("cache_misses", Json.Int cm);
-        ("cache_evictions", Json.Int ce);
-        ("total_wall_s", Json.Float total);
-        ("sections", Json.List (List.rev_map section !sections));
-      ]
-      @ (match !serve_summary with
-        | None -> []
-        | Some s -> [ ("serve", s) ])
-      @ [
-        ("counters_total", Json.Obj (List.map (fun (k, v) -> (k, num v)) (Obs.counters ())));
-        ("runtime", runtime_json ());
-      ])
+         ("schema", Json.Str "mcml.bench.v3");
+         ("sections", Json.List (List.rev_map section !sections));
+       ]
+      @ match !serve_summary with None -> [] | Some s -> [ ("serve", s) ])
   in
   let oc = open_out path in
   output_string oc (Json.to_string doc);
@@ -342,202 +232,46 @@ let write_json path ~seed ~budget ~jobs ~cache ~baseline ~total =
   Format.fprintf fmt "wrote %s@." path
 
 (* ---------------------------------------------------------------------- *)
-(* Serve-mode benchmark (--serve)                                          *)
+(* Fleet-mode serve benchmark (--serve --fleet)                            *)
 (* ---------------------------------------------------------------------- *)
 
-(* Measures the counting service against direct execution of the same
-   requests: the protocol + pool + connection machinery is the only
-   difference, so the gap is the serving overhead.  Latencies go into
-   local histograms (usable without any telemetry sink installed); the
-   summary lands in --json under the optional "serve" key. *)
-(* [jitter] > 0 perturbs each request's budget by [jitter * id].  The
-   budget is part of the fleet router's routing key (printed %h, so any
-   float difference separates keys), so no two requests are merged by
-   its single-flight.  The count cache does not key by budget: the
-   fleet bench turns it off to keep every request really counting. *)
-let serve_requests ?(jitter = 0.0) ~budget ~seed () =
+(* 40 exact counts: five properties at scopes 3 and 4, four rounds.
+   Each budget is perturbed by 1e-9 * id: the budget is part of the
+   fleet router's routing key (printed %h, so any float difference
+   separates keys), so no two requests are merged by its single-flight.
+   The count cache does not key by budget, so every server here runs
+   with it off, to keep every request really counting. *)
+let fleet_requests ~budget =
   let props =
     List.map Props.find_exn
       [ "Reflexive"; "Irreflexive"; "Antisymmetric"; "Transitive"; "PartialOrder" ]
   in
-  List.concat
-    (List.map
-       (fun round ->
-         List.concat
-           (List.map
-              (fun scope ->
-                List.mapi
-                  (fun i prop ->
-                    let id = (round * 100) + (scope * 10) + i in
+  List.concat_map
+    (fun round ->
+      List.concat_map
+        (fun scope ->
+          List.mapi
+            (fun i prop ->
+              let id = (round * 100) + (scope * 10) + i in
+              {
+                Mcml_serve.Protocol.id = Mcml_obs.Json.Int id;
+                trace = None;
+                deadline_ms = None;
+                kind =
+                  Mcml_serve.Protocol.Count
                     {
-                      Mcml_serve.Protocol.id = Mcml_obs.Json.Int id;
-                      trace = None;
-                      deadline_ms = None;
-                      kind =
-                        Mcml_serve.Protocol.Count
-                          {
-                            Mcml_serve.Protocol.prop;
-                            scope = Some scope;
-                            symmetry = false;
-                            negate = false;
-                            backend = Mcml_counting.Counter.Exact;
-                            budget = budget +. (jitter *. float_of_int id);
-                            seed;
-                          };
-                    })
-                  props)
-              [ 3; 4 ]))
-       [ 0; 1; 2; 3 ])
-
-let hist_summary h =
-  match Mcml_obs.Obs.Histogram.stats h with
-  | None -> []
-  | Some s ->
-      let open Mcml_obs in
-      [
-        ("p50_ms", Json.Float s.Obs.p50);
-        ("p90_ms", Json.Float s.Obs.p90);
-        ("p99_ms", Json.Float s.Obs.p99);
-        ("max_ms", Json.Float s.Obs.max);
-      ]
-
-let run_serve ~jobs ~budget ~seed ~use_cache =
-  banner "serve mode: served requests vs direct execution";
-  let open Mcml_obs in
-  let open Mcml_serve in
-  let now = Obs.monotonic_s in
-  let reqs = serve_requests ~budget ~seed () in
-  let n = List.length reqs in
-  let fail_on_error (resp : Protocol.response) =
-    match resp.Protocol.body with
-    | Ok _ -> ()
-    | Error (code, msg) ->
-        Format.eprintf "bench: serve request failed (%s): %s@."
-          (Protocol.code_name code) msg;
-        exit 2
-  in
-  (* direct baseline: the same computations, no protocol, no pool hop *)
-  let h_direct = Obs.Histogram.create () in
-  let direct_wall =
-    let srv =
-      Server.create { Server.default_config with Server.cache = use_cache }
-    in
-    let t0 = now () in
-    List.iter
-      (fun r ->
-        let t = now () in
-        fail_on_error (Server.execute srv r);
-        Obs.Histogram.observe h_direct ((now () -. t) *. 1000.0))
-      reqs;
-    let w = now () -. t0 in
-    Server.shutdown srv;
-    w
-  in
-  (* served, closed loop: one request in flight, per-request round trip *)
-  let h_rtt = Obs.Histogram.create () in
-  let srv =
-    Server.create { Server.default_config with Server.jobs; cache = use_cache }
-  in
-  let connect () =
-    let sfd, cfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let handler =
-      Thread.create
-        (fun () ->
-          let oc = Unix.out_channel_of_descr sfd in
-          Server.handle_connection srv ~input:sfd ~output:oc;
-          try close_out oc with Sys_error _ -> ())
-        ()
-    in
-    (cfd, Unix.in_channel_of_descr cfd, Unix.out_channel_of_descr cfd, handler)
-  in
-  let send oc r =
-    output_string oc (Json.to_string (Protocol.request_to_json r));
-    output_char oc '\n';
-    flush oc
-  in
-  let recv ic =
-    match Protocol.response_of_string (input_line ic) with
-    | Ok resp ->
-        fail_on_error resp;
-        resp
-    | Error msg ->
-        Format.eprintf "bench: malformed serve response: %s@." msg;
-        exit 2
-  in
-  let closed_wall =
-    let cfd, ic, oc, handler = connect () in
-    let t0 = now () in
-    List.iter
-      (fun r ->
-        let t = now () in
-        send oc r;
-        ignore (recv ic);
-        Obs.Histogram.observe h_rtt ((now () -. t) *. 1000.0))
-      reqs;
-    let w = now () -. t0 in
-    Unix.shutdown cfd Unix.SHUTDOWN_SEND;
-    Thread.join handler;
-    close_in_noerr ic;
-    w
-  in
-  (* served, pipelined: every request written before the first read —
-     queueing, admission and in-order write-back under burst load *)
-  let pipelined_wall =
-    let cfd, ic, oc, handler = connect () in
-    let t0 = now () in
-    List.iter (fun r -> send oc r) reqs;
-    Unix.shutdown cfd Unix.SHUTDOWN_SEND;
-    List.iter (fun _ -> ignore (recv ic)) reqs;
-    let w = now () -. t0 in
-    Thread.join handler;
-    close_in_noerr ic;
-    w
-  in
-  Server.shutdown srv;
-  let rps w = float_of_int n /. w in
-  let pct h p = Obs.Histogram.percentile h p in
-  Format.fprintf fmt "%d count requests, jobs=%d, cache=%b@." n jobs use_cache;
-  Format.fprintf fmt
-    "  direct    : %7.3fs  %8.1f req/s   p50=%.3fms p90=%.3fms p99=%.3fms@."
-    direct_wall (rps direct_wall) (pct h_direct 0.5) (pct h_direct 0.9)
-    (pct h_direct 0.99);
-  Format.fprintf fmt
-    "  closed    : %7.3fs  %8.1f req/s   p50=%.3fms p90=%.3fms p99=%.3fms@."
-    closed_wall (rps closed_wall) (pct h_rtt 0.5) (pct h_rtt 0.9) (pct h_rtt 0.99);
-  Format.fprintf fmt "  pipelined : %7.3fs  %8.1f req/s@." pipelined_wall
-    (rps pipelined_wall);
-  serve_summary :=
-    Some
-      (Json.Obj
-         [
-           ("requests", Json.Int n);
-           ("jobs", Json.Int jobs);
-           ("cache_enabled", Json.Bool use_cache);
-           ( "direct",
-             Json.Obj
-               ([
-                  ("wall_s", Json.Float direct_wall);
-                  ("throughput_rps", Json.Float (rps direct_wall));
-                ]
-               @ hist_summary h_direct) );
-           ( "closed_loop",
-             Json.Obj
-               ([
-                  ("wall_s", Json.Float closed_wall);
-                  ("throughput_rps", Json.Float (rps closed_wall));
-                ]
-               @ hist_summary h_rtt) );
-           ( "pipelined",
-             Json.Obj
-               [
-                 ("wall_s", Json.Float pipelined_wall);
-                 ("throughput_rps", Json.Float (rps pipelined_wall));
-               ] );
-         ])
-
-(* ---------------------------------------------------------------------- *)
-(* Fleet-mode serve benchmark (--serve --fleet)                            *)
-(* ---------------------------------------------------------------------- *)
+                      Mcml_serve.Protocol.prop;
+                      scope = Some scope;
+                      symmetry = false;
+                      negate = false;
+                      backend = Mcml_counting.Counter.Exact;
+                      budget = budget +. (1e-9 *. float_of_int id);
+                      seed = Experiments.fast.Experiments.seed;
+                    };
+              })
+            props)
+        [ 3; 4 ])
+    [ 0; 1; 2; 3 ]
 
 (* One in-process counting shard behind its own domain: the dispatch
    hook hands a request to the shard's queue and blocks until the
@@ -559,8 +293,6 @@ type fleet_worker = {
   mutable fw_stop : bool;
 }
 
-(* The fleet bench measures cache-miss traffic: every server it builds
-   has its count cache off. *)
 let miss_server () =
   Mcml_serve.Server.create { Mcml_serve.Server.default_config with cache = false }
 
@@ -633,7 +365,7 @@ let fleet_dispatch workers shard req =
   Mutex.unlock j.fj_m;
   Option.get j.fj_resp
 
-let run_fleet_serve ~shards ~budget ~seed =
+let run_fleet_serve ~shards ~budget =
   banner
     (Printf.sprintf "serve fleet mode: %d-shard router vs one server, cache-miss traffic"
        shards);
@@ -641,7 +373,7 @@ let run_fleet_serve ~shards ~budget ~seed =
   let open Mcml_serve in
   let module Router = Mcml_fleet.Router in
   let now = Obs.monotonic_s in
-  let reqs = serve_requests ~jitter:1e-9 ~budget ~seed () in
+  let reqs = fleet_requests ~budget in
   let n = List.length reqs in
   (* pipeline the whole list through one JSONL connection: write every
      request, half-close, read every response — the fleet's burst shape *)
@@ -733,6 +465,9 @@ let run_fleet_serve ~shards ~budget ~seed =
   if cores < 2 then
     Format.fprintf fmt
       "  (single-core host: shard parallelism cannot show a wall-clock win here)@.";
+  let run w =
+    Json.Obj [ ("wall_s", Json.Float w); ("throughput_rps", Json.Float (rps w)) ]
+  in
   serve_summary :=
     Some
       (Json.Obj
@@ -741,127 +476,85 @@ let run_fleet_serve ~shards ~budget ~seed =
            ("requests", Json.Int n);
            ("shards", Json.Int shards);
            ("cores", Json.Int cores);
-           ("cache_enabled", Json.Bool false);
-           ( "single",
-             Json.Obj
-               [
-                 ("wall_s", Json.Float single_wall);
-                 ("throughput_rps", Json.Float (rps single_wall));
-               ] );
-           ( "fleet",
-             Json.Obj
-               [
-                 ("wall_s", Json.Float fleet_wall);
-                 ("throughput_rps", Json.Float (rps fleet_wall));
-               ] );
+           ("single", run single_wall);
+           ("fleet", run fleet_wall);
            ("speedup", Json.Float speedup);
          ])
-
-let run_ablations cfg =
-  banner "Ablations";
-  Report.symmetry_ablation fmt (Experiments.symmetry_ablation cfg)
 
 (* ---------------------------------------------------------------------- *)
 
 let () =
-  let table = ref 0 in
-  let serve_only = ref false in
+  let serve = ref false in
   let fleet = ref false in
   let shards = ref 4 in
   let ablation_only = ref false in
   let tables_only = ref false in
   let budget = ref Experiments.fast.Experiments.budget in
-  let seed = ref Experiments.fast.Experiments.seed in
   let json_path = ref "" in
-  let jobs = ref 1 in
-  let no_cache = ref false in
   let baseline_path = ref "" in
   let gate_factor = ref 0.0 in
   let args =
     [
-      ("--table", Arg.Set_int table, "N  regenerate only table N");
+      ("--tables", Arg.Set tables_only, "  Tables 1-9 only, skip the ablation");
+      ("--ablation", Arg.Set ablation_only, "  the symmetry-breaking ablation only");
       ( "--serve",
-        Arg.Set serve_only,
-        "  benchmark the counting service (mcml serve) against direct \
-         execution: throughput and latency percentiles, closed-loop and \
-         pipelined" );
+        Arg.Set serve,
+        "  with --fleet: the fleet benchmark (perfbench's serve workload measures \
+         a single server)" );
       ( "--fleet",
         Arg.Set fleet,
-        "  with --serve: pipeline cache-miss traffic through an in-process \
-         fleet router (--shards domains) and compare against one server" );
-      ( "--shards",
-        Arg.Set_int shards,
-        "N  shard count for --serve --fleet (default 4)" );
-      ("--ablation", Arg.Set ablation_only, "  ablation studies only");
-      ("--tables", Arg.Set tables_only, "  tables only, skip the ablation");
+        "  with --serve: pipeline cache-miss traffic through an in-process fleet \
+         router (--shards domains) and compare against one server" );
+      ("--shards", Arg.Set_int shards, "N  shard count for --serve --fleet (default 4)");
       ("--budget", Arg.Set_float budget, "S  per-count timeout in seconds");
-      ("--seed", Arg.Set_int seed, "N  RNG seed");
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N  worker domains for the experiment driver (default 1: sequential, \
-         bit-identical tables at any setting)" );
-      ( "--no-count-cache",
-        Arg.Set no_cache,
-        "  disable the content-addressed count cache (--serve --fleet always \
-         runs with it off)" );
       ( "--json",
         Arg.Set_string json_path,
-        "PATH  write a machine-readable summary (wall time and counters per section)" );
+        "PATH  write each section's wall time and gated latencies (and the fleet \
+         summary) as JSON" );
       ( "--baseline",
         Arg.Set_string baseline_path,
-        "PATH  a previous --json summary (typically --jobs 1); adds per-section \
-         speedup_vs_jobs1 fields to this run's --json output and anchors --gate" );
+        "PATH  a previous --json summary for --gate to compare against" );
       ( "--gate",
         Arg.Set_float gate_factor,
         "F  regression gate: exit 1 if any section shared with --baseline ran \
          more than F times slower than it, in wall time or in the median of a \
-         gated counter latency (sections under the 50ms — latencies under \
-         the 20ms — noise floor in both runs are skipped; p99s are reported \
-         but too noisy at section sample sizes to veto)" );
+         gated latency (sections under the 50ms — latencies under the 20ms — \
+         noise floor in both runs are skipped; a median over fewer than 5 \
+         calls, and every p99, is reported but does not veto)" );
     ]
   in
-  Arg.parse args (fun _ -> ()) "bench/main.exe [options]";
-  if !gate_factor > 0.0 && !baseline_path = "" then begin
-    Format.eprintf "bench: --gate needs --baseline@.";
+  let usage = "bench/main.exe [options]" in
+  Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
+  let usage_error msg =
+    Format.eprintf "bench: %s@." msg;
     exit 2
-  end;
-  if !json_path <> "" then begin
-    (* fail fast on an unwritable path rather than after the workload *)
-    try close_out (open_out !json_path)
-    with Sys_error msg ->
-      Format.eprintf "bench: cannot write --json file: %s@." msg;
-      exit 2
-  end;
+  in
+  if !serve <> !fleet then usage_error "--serve and --fleet go together";
+  if (!gate_factor > 0.0) <> (!baseline_path <> "") then
+    usage_error "--gate and --baseline go together";
+  (* fail fast on an unwritable path rather than after the workload *)
+  (if !json_path <> "" then
+     try close_out (open_out !json_path)
+     with Sys_error msg -> usage_error ("cannot write --json file: " ^ msg));
   if !json_path <> "" || !gate_factor > 0.0 then
     Mcml_obs.Obs.set_sink (Mcml_obs.Obs.stats_only ());
   let baseline = if !baseline_path = "" then [] else read_baseline !baseline_path in
-  let pool =
-    if !jobs > 1 then Some (Mcml_exec.Pool.create ~jobs:!jobs ()) else None
-  in
-  let cache =
-    if !no_cache then None else Some (Mcml_counting.Counter.cache_create ())
-  in
   let cfg =
     {
       Experiments.fast with
       Experiments.budget = !budget;
-      seed = !seed;
-      pool;
-      cache;
+      cache = Some (Mcml_counting.Counter.cache_create ());
     }
   in
+  let ablation () =
+    timed "ablations" (fun () ->
+        banner "Ablations";
+        Report.symmetry_ablation fmt (Experiments.symmetry_ablation cfg))
+  in
   let t0 = Mcml_obs.Obs.monotonic_s () in
-  if !serve_only && !fleet then
-    timed "serve.fleet" (fun () ->
-        run_fleet_serve ~shards:!shards ~budget:!budget ~seed:!seed)
-  else if !serve_only then
-    timed "serve" (fun () ->
-        run_serve ~jobs:!jobs ~budget:!budget ~seed:!seed ~use_cache:(not !no_cache))
-  else if !ablation_only then timed "ablations" (fun () -> run_ablations cfg)
-  else if !table > 0 then
-    timed
-      (Printf.sprintf "table%d" !table)
-      (fun () -> run_table cfg !table)
+  if !serve then
+    timed "serve.fleet" (fun () -> run_fleet_serve ~shards:!shards ~budget:!budget)
+  else if !ablation_only then ablation ()
   else begin
     Format.fprintf fmt
       "MCML benchmark harness — regenerating the paper's Tables 1-9@.";
@@ -874,12 +567,8 @@ let () =
     List.iter
       (fun n -> timed (Printf.sprintf "table%d" n) (fun () -> run_table cfg n))
       [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ];
-    if not !tables_only then timed "ablations" (fun () -> run_ablations cfg)
+    if not !tables_only then ablation ()
   end;
-  let total = Mcml_obs.Obs.monotonic_s () -. t0 in
-  Option.iter Mcml_exec.Pool.shutdown pool;
-  Format.fprintf fmt "@.total wall-clock: %.1fs@." total;
-  if !json_path <> "" then
-    write_json !json_path ~seed:!seed ~budget:!budget ~jobs:!jobs ~cache
-      ~baseline ~total;
+  Format.fprintf fmt "@.total wall-clock: %.1fs@." (Mcml_obs.Obs.monotonic_s () -. t0);
+  if !json_path <> "" then write_json !json_path;
   if !gate_factor > 0.0 then run_gate ~factor:!gate_factor ~baseline

@@ -1,13 +1,9 @@
 module Obs = Mcml_obs.Obs
 
-exception Deadline_exceeded
-exception Cancelled
-
 (* A queued task is an already-wrapped closure: running it settles its
-   future (normally, exceptionally, or via the deadline/cancel path).
-   The queue never holds user thunks directly, so a popped task can be
-   executed by any domain — a worker, or a caller helping in [await] /
-   overflowing in [submit]. *)
+   future (normally or exceptionally).  The queue never holds user
+   thunks directly, so a popped task can be executed by any domain — a
+   worker, or a caller helping in [await] / overflowing in [submit]. *)
 type task = { run : unit -> unit }
 
 type t = {
@@ -21,8 +17,7 @@ type t = {
 }
 
 type 'a state =
-  | Pending  (** queued, not started *)
-  | Running
+  | Pending  (** queued or running *)
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace
 
@@ -30,11 +25,8 @@ type 'a future = {
   fm : Mutex.t;
   fc : Condition.t;
   mutable st : 'a state;
-  mutable cancel_requested : bool;
   fpool : t option;  (** [Some] iff the task may sit in that pool's queue *)
 }
-
-let no_backtrace = Printexc.get_callstack 0
 
 let fulfill fut st =
   Mutex.lock fut.fm;
@@ -42,59 +34,30 @@ let fulfill fut st =
   Condition.broadcast fut.fc;
   Mutex.unlock fut.fm
 
-(* Runs on whichever domain picked the task up.  The deadline and the
-   cancel flag are only consulted here, before the user thunk starts:
-   cancellation is cooperative, a running task is never interrupted.
-   [ctx] is the submitter's span context, reinstated around the thunk
-   so worker-side spans parent under the span that submitted them;
-   [submitted_m] (when telemetry is on) feeds the queue-wait
-   histogram. *)
-let run_task fut deadline ctx submitted_m thunk () =
+(* Runs on whichever domain picked the task up.  [ctx] is the
+   submitter's span context, reinstated around the thunk so worker-side
+   spans parent under the span that submitted them; [submitted_m] (when
+   telemetry is on) feeds the queue-wait histogram. *)
+let run_task fut ctx submitted_m thunk () =
   (match submitted_m with
   | Some t0 when Obs.enabled () ->
       Obs.observe "exec.pool.queue_wait_ms" ((Obs.monotonic_s () -. t0) *. 1000.0)
   | _ -> ());
-  Mutex.lock fut.fm;
-  let verdict =
-    if fut.cancel_requested then `Cancelled
-    else
-      match deadline with
-      | Some d when Obs.monotonic_s () > d -> `Expired
-      | _ ->
-          fut.st <- Running;
-          `Run
+  let timed = Obs.enabled () in
+  let run0 = if timed then Obs.monotonic_s () else 0.0 in
+  let observe_run () =
+    if timed then Obs.observe "exec.pool.run_ms" ((Obs.monotonic_s () -. run0) *. 1000.0)
   in
-  (match verdict with
-  | `Run -> ()
-  | _ ->
-      fut.st <-
-        Failed
-          ( (match verdict with `Cancelled -> Cancelled | _ -> Deadline_exceeded),
-            no_backtrace );
-      Condition.broadcast fut.fc);
-  Mutex.unlock fut.fm;
-  match verdict with
-  | `Cancelled -> Obs.add "exec.tasks.cancelled" 1
-  | `Expired -> Obs.add "exec.tasks.deadline_expired" 1
-  | `Run -> (
-      let timed = Obs.enabled () in
-      let run0 = if timed then Obs.monotonic_s () else 0.0 in
-      let observe_run () =
-        if timed then
-          Obs.observe "exec.pool.run_ms" ((Obs.monotonic_s () -. run0) *. 1000.0)
-      in
-      match Obs.with_context ctx thunk with
-      | v ->
-          observe_run ();
-          fulfill fut (Done v);
-          Obs.add "exec.tasks.completed" 1
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          observe_run ();
-          fulfill fut (Failed (e, bt));
-          Obs.add "exec.tasks.failed" 1)
-
-let deadline_in s = Obs.monotonic_s () +. s
+  match Obs.with_context ctx thunk with
+  | v ->
+      observe_run ();
+      fulfill fut (Done v);
+      Obs.add "exec.tasks.completed" 1
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      observe_run ();
+      fulfill fut (Failed (e, bt));
+      Obs.add "exec.tasks.failed" 1
 
 let create ?queue_bound ~jobs () =
   let jobs = max 1 jobs in
@@ -140,19 +103,12 @@ let queue_depth p =
   Mutex.unlock p.m;
   d
 
-let is_settled fut =
-  Mutex.lock fut.fm;
-  let s = match fut.st with Done _ | Failed _ -> true | _ -> false in
-  Mutex.unlock fut.fm;
-  s
-
-let submit ?deadline p thunk =
+let submit p thunk =
   let fut =
     {
       fm = Mutex.create ();
       fc = Condition.create ();
       st = Pending;
-      cancel_requested = false;
       fpool = (if p.jobs <= 1 then None else Some p);
     }
   in
@@ -164,7 +120,7 @@ let submit ?deadline p thunk =
   let submitted_m =
     if p.jobs > 1 && Obs.enabled () then Some (Obs.monotonic_s ()) else None
   in
-  let task = { run = run_task fut deadline ctx submitted_m thunk } in
+  let task = { run = run_task fut ctx submitted_m thunk } in
   if p.jobs <= 1 then
     (* sequential identity: run right here, right now — bit-identical
        to the un-pooled code path *)
@@ -219,32 +175,20 @@ let rec await fut =
   | Failed (e, bt) ->
       Mutex.unlock fut.fm;
       Printexc.raise_with_backtrace e bt
-  | Pending | Running -> (
+  | Pending -> (
       Mutex.unlock fut.fm;
       match fut.fpool with
       | Some p when try_run_one p -> await fut
       | _ ->
           Mutex.lock fut.fm;
           (match fut.st with
-          | Pending | Running -> Condition.wait fut.fc fut.fm
+          | Pending -> Condition.wait fut.fc fut.fm
           | _ -> ());
           Mutex.unlock fut.fm;
           await fut)
 
-let cancel fut =
-  Mutex.lock fut.fm;
-  let won =
-    match fut.st with
-    | Pending when not fut.cancel_requested ->
-        fut.cancel_requested <- true;
-        true
-    | _ -> false
-  in
-  Mutex.unlock fut.fm;
-  won
-
-let map_list ?deadline p f xs =
-  let futs = List.map (fun x -> submit ?deadline p (fun () -> f x)) xs in
+let map_list p f xs =
+  let futs = List.map (fun x -> submit p (fun () -> f x)) xs in
   List.map await futs
 
 let all_some ?pool thunks =

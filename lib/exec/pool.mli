@@ -28,21 +28,13 @@
     future {e helps} — it drains queued tasks instead of blocking
     while work is available.
 
-    {b Cancellation is cooperative.}  A deadline or {!cancel} only
-    prevents a task from {e starting}; a task already running on a
-    worker runs to completion (pass the per-count [budget] down to the
-    counters to bound the work itself).
+    {b No timeouts here.}  A task, once submitted, runs to completion;
+    bound its work by passing the per-count [budget] down to the
+    counters (a served deadline clamps that budget).
 
     {b Thread safety.}  All operations may be called from any domain.
     Results cross domains, so thunks must not rely on domain-local
     state. *)
-
-exception Deadline_exceeded
-(** Raised by {!await} when the task's deadline passed before the task
-    started running. *)
-
-exception Cancelled
-(** Raised by {!await} when the task was cancelled before it started. *)
 
 type t
 (** A pool.  [jobs <= 1] means "no worker domains, run inline". *)
@@ -66,12 +58,9 @@ val queue_depth : t -> int
     point-in-time reading for health endpoints and load shedding —
     always [0] for [jobs <= 1] pools (tasks run inline). *)
 
-val submit : ?deadline:float -> t -> (unit -> 'a) -> 'a future
-(** Schedule a thunk.  [deadline] is an {e absolute} monotonic time
-    ({!Mcml_obs.Obs.monotonic_s}; see {!deadline_in}): a task that has
-    not started by then is dropped and its future raises
-    {!Deadline_exceeded} at {!await}.  An exception raised by the
-    thunk is captured with its backtrace and re-raised at {!await}.
+val submit : t -> (unit -> 'a) -> 'a future
+(** Schedule a thunk.  An exception raised by the thunk is captured
+    with its backtrace and re-raised at {!await}.
 
     [submit] captures the submitter's telemetry span context
     ({!Mcml_obs.Obs.current_context}) and reinstates it around the
@@ -84,20 +73,7 @@ val await : 'a future -> 'a
     while waiting); return its result or re-raise its exception with
     the original backtrace.  Idempotent. *)
 
-val is_settled : 'a future -> bool
-(** [true] once the future holds a result or an exception (including
-    the {!Deadline_exceeded}/{!Cancelled} outcomes) — i.e. {!await}
-    would return without blocking.  A point-in-time reading; a [false]
-    answer can be stale by the time the caller acts on it. *)
-
-val cancel : 'a future -> bool
-(** Request cancellation.  Returns [true] if the request was recorded
-    while the task had not yet settled — the task will not start, and
-    {!await} will raise {!Cancelled} (best-effort: a task that is
-    already running completes normally and [cancel] returns [false]
-    only if the future had already settled). *)
-
-val map_list : ?deadline:float -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list pool f xs] runs [f x] for every element as pool tasks
     and returns the results {b in input order}.  With [jobs <= 1] this
     is exactly [List.map f xs] (left to right).  If any task raises,
@@ -109,10 +85,6 @@ val all_some : ?pool:t -> (unit -> 'a option) list -> 'a list option
     ([None], e.g. a count that timed out).  Without [pool] the thunks
     run in order on the caller and stop at the first [None]; with one
     they run as one {!map_list} batch. *)
-
-val deadline_in : float -> float
-(** [deadline_in s] is the absolute monotonic deadline [s] seconds
-    from now. *)
 
 val shutdown : t -> unit
 (** Drain remaining queued tasks, join the workers.  Idempotent; a

@@ -370,11 +370,13 @@ let execute t (req : Protocol.request) =
 
 (* --- connection handling ---------------------------------------------------- *)
 
-(* the front end's queue_cap bounds the request threads per connection *)
-let admit t ctx = function
+(* the front end's queue_cap bounds the request threads per connection;
+   each starts under the connection span, like a pool task *)
+let admit t = function
   | Error (id, msg) -> Fun.const (record t (Protocol.err ~id Protocol.Bad_request msg))
   | Ok req ->
       let resp = ref (Protocol.err ~id:req.Protocol.id Protocol.Internal "unreached") in
+      let ctx = Obs.current_context () in
       let th =
         Thread.create
           (fun () ->

@@ -274,22 +274,24 @@ let depth t =
 
 let eval_all t ~scope_bits oracle =
   if scope_bits > 24 then invalid_arg "Decision_tree.eval_all: too many bits";
-  let c = ref Metrics.zero in
+  let tp = ref 0 and fp = ref 0 and tn = ref 0 and fn = ref 0 in
   let features = Array.make t.nfeatures false in
   for mask = 0 to (1 lsl scope_bits) - 1 do
     for b = 0 to scope_bits - 1 do
       features.(b) <- mask land (1 lsl b) <> 0
     done;
-    let p = predict t features and a = oracle features in
-    c :=
-      Metrics.add !c
-        (match (p, a) with
-        | true, true -> { Metrics.zero with Metrics.tp = 1.0 }
-        | true, false -> { Metrics.zero with Metrics.fp = 1.0 }
-        | false, false -> { Metrics.zero with Metrics.tn = 1.0 }
-        | false, true -> { Metrics.zero with Metrics.fn = 1.0 })
+    match (predict t features, oracle features) with
+    | true, true -> incr tp
+    | true, false -> incr fp
+    | false, false -> incr tn
+    | false, true -> incr fn
   done;
-  !c
+  {
+    Metrics.tp = float_of_int !tp;
+    fp = float_of_int !fp;
+    tn = float_of_int !tn;
+    fn = float_of_int !fn;
+  }
 
 let pp fmt t =
   let rec go indent = function

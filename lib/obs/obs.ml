@@ -373,9 +373,7 @@ let event_of_json j =
 
 (* Monotonic counters and point-in-time gauges live in separate tables
    so a snapshot can tell the kinds apart (OpenMetrics exposition emits
-   [counter] vs [gauge] TYPE lines).  [counters ()] still returns the
-   merged view — callers that diff "all numeric telemetry" around a
-   region (bench sections) predate the split. *)
+   [counter] vs [gauge] TYPE lines). *)
 let counter_table : (string, float ref) Hashtbl.t = Hashtbl.create 64
 let gauge_table : (string, float ref) Hashtbl.t = Hashtbl.create 32
 
@@ -412,10 +410,6 @@ let fold_table table acc =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) table acc
 
 let sorted_by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
-
-let counters () =
-  locked (fun () -> fold_table counter_table (fold_table gauge_table []))
-  |> sorted_by_name
 
 let monotonic_counters () =
   locked (fun () -> fold_table counter_table []) |> sorted_by_name
@@ -474,8 +468,8 @@ let reset_counters () =
    serve as a sentinel in serialized forms if ever needed. *)
 let next_span_id = Atomic.make 1
 
-(* The current span of each domain — the parent of the next [start] on
-   that domain — plus the active trace id and, at a process boundary,
+(* The current span of each systhread — the parent of the next [start]
+   on that thread — plus the active trace id and, at a process boundary,
    the remote parent a context was rehydrated from.  [cx_remote] is
    consumed by the first [start] under the context ([cx_span = None]):
    that span records the cross-process parent edge, and its descendants
@@ -488,22 +482,51 @@ type context = {
 
 let empty_context = { cx_span = None; cx_trace = None; cx_remote = None }
 
-let dls_context : context Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> empty_context)
+(* Keyed by [Thread.id], not held in [Domain.DLS]: a server's connection
+   threads share one domain, and a domain-wide slot let them parent each
+   other's spans.  Guarded by [lock]; a thread whose context returns to
+   empty drops its entry, so finished threads leave nothing behind. *)
+module Threads = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash t = t land max_int
+end)
+
+let contexts : context Threads.t = Threads.create 16
+
+(* unlocked; callers hold [lock] *)
+let get_context () =
+  match Threads.find_opt contexts (Thread.id (Thread.self ())) with
+  | Some c -> c
+  | None -> empty_context
+
+let set_context c =
+  let k = Thread.id (Thread.self ()) in
+  match c with
+  | { cx_span = None; cx_trace = None; cx_remote = None } -> Threads.remove contexts k
+  | _ -> Threads.replace contexts k c
 
 let current_context () =
-  if enabled () then Domain.DLS.get dls_context else empty_context
+  if enabled () then locked get_context else empty_context
 
 let with_context ctx f =
-  let saved = Domain.DLS.get dls_context in
-  Domain.DLS.set dls_context ctx;
-  match f () with
-  | v ->
-      Domain.DLS.set dls_context saved;
-      v
-  | exception e ->
-      Domain.DLS.set dls_context saved;
-      raise e
+  if not (enabled ()) then f ()
+  else begin
+    let saved =
+      locked (fun () ->
+          let c = get_context () in
+          set_context ctx;
+          c)
+    in
+    match f () with
+    | v ->
+        locked (fun () -> set_context saved);
+        v
+    | exception e ->
+        locked (fun () -> set_context saved);
+        raise e
+  end
 
 let remote_context ~trace_id ~pid ~span =
   { cx_span = None; cx_trace = Some trace_id; cx_remote = Some (pid, span) }
@@ -538,14 +561,14 @@ let fresh_trace_id () =
 let with_new_trace f =
   if not (enabled ()) then f ()
   else
-    let c = Domain.DLS.get dls_context in
+    let c = current_context () in
     if c.cx_trace <> None then f ()
     else with_context { c with cx_trace = Some (fresh_trace_id ()) } f
 
 let propagation () =
   if not (enabled ()) then None
   else
-    let c = Domain.DLS.get dls_context in
+    let c = current_context () in
     match (c.cx_trace, c.cx_span) with
     | Some tid, Some span -> Some (tid, self_pid, span)
     | _ -> None
@@ -580,24 +603,27 @@ let start name =
     let t0 = now () in
     let m0 = monotonic_s () in
     let id = Atomic.fetch_and_add next_span_id 1 in
-    let ctx = Domain.DLS.get dls_context in
-    let parent = ctx.cx_span in
-    let remote = if parent = None then ctx.cx_remote else None in
-    Domain.DLS.set dls_context { ctx with cx_span = Some id };
     let domain = (Domain.self () :> int) in
-    locked (fun () ->
-        (sink ()).emit
-          (Span_start
-             {
-               ts = t0;
-               name;
-               id;
-               parent;
-               domain;
-               pid = self_pid;
-               trace = ctx.cx_trace;
-               remote;
-             }));
+    let ctx, remote =
+      locked (fun () ->
+          let ctx = get_context () in
+          let parent = ctx.cx_span in
+          let remote = if parent = None then ctx.cx_remote else None in
+          set_context { ctx with cx_span = Some id };
+          (sink ()).emit
+            (Span_start
+               {
+                 ts = t0;
+                 name;
+                 id;
+                 parent;
+                 domain;
+                 pid = self_pid;
+                 trace = ctx.cx_trace;
+                 remote;
+               });
+          (ctx, remote))
+    in
     {
       sp_name = name;
       sp_t0 = t0;
@@ -615,9 +641,9 @@ let finish ?(attrs = []) sp =
     (* clock granularity can round a sub-microsecond span to zero;
        report a floor instead so rates stay finite *)
     let dur_ms = Float.max ((monotonic_s () -. sp.sp_m0) *. 1000.0) 1e-6 in
-    Domain.DLS.set dls_context sp.sp_ctx;
     let domain = (Domain.self () :> int) in
     locked (fun () ->
+        set_context sp.sp_ctx;
         observe_unlocked sp.sp_name dur_ms;
         (sink ()).emit
           (Span_end

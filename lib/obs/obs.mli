@@ -13,8 +13,8 @@
     - {!null} — drops everything (the default);
     - {!jsonl} — one JSON object per line, machine-readable traces;
     - {!stats_only} — records no events but leaves the counter and
-      histogram tables live (used by [bench --json] and by daemons
-      that answer [metrics] scrapes without a trace);
+      histogram tables live (used by [bench]'s section latencies and
+      by daemons that answer [metrics] scrapes without a trace);
     - {!tee} — duplicates events to two sinks;
     - {!Trace.live} — aggregates the stream as it arrives and prints
       on {!flush} the report [mcml stats --from-trace] prints for the
@@ -22,16 +22,17 @@
 
     {b Span identity (schema v3).}  Every span carries a fresh
     process-unique [id], the [id] of its parent span (the span that
-    was current on the starting domain, [None] for a root), the
+    was current on the starting thread, [None] for a root), the
     integer id of the domain it started on, and — new in v3 — the
     emitting process's [pid], the 63-bit id of the distributed trace
     it belongs to, and, for a span whose parent lives in another
     process, a [remote] parent reference [(pid, span id)].  The
-    current-span context is domain-local ({!Domain.DLS}), so spans
-    emitted concurrently by pool workers never corrupt each other's
-    nesting; {!current_context}/{!with_context} let a task queue (see
-    [Mcml_exec.Pool.submit]) carry the submitter's context across
-    domains, and {!propagation}/{!remote_context} carry it across
+    current-span context belongs to one systhread (keyed by
+    [Thread.id]), so spans emitted concurrently by pool workers or by
+    a server's connection threads never corrupt each other's nesting;
+    {!current_context}/{!with_context} let a task queue (see
+    [Mcml_exec.Pool.submit]) or a new thread carry the submitter's
+    context, and {!propagation}/{!remote_context} carry it across
     {e processes} — a fleet router stamps its in-flight span onto the
     wire and the shard rehydrates it, so the merged forest (see
     {!Trace.merge}) stays well-formed across the whole fleet.
@@ -61,7 +62,7 @@
     is safe at any time, even after worker domains exist.  Counter,
     gauge and histogram mutation and sink emission are serialized by
     one internal mutex: every JSONL line stays intact and totals are
-    exact under concurrency.  Span nesting is tracked per domain (no
+    exact under concurrency.  Span nesting is tracked per systhread (no
     shared depth counter).
 
     Durations ([dur_ms], and every deadline in the counting substrate)
@@ -128,7 +129,7 @@ val jsonl : string -> sink
 val stats_only : unit -> sink
 (** Ignores all events.  Unlike {!null} it still turns {!enabled} on,
     so counters and histograms accumulate and can be read back with
-    {!counters} / {!histograms} — the cheapest way to get
+    {!monotonic_counters} / {!histograms} — the cheapest way to get
     machine-readable totals without a trace. *)
 
 val tee : sink -> sink -> sink
@@ -152,14 +153,14 @@ val monotonic_s : unit -> float
 
 (** {1 Spans}
 
-    Spans nest per domain: [start] makes the new span current on the
-    calling domain, [finish] restores its parent.  When the layer is
+    Spans nest per systhread: [start] makes the new span current on
+    the calling thread, [finish] restores its parent.  When the layer is
     disabled both are free (a shared dummy token, no clock read). *)
 
 type span
 
 val start : string -> span
-(** Open a span and make it current on the calling domain. *)
+(** Open a span and make it current on the calling thread. *)
 
 val finish : ?attrs:(string * attr) list -> span -> unit
 (** [finish sp] emits the [Span_end] and also feeds the span's
@@ -172,17 +173,19 @@ val with_span : ?attrs:(unit -> (string * attr) list) -> string -> (unit -> 'a) 
     values computed by [f].  If [f] raises, the span is finished with
     [("outcome", Str "raised")] and the exception is re-raised. *)
 
-(** {2 Cross-domain context}
+(** {2 Cross-thread context}
 
     A queue that moves work between domains (the [Mcml_exec] pool)
     captures the submitter's context at [submit] time and reinstates
     it around the task body, so worker-side spans parent under the
-    span that submitted them rather than floating as roots. *)
+    span that submitted them rather than floating as roots.  A new
+    systhread starts with the empty context; code that spawns one for
+    work under an open span passes the context on the same way. *)
 
 type context
-(** The identity of the current span on this domain ([None]-like for
+(** The identity of the current span on this thread ([None]-like for
     "no span open").  A small immutable value, safe to send across
-    domains. *)
+    threads and domains. *)
 
 val empty_context : context
 (** No open span, no trace.  Install it ({!with_context}) to start a
@@ -190,13 +193,13 @@ val empty_context : context
     directly, outside any connection loop. *)
 
 val current_context : unit -> context
-(** The calling domain's current span context.  Cheap; returns the
+(** The calling thread's current span context.  Cheap; returns the
     empty context when the layer is disabled. *)
 
 val with_context : context -> (unit -> 'a) -> 'a
 (** [with_context ctx f] runs [f] with [ctx] installed as the calling
-    domain's span context, restoring the previous context afterwards
-    (also on exception). *)
+    thread's span context, restoring the previous context afterwards
+    (also on exception).  Just [f ()] when the layer is disabled. *)
 
 (** {2 Cross-process propagation}
 
@@ -222,7 +225,7 @@ val with_new_trace : (unit -> 'a) -> 'a
 
 val propagation : unit -> (int * int * int) option
 (** [(trace id, own pid, current span id)] identifying the calling
-    domain's in-flight span for cross-process propagation — [Some]
+    thread's in-flight span for cross-process propagation — [Some]
     only when a span is open {e and} a trace id is active (see
     {!with_new_trace}); [None] otherwise, and always [None] when the
     layer is disabled, so callers can stamp unconditionally. *)
@@ -252,11 +255,6 @@ val gauge_set : string -> float -> unit
 val counter_value : string -> float
 (** Current value of the counter — or, if no counter has that name,
     the gauge — called [name]; [0.] if neither was ever touched. *)
-
-val counters : unit -> (string * float) list
-(** Sorted snapshot of all counters {e and} gauges, merged — the
-    "everything numeric" view that bench section deltas consume.  Use
-    {!monotonic_counters} / {!gauges} when the kind matters. *)
 
 val monotonic_counters : unit -> (string * float) list
 (** Sorted snapshot of the monotonic counters only ({!add}/{!addf}). *)

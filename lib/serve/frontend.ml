@@ -7,14 +7,9 @@ type t = {
   queue_cap : int;
   probe_interval_s : float;
   drain_flag : bool Atomic.t;
-  root_ctx : Obs.context;
-      (** the no-span context, captured at [create]: connection spans
-          are started under it so they are always trace roots, however
-          threads interleave on the creating domain *)
 }
 
-type admit =
-  Obs.context -> (Protocol.request, Json.t * string) result -> unit -> Protocol.response
+type admit = (Protocol.request, Json.t * string) result -> unit -> Protocol.response
 
 let create ~conn_span ~queue_cap ~probe_interval_s =
   {
@@ -22,20 +17,15 @@ let create ~conn_span ~queue_cap ~probe_interval_s =
     queue_cap;
     probe_interval_s;
     drain_flag = Atomic.make false;
-    root_ctx = Obs.current_context ();
   }
 
 let drain t = Atomic.set t.drain_flag true
 let draining t = Atomic.get t.drain_flag
 
 let handle_connection t ~admit ~input ~output =
-  (* a root span; [admit] gets its context so request spans parent
+  (* the reader's span: what [admit] starts on this thread parents
      under it *)
-  let conn, conn_ctx =
-    Obs.with_context t.root_ctx (fun () ->
-        let sp = Obs.start t.conn_span in
-        (sp, Obs.current_context ()))
-  in
+  let conn = Obs.start t.conn_span in
   let served = ref 0 in
   let q : (unit -> Protocol.response) Queue.t = Queue.create () in
   let qm = Mutex.create () in
@@ -81,7 +71,7 @@ let handle_connection t ~admit ~input ~output =
     | Some (Ok line) when String.trim line = "" -> read_loop ()
     | Some line ->
         enqueue
-          (admit conn_ctx
+          (admit
              (match line with
              | Ok line -> Protocol.request_of_string line
              | Error msg -> Error (Json.Null, msg)));
@@ -94,8 +84,7 @@ let handle_connection t ~admit ~input ~output =
   Mutex.unlock qm;
   Thread.join responder;
   (try flush output with Sys_error _ -> ());
-  Obs.with_context conn_ctx (fun () ->
-      Obs.finish ~attrs:[ ("responses", Obs.Int !served) ] conn)
+  Obs.finish ~attrs:[ ("responses", Obs.Int !served) ] conn
 
 (* Accept loop: poll the listening socket so the drain flag is noticed
    within 50ms even when no client ever connects. *)

@@ -22,28 +22,25 @@
     {!serve_unix}'s accept loop return so the process can flush its
     trace sink and exit 0.
 
-    {b Telemetry.}  Each connection is a root span named by the service
-    ([serve.conn], [fleet.conn]); [admit] gets its context so request
-    spans parent under it however threads interleave. *)
+    {b Telemetry.}  Each connection is a span named by the service
+    ([serve.conn], [fleet.conn]), open on the reader thread, so the
+    request spans [admit] starts there parent under it; a root when
+    the connection has a thread of its own, as in {!serve_unix}. *)
 
 type t
 
 type admit =
-  Mcml_obs.Obs.context ->
-  (Protocol.request, Mcml_obs.Json.t * string) result ->
-  unit ->
-  Protocol.response
-(** [admit conn_ctx parsed] runs on the reader, once per non-blank
-    line, in order: [parsed] is the request, or the parse error with
-    the id it could recover.  The thunk it returns already holds the
-    answer (admin kinds, errors, rejections) or waits for work started
-    here. *)
+  (Protocol.request, Mcml_obs.Json.t * string) result -> unit -> Protocol.response
+(** [admit parsed] runs on the reader, once per non-blank line, in
+    order, under the connection span: [parsed] is the request, or the
+    parse error with the id it could recover.  The thunk it returns
+    already holds the answer (admin kinds, errors, rejections) or waits
+    for work started here. *)
 
 val create : conn_span:string -> queue_cap:int -> probe_interval_s:float -> t
 (** [probe_interval_s] is the minimum gap between
     {!Mcml_obs.Probe.sample} ticks in {!serve_unix} ([<= 0.] disables
-    them).  Call it outside any span: the calling domain's context
-    becomes the connection spans' root. *)
+    them). *)
 
 val drain : t -> unit
 (** Request a graceful drain (idempotent, callable from a signal

@@ -376,22 +376,14 @@ let metrics_json fmt =
              ("exposition", Json.Str (Metrics.to_openmetrics snap));
            ])
 
-(* Execute one request under a [serve.request] span; [ctx] (when given)
-   pins the span's parent explicitly — the connection span — so request
-   spans parent correctly however systhreads interleave on one domain.
-   A request carrying wire trace context overrides either: the caller's
-   in-flight span (a fleet router) is the real parent, so the request
-   span is adopted into that trace and the merged forest shows the
-   cross-process edge instead of a local conn-span one. *)
-let execute_in t ?ctx ~deadline (req : Protocol.request) =
-  let ctx =
-    match req.Protocol.trace with
-    | Some w when Obs.enabled () ->
-        Some
-          (Obs.remote_context ~trace_id:w.Protocol.trace_id
-             ~pid:w.Protocol.parent_pid ~span:w.Protocol.parent_span)
-    | _ -> ctx
-  in
+(* Execute one request under a [serve.request] span, which parents
+   under the calling thread's span (a connection's, carried to a pool
+   worker by [Pool.submit]).  A request carrying wire trace context
+   overrides it: the caller's in-flight span (a fleet router) is the
+   real parent, so the request span is adopted into that trace and the
+   merged forest shows the cross-process edge instead of a local
+   conn-span one. *)
+let execute_in t ~deadline (req : Protocol.request) =
   let body = ref (Error (Protocol.Internal, "unreached")) in
   let run () =
     Obs.with_span "serve.request"
@@ -418,7 +410,13 @@ let execute_in t ?ctx ~deadline (req : Protocol.request) =
            | Mcml.Pipeline.Unbalanceable msg -> Error (Protocol.Bad_request, msg)
            | e -> Error (Protocol.Internal, Printexc.to_string e)))
   in
-  (match ctx with None -> run () | Some ctx -> Obs.with_context ctx run);
+  (match req.Protocol.trace with
+  | Some w when Obs.enabled () ->
+      Obs.with_context
+        (Obs.remote_context ~trace_id:w.Protocol.trace_id ~pid:w.Protocol.parent_pid
+           ~span:w.Protocol.parent_span)
+        run
+  | _ -> run ());
   (* SLO accounting: a deadlined request that came back [Ok] met its
      deadline; one that timed out (expired before start or exhausted
      the clamped budget) missed it.  Other errors say nothing about
@@ -444,7 +442,7 @@ let execute t req = execute_in t ~deadline:(deadline_of req) req
 
 (* --- connection handling ------------------------------------------------ *)
 
-let admit t ctx parsed =
+let admit t parsed =
   let now resp = Fun.const (record t resp) in
   match parsed with
   | Error (id, msg) -> now (Protocol.err ~id Protocol.Bad_request msg)
@@ -453,7 +451,7 @@ let admit t ctx parsed =
   | Ok req -> (
       match req.Protocol.kind with
       | Protocol.Health | Protocol.Stats | Protocol.Metrics _ ->
-          Fun.const (execute_in t ~ctx ~deadline:None req)
+          Fun.const (execute_in t ~deadline:None req)
       | Protocol.Count _ | Protocol.Accmc _ | Protocol.Diffmc _ ->
           (* fetch-and-add keeps the admission check exact when several
              connection readers race *)
@@ -470,7 +468,7 @@ let admit t ctx parsed =
               Pool.submit t.pool (fun () ->
                   Fun.protect
                     ~finally:(fun () -> Atomic.decr t.inflight)
-                    (fun () -> execute_in t ~ctx ~deadline req))
+                    (fun () -> execute_in t ~deadline req))
             in
             fun () ->
               try Pool.await fut

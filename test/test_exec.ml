@@ -85,34 +85,6 @@ let pool_nested_submission () =
     [ 36; 66; 96; 126 ]
     outer
 
-let pool_deadline_expiry () =
-  (* an absolute deadline already in the past: the task must be dropped
-     before it starts, even on the jobs=1 inline path *)
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs @@ fun p ->
-      let ran = ref false in
-      let fut =
-        Pool.submit ~deadline:(Mcml_obs.Obs.monotonic_s () -. 1.0) p (fun () ->
-            ran := true)
-      in
-      (match Pool.await fut with
-      | () -> Alcotest.fail "expected Deadline_exceeded"
-      | exception Pool.Deadline_exceeded -> ());
-      check Alcotest.bool
-        (Printf.sprintf "thunk not run (jobs=%d)" jobs)
-        false !ran)
-    [ 1; 4 ]
-
-let pool_cancel () =
-  (* cancelling an already-settled future must fail; a cancelled pending
-     task must never run.  With jobs=1 the task settles at submit, so
-     cancel always loses — which pins down the sequential semantics. *)
-  Pool.with_pool ~jobs:1 @@ fun p ->
-  let fut = Pool.submit p (fun () -> 42) in
-  check Alcotest.bool "cancel after settle loses" false (Pool.cancel fut);
-  check Alcotest.int "value survives" 42 (Pool.await fut)
-
 (* --- memo -------------------------------------------------------------- *)
 
 let memo_hit_miss () =
@@ -683,8 +655,6 @@ let () =
           Alcotest.test_case "exception propagation" `Quick pool_exception_propagation;
           Alcotest.test_case "reuse across batches" `Quick pool_reuse_across_batches;
           Alcotest.test_case "nested submission" `Quick pool_nested_submission;
-          Alcotest.test_case "deadline expiry" `Quick pool_deadline_expiry;
-          Alcotest.test_case "cancel semantics" `Quick pool_cancel;
         ] );
       ( "memo",
         [

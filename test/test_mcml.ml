@@ -250,6 +250,34 @@ let accmc_matches_exhaustive prop =
           ("fn", got.Metrics.fn, expected.Metrics.fn);
         ])
 
+(* Exact AccMC against an oracle that shares no code with the
+   translation: the tree's own predictions and the property's
+   hand-written checker over every input of the full space.  Scope 4
+   reaches 2^16 inputs, past the scope-3 cases above. *)
+let accmc_matches_eval_all () =
+  let confusion = Alcotest.testable Metrics.pp ( = ) in
+  List.iter
+    (fun (scope, skipped) ->
+      let unbalanceable =
+        List.filter_map
+          (fun prop ->
+            match train_on prop ~scope ~seed:21 with
+            | exception Pipeline.Unbalanceable _ -> Some prop.Props.name
+            | tree ->
+                check confusion
+                  (Printf.sprintf "%s at scope %d" prop.Props.name scope)
+                  (Decision_tree.eval_all tree ~scope_bits:(scope * scope)
+                     (prop.Props.check ~scope))
+                  (Accmc.confusion
+                     (Option.get
+                        (Pipeline.accmc ~backend ~prop ~scope ~eval_symmetry:false tree)));
+                None)
+          Props.all
+      in
+      check Alcotest.(list string) (Printf.sprintf "unbalanceable at scope %d" scope) skipped
+        unbalanceable)
+    [ (3, [ "Surjective" ]); (4, []) ]
+
 let accmc_symmetry_universe () =
   (* with eval_symmetry the four counts live in the lex-leader universe *)
   let prop = Props.find_exn "PartialOrder" in
@@ -647,6 +675,8 @@ let () =
             Props.find_exn "Equivalence";
           ]
         @ [
+            Alcotest.test_case "exact AccMC = eval_all, 16 properties at scopes 3 and 4" `Slow
+              accmc_matches_eval_all;
             Alcotest.test_case "symmetry-constrained universe" `Slow accmc_symmetry_universe;
             Alcotest.test_case "conditioned = brute Tree2CNF counts, 16 properties" `Slow
               accmc_conditioned_matches_brute;

@@ -86,6 +86,65 @@ let span_context_capture () =
   check Alcotest.(option int) "c parents under a (captured)" (Some (id_of "a")) (parent_of "c");
   check Alcotest.(option int) "d parents under b (restored)" (Some (id_of "b")) (parent_of "d")
 
+let span_context_per_thread () =
+  (* two systhreads of one domain, as a server's connection threads:
+     A opens [a] and blocks, B opens [b] and blocks, then A opens a
+     child — which must parent under [a], not under B's [b] *)
+  with_clean_obs @@ fun () ->
+  let sink, events = recording () in
+  Obs.set_sink sink;
+  let m = Mutex.create () and cv = Condition.create () and step = ref 0 in
+  let await_step n =
+    Mutex.lock m;
+    while !step < n do
+      Condition.wait cv m
+    done;
+    Mutex.unlock m
+  in
+  let reach n =
+    Mutex.lock m;
+    step := n;
+    Condition.broadcast cv;
+    Mutex.unlock m
+  in
+  let thread_a =
+    Thread.create
+      (fun () ->
+        let a = Obs.start "a" in
+        reach 1;
+        await_step 2;
+        Obs.finish (Obs.start "child");
+        Obs.finish a;
+        reach 3)
+      ()
+  in
+  let thread_b =
+    Thread.create
+      (fun () ->
+        await_step 1;
+        let b = Obs.start "b" in
+        reach 2;
+        await_step 3;
+        Obs.finish b)
+      ()
+  in
+  Thread.join thread_a;
+  Thread.join thread_b;
+  let start_of n =
+    List.find_map
+      (function
+        | Obs.Span_start { name; id; parent; _ } when name = n -> Some (id, parent)
+        | _ -> None)
+      !events
+    |> function
+    | Some s -> s
+    | None -> Alcotest.failf "no start for %s" n
+  in
+  let a, a_parent = start_of "a" and _, b_parent = start_of "b" in
+  check Alcotest.(option int) "child parents under a" (Some a) (snd (start_of "child"));
+  check Alcotest.(option int) "a is a root" None a_parent;
+  check Alcotest.(option int) "b is a root" None b_parent
+
 let set_sink_after_domains () =
   (* the sink cell is atomic: installing (and tee-ing) a sink while
      another domain is emitting must be safe and lose no totals *)
@@ -130,8 +189,8 @@ let counters_accumulate () =
   check
     Alcotest.(list (pair string (float 1e-9)))
     "snapshot sorted"
-    [ ("a", 5.0); ("b", 0.5); ("g", 9.0) ]
-    (Obs.counters ());
+    [ ("a", 5.0); ("b", 0.5) ]
+    (Obs.monotonic_counters ());
   Obs.reset_counters ();
   check floatc "reset" 0.0 (Obs.counter_value "a")
 
@@ -166,7 +225,8 @@ let null_sink_is_inert () =
   Obs.gauge "g" 2.0;
   check floatc "counters untouched" 0.0 (Obs.counter_value "c");
   check floatc "gauges untouched" 0.0 (Obs.counter_value "g");
-  check Alcotest.int "no counters live" 0 (List.length (Obs.counters ()));
+  check Alcotest.int "no counters live" 0 (List.length (Obs.monotonic_counters ()));
+  check Alcotest.int "no gauges live" 0 (List.length (Obs.gauges ()));
   Obs.flush () (* must be a no-op, not an error *)
 
 (* --- jsonl sink --------------------------------------------------------------- *)
@@ -420,12 +480,6 @@ let registry_split () =
   check
     Alcotest.(list (pair string (float 1e-9)))
     "gauges" [ ("pool.depth", 5.0) ] (Obs.gauges ());
-  (* the merged view spans both tables, still sorted *)
-  check
-    Alcotest.(list (pair string (float 1e-9)))
-    "merged view"
-    [ ("pool.depth", 5.0); ("req.ok", 3.0) ]
-    (Obs.counters ());
   check floatc "counter_value reads gauges too" 5.0 (Obs.counter_value "pool.depth");
   Obs.reset_counters ();
   check Alcotest.int "reset clears counters" 0 (List.length (Obs.monotonic_counters ()));
@@ -1151,6 +1205,7 @@ let () =
         [
           Alcotest.test_case "nesting and durations" `Quick span_nesting;
           Alcotest.test_case "context capture" `Quick span_context_capture;
+          Alcotest.test_case "context per thread" `Quick span_context_per_thread;
           Alcotest.test_case "exception outcome" `Quick with_span_on_raise;
         ] );
       ( "counters",
