@@ -30,7 +30,7 @@ let var_of t ~field i j =
 module FSem = Semantics.Make (Semantics.Formulas)
 module BSem = Semantics.Make (Semantics.Bools)
 
-let formula ?(negate = false) ?(symmetry = false) t ~pred =
+let translate ~negate ~symmetry t ~pred =
   let env =
     {
       FSem.scope = t.scope;
@@ -44,6 +44,14 @@ let formula ?(negate = false) ?(symmetry = false) t ~pred =
     Formula.and_
       [ phi; Symmetry.breaking_formula ~var_of:(fun ~field i j -> var_of t ~field i j) t.spec ~scope:t.scope ]
   else phi
+
+let formula ?(negate = false) ?(symmetry = false) t ~pred =
+  if not (Mcml_obs.Obs.enabled ()) then translate ~negate ~symmetry t ~pred
+  else
+    let open Mcml_obs in
+    Obs.with_span "alloy.translate"
+      ~attrs:(fun () -> [ ("pred", Obs.Str pred) ])
+      (fun () -> translate ~negate ~symmetry t ~pred)
 
 let cnf ?negate ?symmetry t ~pred =
   Tseitin.cnf_of ~nprimary:(nprimary t) (formula ?negate ?symmetry t ~pred)

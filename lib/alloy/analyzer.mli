@@ -36,7 +36,8 @@ val formula : ?negate:bool -> ?symmetry:bool -> t -> pred:string -> Formula.t
 (** Propositional semantics of the predicate at the scope.  [negate]
     negates the predicate; [symmetry] conjoins the partial lex-leader
     predicate (outside the negation, matching the paper's use of a
-    symmetry-constrained evaluation universe). *)
+    symmetry-constrained evaluation universe).  Traced as an
+    [alloy.translate] span with attribute [pred]. *)
 
 val cnf : ?negate:bool -> ?symmetry:bool -> t -> pred:string -> Cnf.t
 (** CNF of {!formula} with projection onto the primary variables. *)

@@ -118,7 +118,15 @@ let train_tree ?(params = Decision_tree.default_params) ~seed ds =
       let tree = Decision_tree.train ~params ~rng ds in
       { kind = DT; predict = Decision_tree.predict tree; tree = Some tree })
 
-let evaluate t (ds : Dataset.t) =
+let evaluate_core t (ds : Dataset.t) =
   let predicted = Array.map (fun s -> t.predict s.Dataset.features) ds.Dataset.samples in
   let actual = Array.map (fun s -> s.Dataset.label) ds.Dataset.samples in
   Metrics.of_predictions ~predicted ~actual
+
+let evaluate t ds =
+  if not (Obs.enabled ()) then evaluate_core t ds
+  else
+    Obs.with_span "ml.evaluate"
+      ~attrs:(fun () ->
+        [ ("model", Obs.Str (name_of t.kind)); ("samples", Obs.Int (Dataset.size ds)) ])
+      (fun () -> evaluate_core t ds)

@@ -43,4 +43,5 @@ val train_tree : ?params:Decision_tree.params -> seed:int -> Dataset.t -> t
     hyperparameters). *)
 
 val evaluate : t -> Dataset.t -> Metrics.confusion
-(** Traditional test-set confusion. *)
+(** Traditional test-set confusion.  Traced as an [ml.evaluate] span
+    with attributes [model] and [samples]. *)

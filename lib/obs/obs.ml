@@ -32,6 +32,7 @@ type event =
       attrs : (string * attr) list;
     }
   | Counter of { ts : float; name : string; value : float; pid : int }
+  | Gauge of { ts : float; name : string; value : float; pid : int }
   | Histogram of { ts : float; name : string; stats : hist_stats; pid : int }
 
 type sink = { emit : event -> unit; flush : unit -> unit }
@@ -221,6 +222,16 @@ let span_id_fields id parent domain pid trace remote =
         [ ("remote", Json.Obj [ ("pid", Json.Int rpid); ("id", Json.Int rid) ]) ]
     | None -> [])
 
+let value_event_json kind ts name value pid =
+  Json.Obj
+    [
+      ("ts", Json.Float ts);
+      ("kind", Json.Str kind);
+      ("name", Json.Str name);
+      ("value", Json.Float value);
+      ("pid", Json.Int pid);
+    ]
+
 let event_to_json = function
   | Span_start { ts; name; id; parent; domain; pid; trace; remote } ->
       Json.Obj
@@ -243,15 +254,8 @@ let event_to_json = function
             ("dur_ms", Json.Float dur_ms);
             ("attrs", Json.Obj (List.map (fun (k, v) -> (k, attr_to_json v)) attrs));
           ])
-  | Counter { ts; name; value; pid } ->
-      Json.Obj
-        [
-          ("ts", Json.Float ts);
-          ("kind", Json.Str "counter");
-          ("name", Json.Str name);
-          ("value", Json.Float value);
-          ("pid", Json.Int pid);
-        ]
+  | Counter { ts; name; value; pid } -> value_event_json "counter" ts name value pid
+  | Gauge { ts; name; value; pid } -> value_event_json "gauge" ts name value pid
   | Histogram { ts; name; stats; pid } ->
       Json.Obj
         [
@@ -359,6 +363,10 @@ let event_of_json j =
       let* value = float_field "value" in
       let* pid = int_field "pid" in
       Ok (Counter { ts; name; value; pid })
+  | "gauge" ->
+      let* value = float_field "value" in
+      let* pid = int_field "pid" in
+      Ok (Gauge { ts; name; value; pid })
   | "histogram" ->
       let* count = int_field "count" in
       let* p50 = float_field "p50_ms" in
@@ -450,8 +458,9 @@ let histogram_copies () =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* values as of the last [flush], so repeated flushes (an explicit one
-   plus the at_exit one, say) don't re-emit unchanged entries *)
-let flushed_values : (string, float) Hashtbl.t = Hashtbl.create 64
+   plus the at_exit one, say) don't re-emit unchanged entries; keyed by
+   (is a gauge, name) *)
+let flushed_values : (bool * string, float) Hashtbl.t = Hashtbl.create 64
 let flushed_hist_counts : (string, int) Hashtbl.t = Hashtbl.create 32
 
 let reset_counters () =
@@ -679,17 +688,19 @@ let flush () =
   if s != null then
     locked (fun () ->
         let ts = now () in
-        let snapshot =
-          fold_table counter_table (fold_table gauge_table [])
-          |> sorted_by_name
+        let emit_changed gauge table =
+          List.iter
+            (fun (name, value) ->
+              if Hashtbl.find_opt flushed_values (gauge, name) <> Some value then begin
+                Hashtbl.replace flushed_values (gauge, name) value;
+                s.emit
+                  (if gauge then Gauge { ts; name; value; pid = self_pid }
+                   else Counter { ts; name; value; pid = self_pid })
+              end)
+            (sorted_by_name (fold_table table []))
         in
-        List.iter
-          (fun (name, value) ->
-            if Hashtbl.find_opt flushed_values name <> Some value then begin
-              Hashtbl.replace flushed_values name value;
-              s.emit (Counter { ts; name; value; pid = self_pid })
-            end)
-          snapshot;
+        emit_changed false counter_table;
+        emit_changed true gauge_table;
         let hists =
           Hashtbl.fold (fun k h acc -> (k, h) :: acc) hist_table []
           |> List.sort (fun (a, _) (b, _) -> String.compare a b)

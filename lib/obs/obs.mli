@@ -51,11 +51,15 @@
      "attrs":{"conflicts":17,"result":"sat"}}
     {"ts":…,"kind":"counter","name":"solver.conflicts","value":123.0,
      "pid":4242}
+    {"ts":…,"kind":"gauge","name":"exec.pool.queue_depth","value":3.0,
+     "pid":4242}
     {"ts":…,"kind":"histogram","name":"solver.solve_ms","count":3000,
      "p50_ms":0.05,"p90_ms":0.11,"p99_ms":0.41,"max_ms":2.7,"pid":4242}
     v}
-    Counter and histogram events are emitted once per live name at
-    {!flush} time with the then-current accumulated state.
+    Counter, gauge and histogram events are emitted once per live name
+    at {!flush} time with the then-current state.  A trace reader sums
+    a counter over processes and keeps a gauge per process (traces
+    written before gauge events existed carry gauges as counters).
 
     {b Thread safety.}  The installed sink lives in an [Atomic.t], so
     {!set_sink} (installing, or tee-ing a second sink onto a live one)
@@ -108,6 +112,7 @@ type event =
       attrs : (string * attr) list;
     }
   | Counter of { ts : float; name : string; value : float; pid : int }
+  | Gauge of { ts : float; name : string; value : float; pid : int }
   | Histogram of { ts : float; name : string; stats : hist_stats; pid : int }
       (** [pid] is the emitting process; [trace] the distributed
           trace id active when the span opened; [remote] the
@@ -373,8 +378,9 @@ val histogram_copies : unit -> (string * Histogram.t) list
     distributions, as [bench --json] does. *)
 
 val flush : unit -> unit
-(** Emit one {!type-event}[.Counter] event per live counter and one
-    [Histogram] event per live histogram to the sink (skipping entries
+(** Emit one {!type-event}[.Counter] event per live counter, one
+    [Gauge] event per live gauge and one [Histogram] event per live
+    histogram to the sink (skipping entries
     unchanged since the previous [flush], so an explicit flush
     followed by the [at_exit] one doesn't duplicate), then flush the
     sink. *)

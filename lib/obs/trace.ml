@@ -26,6 +26,7 @@ type t = {
   roots : span list;
   num_spans : int;
   counters : (string * float) list;
+  gauges : (string * float) list;
   histograms : (string * Obs.hist_stats) list;
   domains : (int * int * float) list;
   pids : (int * int * float) list;
@@ -45,6 +46,7 @@ type tally = {
   by_domain : (int, int ref * float ref) Hashtbl.t;
   by_pid : (int, int ref * float ref) Hashtbl.t;
   counters : (int * string, float) Hashtbl.t; (* last value per process *)
+  gauges : (int * string, float) Hashtbl.t; (* last value per process *)
   hists : (int * string, Obs.hist_stats) Hashtbl.t; (* last summary per process *)
 }
 
@@ -58,6 +60,7 @@ let tally () =
     by_domain = Hashtbl.create 8;
     by_pid = Hashtbl.create 8;
     counters = Hashtbl.create 64;
+    gauges = Hashtbl.create 32;
     hists = Hashtbl.create 32;
   }
 
@@ -113,15 +116,16 @@ let feed tl ~forget ~orphan = function
           bump tl.by_domain domain dur_ms;
           bump tl.by_pid pid dur_ms)
   | Obs.Counter { name; value; pid; _ } -> Hashtbl.replace tl.counters (pid, name) value
+  | Obs.Gauge { name; value; pid; _ } -> Hashtbl.replace tl.gauges (pid, name) value
   | Obs.Histogram { name; stats; pid; _ } -> Hashtbl.replace tl.hists (pid, name) stats
 
 (* every list below has unique keys, so this sorts by key *)
 let sorted_bindings f tbl = List.sort compare (Hashtbl.fold f tbl [])
 let breakdown = sorted_bindings (fun k (n, d) acc -> (k, !n, !d) :: acc)
 
-(* Counters sum across processes (each reports its own total);
-   histograms cannot, so when spans came from more than one process
-   their names are qualified as [pidN/name]. *)
+(* Counters sum across processes (each reports its own total); gauges
+   and histograms cannot, so when more than one process reported any
+   event their names are qualified as [pidN/name]. *)
 let of_tally tl ~roots ~remote_edges ~cross_pid_edges =
   let sums = Hashtbl.create 64 in
   Hashtbl.iter
@@ -129,19 +133,26 @@ let of_tally tl ~roots ~remote_edges ~cross_pid_edges =
       Hashtbl.replace sums name
         (match Hashtbl.find_opt sums name with Some s -> s +. v | None -> v))
     tl.counters;
+  let pids = Hashtbl.create 8 in
+  let saw tbl = Hashtbl.iter (fun (pid, _) _ -> Hashtbl.replace pids pid ()) tbl in
+  Hashtbl.iter (fun pid _ -> Hashtbl.replace pids pid ()) tl.by_pid;
+  saw tl.counters;
+  saw tl.gauges;
+  saw tl.hists;
+  let per_process tbl =
+    sorted_bindings
+      (fun (pid, name) v acc ->
+        ((if Hashtbl.length pids > 1 then Printf.sprintf "pid%d/%s" pid name else name), v)
+        :: acc)
+      tbl
+  in
   let domains = breakdown tl.by_domain in
   {
     roots;
     num_spans = List.fold_left (fun acc (_, n, _) -> acc + n) 0 domains;
     counters = sorted_bindings (fun k v acc -> (k, v) :: acc) sums;
-    histograms =
-      sorted_bindings
-        (fun (pid, name) stats acc ->
-          ( (if Hashtbl.length tl.by_pid > 1 then Printf.sprintf "pid%d/%s" pid name
-             else name),
-            stats )
-          :: acc)
-        tl.hists;
+    gauges = per_process tl.gauges;
+    histograms = per_process tl.hists;
     domains;
     pids = breakdown tl.by_pid;
     remote_edges;
@@ -244,7 +255,7 @@ let merge_streams streams =
                   sp.o_closed <- true;
                   sp.o_dur_ms <- dur_ms;
                   sp.o_attrs <- attrs)
-          | Obs.Counter _ | Obs.Histogram _ -> ())
+          | Obs.Counter _ | Obs.Gauge _ | Obs.Histogram _ -> ())
         events)
     streams;
   Hashtbl.iter
@@ -532,17 +543,21 @@ let render oc t =
           (dur_str s.Obs.max))
       t.histograms
   end;
-  if t.counters <> [] then begin
-    section "counters";
-    List.iter
-      (fun (name, v) ->
-        let pretty =
-          if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-          else Printf.sprintf "%.3f" v
-        in
-        Printf.fprintf oc "%-40s %14s\n" name pretty)
-      t.counters
-  end
+  let values title = function
+    | [] -> ()
+    | l ->
+        section title;
+        List.iter
+          (fun (name, v) ->
+            let pretty =
+              if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+              else Printf.sprintf "%.3f" v
+            in
+            Printf.fprintf oc "%-40s %14s\n" name pretty)
+          l
+  in
+  values "counters" t.counters;
+  values "gauges" t.gauges
 
 (* The live sink keeps only the spans still open, so its memory is the
    tally's, not the stream's.  A span whose parent has already ended

@@ -60,10 +60,14 @@ type t = {
   counters : (string * float) list;
       (** the last value per process, summed across processes, sorted
           by name *)
+  gauges : (string * float) list;
+      (** the last value per process and name, never summed, sorted by
+          name; when more than one process reported events names are
+          qualified as [pidN/name] *)
   histograms : (string * Obs.hist_stats) list;
-      (** the last summary per process and name, sorted by name; in a
-          merged multi-process trace names are qualified as [pidN/name]
-          (summaries cannot be merged bucket-wise) *)
+      (** the last summary per process and name, sorted by name; when
+          more than one process reported events names are qualified as
+          [pidN/name] (summaries cannot be merged bucket-wise) *)
   domains : (int * int * float) list;
       (** per domain: (domain id, span count, summed span duration in
           ms), sorted by domain id *)
@@ -141,7 +145,7 @@ val render : out_channel -> t -> unit
     first-start order); a per-domain table when more than one domain
     ran spans; a per-process table ending in a greppable
     [cross-process parent edges: N] line when more than one process
-    did; then the latency and counter tables. *)
+    did; then the latency, counter and gauge tables. *)
 
 val live : ?oc:out_channel -> unit -> Obs.sink
 (** A sink that aggregates events as they arrive and, on [flush],

@@ -5,7 +5,8 @@ open Mcml_logic
 open Mcml_ml
 
 let check = Alcotest.check
-let qtest ?(count = 200) name gen prop = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* a labeled dataset for a known boolean target over k features *)
 let dataset_of_target ~k ~n ~seed target =
@@ -16,6 +17,9 @@ let dataset_of_target ~k ~n ~seed target =
         { Dataset.features; label = target features })
   in
   Dataset.make ~nfeatures:k samples
+
+(* every input over [k] features *)
+let inputs k = List.init (1 lsl k) (fun m -> Array.init k (fun i -> m land (1 lsl i) <> 0))
 
 let parity3 f = (if f.(0) then 1 else 0) + (if f.(1) then 1 else 0) + (if f.(2) then 1 else 0) |> fun s -> s mod 2 = 1
 let conj2 f = f.(0) && f.(1)
@@ -429,6 +433,192 @@ let mlp_probability_range =
       done;
       !ok)
 
+(* The MLP as it was before mlp_stubs.c, verbatim: the reference the
+   kernel must match float for float, and the only other implementation
+   of its arithmetic. *)
+module Mlp_ref = struct
+  (* Every parameter lives in [theta], the one vector Adam updates in
+     place: the first layer input-major ([f * hidden + i] is input [f]'s
+     weight into unit [i], so a set input adds one contiguous slice), then
+     the hidden biases, the output weights and the output bias. *)
+  type t = { inputs : int; hidden : int; theta : float array }
+
+  type params = { hidden : int; epochs : int; batch : int; learning_rate : float }
+
+  let default_params = { hidden = 64; epochs = 40; batch = 32; learning_rate = 5e-3 }
+
+  let sigmoid z = 1.0 /. (1.0 +. exp (-.z))
+  let b1_off ~k ~h = k * h
+  let w2_off ~k ~h = (k * h) + h
+  let b2_off ~k ~h = (k * h) + h + h
+
+  (* Adds input [f]'s slice to the hidden pre-activations.  Called for
+     each set input in ascending order on [pre] loaded with the biases, it
+     adds each unit's terms in the order a unit-major dot product would. *)
+  let add_slice theta ~h f pre =
+    let base = f * h in
+    for i = 0 to h - 1 do
+      pre.(i) <- pre.(i) +. theta.(base + i)
+    done
+
+  let logit theta ~k ~h pre =
+    let w2 = w2_off ~k ~h in
+    let out = ref theta.(b2_off ~k ~h) in
+    for i = 0 to h - 1 do
+      out := !out +. (theta.(w2 + i) *. Float.max 0.0 pre.(i))
+    done;
+    !out
+
+  (* Minimal Adam state for a flat parameter vector. *)
+  type adam = { mutable t : int; m : float array; v : float array }
+
+  let adam_make n = { t = 0; m = Array.make n 0.0; v = Array.make n 0.0 }
+
+  let adam_step st ~lr (theta : float array) (grad : float array) =
+    let beta1 = 0.9 and beta2 = 0.999 and eps = 1e-8 in
+    st.t <- st.t + 1;
+    let t = float_of_int st.t in
+    let bc1 = 1.0 -. (beta1 ** t) and bc2 = 1.0 -. (beta2 ** t) in
+    for i = 0 to Array.length grad - 1 do
+      let g = grad.(i) in
+      st.m.(i) <- (beta1 *. st.m.(i)) +. ((1.0 -. beta1) *. g);
+      st.v.(i) <- (beta2 *. st.v.(i)) +. ((1.0 -. beta2) *. g *. g);
+      let mhat = st.m.(i) /. bc1 and vhat = st.v.(i) /. bc2 in
+      theta.(i) <- theta.(i) -. (lr *. mhat /. (sqrt vhat +. eps))
+    done
+
+  let set_features x =
+    let acc = ref [] in
+    for f = Array.length x - 1 downto 0 do
+      if x.(f) then acc := f :: !acc
+    done;
+    Array.of_list !acc
+
+  let train ?(params = default_params) ~rng (ds : Dataset.t) =
+    let n = Dataset.size ds in
+    if n = 0 then invalid_arg "Mlp.train: empty dataset";
+    let k = ds.Dataset.nfeatures and h = params.hidden in
+    let gauss () =
+      (* Box-Muller *)
+      let u1 = Float.max 1e-12 (Splitmix.float rng) and u2 = Splitmix.float rng in
+      sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+    in
+    let b1 = b1_off ~k ~h and w2 = w2_off ~k ~h and b2 = b2_off ~k ~h in
+    let nparams = b2 + 1 in
+    let theta = Array.make nparams 0.0 in
+    (* drawn unit by unit, as a unit-major layout would be filled *)
+    let scale1 = sqrt (2.0 /. float_of_int k) in
+    for i = 0 to h - 1 do
+      for f = 0 to k - 1 do
+        theta.((f * h) + i) <- gauss () *. scale1
+      done
+    done;
+    for i = 0 to h - 1 do
+      theta.(w2 + i) <- gauss () *. sqrt (2.0 /. float_of_int h)
+    done;
+    let grads = Array.make nparams 0.0 in
+    let st = adam_make nparams in
+    let active = Array.map (fun s -> set_features s.Dataset.features) ds.Dataset.samples in
+    let pre = Array.make h 0.0 and dh = Array.make h 0.0 in
+    let order = Array.init n (fun i -> i) in
+    for _epoch = 1 to params.epochs do
+      (* reshuffle *)
+      for i = n - 1 downto 1 do
+        let j = Splitmix.int rng (i + 1) in
+        let tmp = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- tmp
+      done;
+      let idx = ref 0 in
+      while !idx < n do
+        let batch_end = min n (!idx + params.batch) in
+        Array.fill grads 0 nparams 0.0;
+        let bsize = float_of_int (batch_end - !idx) in
+        for s = !idx to batch_end - 1 do
+          let x = active.(order.(s)) in
+          let y = if ds.Dataset.samples.(order.(s)).Dataset.label then 1.0 else 0.0 in
+          (* forward *)
+          Array.blit theta b1 pre 0 h;
+          for j = 0 to Array.length x - 1 do
+            add_slice theta ~h x.(j) pre
+          done;
+          let p = sigmoid (logit theta ~k ~h pre) in
+          (* backward: dL/dout = p - y (logistic loss).  An inactive unit
+             adds dh = +0.0, which leaves its accumulators as they are:
+             each starts at +0.0 and so is never -0.0. *)
+          let dout = (p -. y) /. bsize in
+          grads.(b2) <- grads.(b2) +. dout;
+          for i = 0 to h - 1 do
+            grads.(w2 + i) <- grads.(w2 + i) +. (dout *. Float.max 0.0 pre.(i));
+            dh.(i) <- (if pre.(i) > 0.0 then dout *. theta.(w2 + i) else 0.0);
+            grads.(b1 + i) <- grads.(b1 + i) +. dh.(i)
+          done;
+          for j = 0 to Array.length x - 1 do
+            let base = x.(j) * h in
+            for i = 0 to h - 1 do
+              grads.(base + i) <- grads.(base + i) +. dh.(i)
+            done
+          done
+        done;
+        adam_step st ~lr:params.learning_rate theta grads;
+        idx := batch_end
+      done
+    done;
+    { inputs = k; hidden = h; theta }
+
+  let probability (t : t) features =
+    let k = t.inputs and h = t.hidden in
+    let pre = Array.sub t.theta (b1_off ~k ~h) h in
+    for f = 0 to k - 1 do
+      if features.(f) then add_slice t.theta ~h f pre
+    done;
+    sigmoid (logit t.theta ~k ~h pre)
+end
+
+(* Random training sets: [k] features, [n] rows, each all-false with
+   probability 1/4, labels drawn independently. *)
+let random_dataset ~k ~n ~seed =
+  let rng = Splitmix.create seed in
+  Dataset.make ~nfeatures:k
+    (List.init n (fun _ ->
+         let blank = Splitmix.int rng 4 = 0 in
+         let features = Array.init k (fun _ -> (not blank) && Splitmix.bool rng) in
+         { Dataset.features; label = Splitmix.bool rng }))
+
+let mlp_matches_reference =
+  let open QCheck2.Gen in
+  let gen =
+    let* k = int_range 1 8 and* batch = int_range 1 40 in
+    (* a third of the sets are no larger than one batch *)
+    let* n = frequency [ (2, int_range 1 200); (1, int_range 1 batch) ] in
+    let* hidden = oneofl [ 1; 2; 3; 5; 17; 64 ] and* epochs = int_range 1 3 in
+    let* learning_rate = oneofl [ 5e-3; 0.5 ] and* seed = int_bound 1_000_000 in
+    return (k, n, { Mlp.hidden; epochs; batch; learning_rate }, seed)
+  in
+  let print (k, n, (p : Mlp.params), seed) =
+    Printf.sprintf "k=%d n=%d hidden=%d epochs=%d batch=%d lr=%g seed=%d" k n p.hidden
+      p.epochs p.batch p.learning_rate seed
+  in
+  qtest ~count:300 ~print "kernel = OCaml reference, bit for bit" gen
+    (fun (k, n, (p : Mlp.params), seed) ->
+      let ds = random_dataset ~k ~n ~seed in
+      let m = Mlp.train ~params:p ~rng:(Splitmix.create (seed + 1)) ds in
+      let r =
+        Mlp_ref.train
+          ~params:
+            {
+              Mlp_ref.hidden = p.hidden;
+              epochs = p.epochs;
+              batch = p.batch;
+              learning_rate = p.learning_rate;
+            }
+          ~rng:(Splitmix.create (seed + 1)) ds
+      in
+      List.for_all
+        (fun x ->
+          Printf.sprintf "%h" (Mlp.probability m x) = Printf.sprintf "%h" (Mlp_ref.probability r x))
+        (inputs k))
+
 (* --- bnn ------------------------------------------------------------------------------- *)
 
 let bnn_learns_majority () =
@@ -495,9 +685,6 @@ let digest_of print =
   Format.pp_print_flush fmt ();
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* every input over [k] features *)
-let inputs k = List.init (1 lsl k) (fun m -> Array.init k (fun i -> m land (1 lsl i) <> 0))
-
 let golden_trees () =
   let dt params fmt ds = Decision_tree.pp fmt (Decision_tree.train ~params ds) in
   List.iter
@@ -554,6 +741,27 @@ let golden_nets () =
                ~rng:(Splitmix.create 45) ds)),
         "c41ec2c2ed37b4919df9aa455222e5c5" );
     ]
+
+(* The golden MLP trained on two domains at once, five times each: the
+   kernel keeps no state of its own, so every run prints
+   [golden_nets]'s digest. *)
+let golden_mlp_two_domains () =
+  let digest () =
+    digest_of (fun fmt (ds : Dataset.t) ->
+        let m =
+          Mlp.train
+            ~params:{ Mlp.hidden = 64; epochs = 40; batch = 32; learning_rate = 5e-3 }
+            ~rng:(Splitmix.create 44) ds
+        in
+        List.iter (fun x -> Format.fprintf fmt "%h@." (Mlp.probability m x)) (inputs ds.Dataset.nfeatures))
+  in
+  let runs () = List.init 5 (fun _ -> digest ()) in
+  let other = Domain.spawn runs in
+  let here = runs () in
+  List.iter
+    (fun (where, digests) ->
+      List.iter (check Alcotest.string where "3fb2f0920de6d16b3faf5fcf4379f45e") digests)
+    [ ("this domain", here); ("other domain", Domain.join other) ]
 
 (* --- unified model interface ------------------------------------------------------------- *)
 
@@ -639,6 +847,7 @@ let () =
         [
           Alcotest.test_case "learns OR" `Slow mlp_learns_or;
           mlp_probability_range;
+          mlp_matches_reference;
         ] );
       ( "bnn",
         [
@@ -650,6 +859,7 @@ let () =
         [
           Alcotest.test_case "every tree family" `Quick golden_trees;
           Alcotest.test_case "MLP and SVM" `Quick golden_nets;
+          Alcotest.test_case "MLP on two domains at once" `Quick golden_mlp_two_domains;
         ] );
       ( "model",
         [

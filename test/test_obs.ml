@@ -707,6 +707,7 @@ let event_json_roundtrip () =
           attrs = [ ("n", Obs.Int 7); ("ok", Obs.Bool true); ("s", Obs.Str "x") ];
         };
       Obs.Counter { ts = 1.8; name = "c"; value = 42.0; pid = 101 };
+      Obs.Gauge { ts = 1.85; name = "g"; value = 0.5; pid = 101 };
       Obs.Histogram
         {
           ts = 1.9;
@@ -737,6 +738,8 @@ let event_json_roundtrip () =
       {|{"ts":1.0,"kind":"mystery","name":"x"}|};
       {|{"ts":1.0,"kind":"span_start","name":"x"}|};
       {|{"kind":"counter","name":"x","value":1.0}|};
+      {|{"ts":1.0,"kind":"gauge","name":"x","pid":1}|};
+      {|{"ts":1.0,"kind":"gauge","name":"x","value":"1","pid":1}|};
       {|{"ts":1.0,"kind":"span_end","name":"x","id":1,"domain":0,"pid":1}|};
       (* a remote reference must carry both integer pid and id *)
       {|{"ts":1.0,"kind":"span_start","name":"x","id":1,"domain":0,"pid":1,"remote":{"pid":3}}|};
@@ -755,6 +758,7 @@ let event_json_roundtrip () =
       {|{"ts":1.0,"kind":"span_start","name":"x","id":1,"domain":0}|};
       {|{"ts":1.1,"kind":"span_end","name":"x","id":1,"domain":0,"dur_ms":0.5}|};
       {|{"ts":1.2,"kind":"counter","name":"c","value":3}|};
+      {|{"ts":1.2,"kind":"gauge","name":"g","value":3}|};
       {|{"ts":1.3,"kind":"histogram","name":"h","count":1,"p50_ms":1,"p90_ms":1,"p99_ms":1,"max_ms":1}|};
     ]
 
@@ -1002,6 +1006,82 @@ let live_report_equals_replay () =
          let sink = Trace.live ~oc () in
          sink.Obs.flush ()))
 
+(* Two processes each flush gauge r = 1 and counter c = 2: the
+   counter sums to 4, the gauge prints once per process, unsummed, and
+   the live report equals the replay.  A trace written before gauge
+   events existed carries the gauge as a counter and still loads. *)
+let gauges_kept_per_process () =
+  with_clean_obs @@ fun () ->
+  let sink, events = recording () in
+  Obs.set_sink sink;
+  Obs.gauge "r" 1.0;
+  Obs.add "c" 2;
+  Obs.flush ();
+  let first = List.rev !events in
+  let pid =
+    match List.find_opt (function Obs.Gauge _ -> true | _ -> false) first with
+    | Some (Obs.Gauge { name = "r"; value = 1.0; pid; _ }) -> pid
+    | _ -> Alcotest.fail "flush emitted no gauge event for r"
+  in
+  let second =
+    List.map
+      (function
+        | Obs.Gauge g -> Obs.Gauge { g with pid = pid + 1 }
+        | Obs.Counter c -> Obs.Counter { c with pid = pid + 1 }
+        | e -> e)
+      first
+  in
+  (* through the JSONL codec, as a trace file would carry them *)
+  let wire evs =
+    List.map
+      (fun e ->
+        match Result.bind (Json.of_string (Json.to_string (Obs.event_to_json e))) Obs.event_of_json with
+        | Ok e -> e
+        | Error msg -> Alcotest.failf "event did not round-trip: %s" msg)
+      evs
+  in
+  let render_to_string f =
+    let path = Filename.temp_file "mcml_gauges" ".txt" in
+    Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    @@ fun () ->
+    let oc = open_out path in
+    f oc;
+    close_out oc;
+    read_lines path
+  in
+  let replay =
+    render_to_string (fun oc ->
+        match Trace.merge [ ("a", wire first); ("b", wire second) ] with
+        | Ok t -> Trace.render oc t
+        | Error errs -> Alcotest.failf "invalid streams: %s" (String.concat "; " errs))
+  in
+  let live =
+    render_to_string (fun oc ->
+        let sink = Trace.live ~oc () in
+        List.iter sink.Obs.emit (first @ second);
+        sink.Obs.flush ())
+  in
+  check Alcotest.(list string) "live report = replay" replay live;
+  let row name v = Printf.sprintf "%-40s %14s" name v in
+  List.iter
+    (fun l -> check Alcotest.bool ("has " ^ l) true (List.mem l replay))
+    [ row "c" "4"; row (Printf.sprintf "pid%d/r" pid) "1"; row (Printf.sprintf "pid%d/r" (pid + 1)) "1" ];
+  check Alcotest.int "one r line per process" 2
+    (List.length (List.filter (fun l -> String.ends_with ~suffix:"/r" (List.hd (String.split_on_char ' ' l))) replay));
+  (* an old trace: the gauge arrives as a counter line, loads, sums *)
+  match
+    Trace.of_events
+      (List.map
+         (fun s -> match Result.bind (Json.of_string s) Obs.event_of_json with
+           | Ok e -> e
+           | Error msg -> Alcotest.failf "old line %s rejected: %s" s msg)
+         [ {|{"ts":1.0,"kind":"counter","name":"r","value":1.0,"pid":7}|} ])
+  with
+  | Ok t ->
+      check Alcotest.(list (pair string (float 0.0))) "old gauge reads as a counter"
+        [ ("r", 1.0) ] t.Trace.counters
+  | Error errs -> Alcotest.failf "old trace rejected: %s" (String.concat "; " errs)
+
 let flight_ring () =
   with_clean_obs @@ fun () ->
   let r = Flight.create ~capacity:4 () in
@@ -1241,6 +1321,7 @@ let () =
           Alcotest.test_case "cross-process merge" `Quick trace_merge_cross_process;
           Alcotest.test_case "dangling remote parent" `Quick trace_merge_dangling_remote;
           Alcotest.test_case "live report = replay" `Quick live_report_equals_replay;
+          Alcotest.test_case "gauges kept per process" `Quick gauges_kept_per_process;
           Alcotest.test_case "flight recorder ring" `Quick flight_ring;
         ] );
       ( "probes",
