@@ -237,10 +237,12 @@ let write_json path =
 
 (* 40 exact counts: five properties at scopes 3 and 4, four rounds.
    Each budget is perturbed by 1e-9 * id: the budget is part of the
-   fleet router's routing key (printed %h, so any float difference
-   separates keys), so no two requests are merged by its single-flight.
-   The count cache does not key by budget, so every server here runs
-   with it off, to keep every request really counting. *)
+   fleet router's single-flight key (printed %h, so any float
+   difference separates keys), so no two requests are merged by its
+   single-flight.  The ring key has no budget, so the four rounds of a
+   query reach one shard.  The count cache does not key by budget, so
+   every server here runs with it off, to keep every request really
+   counting. *)
 let fleet_requests ~budget =
   let props =
     List.map Props.find_exn

@@ -541,9 +541,49 @@ if ! sed 's/"shards":.*//' "$fstats" | grep -q '"misses":0'; then
 fi
 kill -TERM $fleet_pid
 wait $fleet_pid || { echo "FAIL: restarted fleet exited nonzero after SIGTERM" >&2; exit 1; }
-rm -rf "$fdir" "$fout1" "$fout2" "$fout3" "$fhealth" "$fstats" "$direct"
 echo "   30/30 fleet answers identical to direct CLI across a shard kill;"
 echo "   restart replayed every key from disk with zero recounts"
+
+echo "== cache warm gate: a sharded warm answers the fleet at another budget =="
+# 'cache warm --shards 3' places each of the 10 queries in the slice of
+# the shard the router will send it to, here at a 20 s budget; a fresh
+# 3-shard fleet over that directory is then asked at the default 60 s.
+# The ring key has no budget, so every count must come from the warmed
+# slices: identical to the direct CLI, zero merged misses.
+wdir="$(mktemp -d /tmp/mcml_warm.XXXXXX)"
+warm_args=""
+for p in $serve_props; do warm_args="$warm_args -p $p"; done
+# shellcheck disable=SC2086
+"$MCML" cache warm --dir "$wdir/cache" $warm_args -s 3 -s 4 --shards 3 --budget 20 >/dev/null || {
+  echo "FAIL: cache warm exited nonzero" >&2
+  exit 1
+}
+"$MCML" fleet --shards 3 --socket "$fsock" \
+  --cache-dir "$wdir/cache" --shard-dir "$wdir/shards" 2>/dev/null &
+fleet_pid=$!
+i=0
+while [ ! -S "$fsock" ] && [ $i -lt 100 ]; do sleep 0.1; i=$((i + 1)); done
+[ -S "$fsock" ] || { echo "FAIL: warmed fleet socket never appeared" >&2; exit 1; }
+serve_reqs warm | "$MCML" client --socket "$fsock" >"$fout1" || {
+  echo "FAIL: warmed fleet client exited nonzero" >&2
+  exit 1
+}
+[ "$(wc -l <"$fout1")" -eq 10 ] && ! grep -q '"ok":false' "$fout1" || {
+  echo "FAIL: expected 10 ok answers from the warmed fleet:" >&2
+  cat "$fout1" >&2
+  exit 1
+}
+same_as_direct warmed "$fout1"
+echo '{"id":"s","kind":"stats"}' | "$MCML" client --socket "$fsock" >"$fstats"
+if ! sed 's/"shards":.*//' "$fstats" | grep -q '"misses":0'; then
+  echo "FAIL: the warmed fleet recounted (merged cache misses != 0):" >&2
+  cat "$fstats" >&2
+  exit 1
+fi
+kill -TERM $fleet_pid
+wait $fleet_pid || { echo "FAIL: warmed fleet exited nonzero after SIGTERM" >&2; exit 1; }
+rm -rf "$wdir" "$fdir" "$fout1" "$fout2" "$fout3" "$fhealth" "$fstats" "$direct"
+echo "   10/10 warmed answers identical to direct CLI, zero recounts"
 
 echo "== distributed-trace gate: one forest across the fleet =="
 # a 3-shard fleet tracing every process into --trace-dir; 20 counts

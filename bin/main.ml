@@ -955,8 +955,10 @@ let cache_cmd =
           in
           List.iter
             (fun scope ->
-              (* the fleet routes by the request's wire identity, so
-                 warming must hash the same string the router will *)
+              (* the fleet places a request by its ring key, so
+                 warming must hash the same string the router will;
+                 that key has no budget, so any --budget lands where
+                 the served request will *)
               let req =
                 {
                   Mcml_serve.Protocol.id = Mcml_obs.Json.Null;
@@ -975,9 +977,7 @@ let cache_cmd =
                       };
                 }
               in
-              let key =
-                Option.get (Mcml_fleet.Router.routing_key req)
-              in
+              let key = (Option.get (Mcml_fleet.Router.routing_keys req)).ring in
               let dc = slice key in
               let idx = match ring with None -> -1 | Some r -> Mcml_fleet.Ring.shard r key in
               let cache = cache_for idx dc in

@@ -123,5 +123,5 @@ let evaluate t ~pred inst =
   BSem.pred env pred
 
 let count ?negate ?symmetry ?budget ?cache ~backend t ~pred =
-  Mcml_counting.Counter.count ?budget ?cache ~backend
-    (cnf ?negate ?symmetry t ~pred)
+  let module Counter = Mcml_counting.Counter in
+  Counter.count ?budget ?cache (Counter.query ~backend (cnf ?negate ?symmetry t ~pred))

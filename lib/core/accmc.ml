@@ -43,7 +43,7 @@ let counts_sides ?budget ?pool ?cache ~backend ~phi ~not_phi ~space ~nprimary
     let problem = Cnf.conjoin ~nshared:nprimary gt side in
     Option.map
       (fun o -> o.Counter.count)
-      (Counter.count ?budget ?cache ~backend problem)
+      (Counter.count ?budget ?cache (Counter.query ~backend problem))
   in
   (* Exact: ϕ is a total function of the primary variables, so within
      the evaluation universe the models of [τ] split exactly into

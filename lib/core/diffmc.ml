@@ -46,7 +46,9 @@ let counts ?budget ?pool ?cache ~backend ~nprimary d1 d2 =
   let sp = if Obs.enabled () then Some (Obs.start "diffmc.counts") else None in
   let one l1 l2 () =
     let problem = Cnf.conjoin ~nshared:nprimary (side d1 l1) (side d2 l2) in
-    Option.map (fun o -> o.Counter.count) (Counter.count ?budget ?cache ~backend problem)
+    Option.map
+      (fun o -> o.Counter.count)
+      (Counter.count ?budget ?cache (Counter.query ~backend problem))
   in
   let result =
     Option.map

@@ -145,7 +145,8 @@ let accmc ?budget ?pool ?cache ~backend ~prop ~scope ~eval_symmetry tree =
   | Counter.Exact ->
       (* translation and Tseitin run only on a miss *)
       let form what cnf =
-        Mcml_exec.Memo.find_or_add forms ~key:(Printf.sprintf "%s/%d/%b" what scope eval_symmetry)
+        Mcml_exec.Memo.find_or_add forms
+          ~key:(Mcml_exec.Memo.key (Printf.sprintf "%s/%d/%b" what scope eval_symmetry))
           (fun () -> Exact.Dnnf.compile ?budget (cnf ()))
       in
       Accmc.conditioned ~nprimary

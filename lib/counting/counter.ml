@@ -53,6 +53,14 @@ let cache_create ?capacity ?disk () =
 
 let cache_stats = Memo.stats
 
+type query = {
+  backend : backend;
+  cnf : Cnf.t;
+  key : Memo.key option Atomic.t;  (** built by the first cached lookup *)
+}
+
+let query ~backend cnf = { backend; cnf; key = Atomic.make None }
+
 (* The key serializes everything a completed outcome depends on: the
    backend and all its parameters (for Approx: epsilon, delta, seed,
    max_rounds, max_conflicts — two configs differing only in seed may
@@ -62,16 +70,17 @@ let cache_stats = Memo.stats
    with %h so distinct parameters never collide.  The budget is not in
    it: a budget decides only whether a count finishes, never what it
    finishes with. *)
-let cache_key ~backend (cnf : Cnf.t) =
-  let buf = Buffer.create (64 + (8 * Cnf.num_literals cnf)) in
-  (match backend with
-  | Exact -> Buffer.add_string buf "exact"
-  | Brute -> Buffer.add_string buf "brute"
+let backend_key = function
+  | Exact -> "exact"
+  | Brute -> "brute"
   | Approx { Approx.epsilon; delta; seed; max_rounds; max_conflicts } ->
-      Buffer.add_string buf
-        (Printf.sprintf "approx(%h,%h,%d,%s,%d)" epsilon delta seed
-           (match max_rounds with None -> "-" | Some r -> string_of_int r)
-           max_conflicts));
+      Printf.sprintf "approx(%h,%h,%d,%s,%d)" epsilon delta seed
+        (match max_rounds with None -> "-" | Some r -> string_of_int r)
+        max_conflicts
+
+let key_text { backend; cnf; _ } =
+  let buf = Buffer.create (64 + (8 * Cnf.num_literals cnf)) in
+  Buffer.add_string buf (backend_key backend);
   Buffer.add_string buf (Printf.sprintf "|n=%d|p=" cnf.Cnf.nvars);
   (match cnf.Cnf.projection with
   | None -> Buffer.add_char buf '*'
@@ -93,7 +102,20 @@ let cache_key ~backend (cnf : Cnf.t) =
     cnf.Cnf.clauses;
   Buffer.contents buf
 
-let count_uncached ~budget ~backend (cnf : Cnf.t) : outcome option =
+(* At most once per query, unless two domains race to build it: both
+   build the same text and the first one kept wins, so every later
+   lookup of the query hands the memo one record. *)
+let memo_key q =
+  match Atomic.get q.key with
+  | Some k -> k
+  | None ->
+      let k = Memo.key (key_text q) in
+      if Atomic.compare_and_set q.key None (Some k) then k
+      else Option.get (Atomic.get q.key)
+
+let cache_key q = Memo.text (memo_key q)
+
+let count_uncached ~budget { backend; cnf; _ } : outcome option =
   let start = Mcml_obs.Obs.monotonic_s () in
   let finish count exact =
     Some { count; exact; time = Mcml_obs.Obs.monotonic_s () -. start }
@@ -118,21 +140,21 @@ let backend_tag = function
   | Approx _ -> "approx"
   | Brute -> "brute"
 
-let count ?(budget = 5000.0) ?cache ~backend (cnf : Cnf.t) : outcome option =
+let count ?(budget = 5000.0) ?cache q : outcome option =
   let timed = Mcml_obs.Obs.enabled () in
   let t0 = if timed then Mcml_obs.Obs.monotonic_s () else 0.0 in
   let outcome =
     match cache with
-    | None -> count_uncached ~budget ~backend cnf
+    | None -> count_uncached ~budget q
     | Some c -> (
-        let key = cache_key ~backend cnf in
+        let key = memo_key q in
         (* a timeout answers only a call with no more time than it had *)
         let usable = function Done _ -> true | Timed_out b -> budget <= b in
         match Memo.find ~usable c ~key with
         | Some (Done o) -> Some o
         | Some (Timed_out _) -> None
         | None ->
-            let o = count_uncached ~budget ~backend cnf in
+            let o = count_uncached ~budget q in
             let entry = match o with Some o -> Done o | None -> Timed_out budget in
             (* a completed count replaces a timeout, a timeout a shorter one *)
             Memo.add c ~key entry ~replace:(function
@@ -144,6 +166,6 @@ let count ?(budget = 5000.0) ?cache ~backend (cnf : Cnf.t) : outcome option =
      (cache lookup included), split per backend *)
   if timed then
     Mcml_obs.Obs.observe
-      ("counter.count." ^ backend_tag backend ^ "_ms")
+      ("counter.count." ^ backend_tag q.backend ^ "_ms")
       ((Mcml_obs.Obs.monotonic_s () -. t0) *. 1000.0);
   outcome

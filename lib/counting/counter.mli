@@ -32,7 +32,8 @@ val name : backend -> string
 
 type cache
 (** Content-addressed memo of count outcomes, keyed by the full
-    (backend, CNF) content — see {!cache_key}.  The budget is not part
+    (backend, CNF) content — see {!cache_key}: two queries prepared
+    from equal CNFs share an entry.  The budget is not part
     of the key: a finished count is the same under any budget, so it
     answers every later call of the same query, whatever budget or
     deadline that call carries.  A timeout is kept in memory only, with
@@ -57,15 +58,33 @@ val cache_create : ?capacity:int -> ?disk:Mcml_exec.Diskcache.t -> unit -> cache
 
 val cache_stats : cache -> Mcml_exec.Memo.stats
 
-val cache_key : backend:backend -> Cnf.t -> string
-(** The full serialized identity of a count query: backend (with all
-    Approx parameters, including the seed), [nvars], the projection set
-    (an explicit set is distinguished from [None]), and every clause
-    literal.  No budget: see {!cache}.  Exposed for tests. *)
+type query
+(** A prepared count query: a CNF and the backend to count it with.
+    Its cache key ({!cache_key}) and that key's hash are built at most
+    once, by the first lookup in a {!cache}, and kept: a caller that
+    keeps the query (as [mcml serve] does, per translation) asks a
+    repeated count at a cost that does not grow with the CNF.  A query
+    never looked up in a cache builds no key.  Safe to share across
+    domains: two that race on the first lookup each build the same key,
+    and the first one kept wins. *)
 
-val count :
-  ?budget:float -> ?cache:cache -> backend:backend -> Cnf.t -> outcome option
-(** [count ~backend cnf] runs the chosen counter; [None] on timeout
+val query : backend:backend -> Cnf.t -> query
+
+val backend_key : backend -> string
+(** The backend's part of {!cache_key}: its name and every parameter
+    its answer depends on (for Approx, the seed included).  Two
+    backends with one [backend_key] give one answer for one CNF. *)
+
+val cache_key : query -> string
+(** The full serialized identity of a count query: {!backend_key},
+    [nvars], the projection set (an explicit set is distinguished from
+    [None]), and every clause literal.  No budget: see {!cache}.  The
+    text is the one earlier builds keyed their disk records by, byte
+    for byte, so those records keep answering.  Built once per query
+    (see {!query}); exposed for tests. *)
+
+val count : ?budget:float -> ?cache:cache -> query -> outcome option
+(** [count q] runs [q]'s counter on its CNF; [None] on timeout
     ([budget] in seconds, default 5000 like the paper).  With [cache],
     the query key is looked up first: a completed count is returned
     whatever [budget] this call carries, and a kept timeout answers

@@ -288,11 +288,6 @@ let find t ~key =
       check_open t;
       Hashtbl.find_opt t.tbl key)
 
-let mem t ~key =
-  locked t (fun () ->
-      check_open t;
-      Hashtbl.mem t.tbl key)
-
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
   let n = Bytes.length b in
@@ -318,11 +313,6 @@ let add t ~key value =
             t.appended <- t.appended + 1;
             Obs.add "exec.diskcache.appends" 1
           end)
-
-let iter t f =
-  locked t (fun () ->
-      check_open t;
-      Hashtbl.iter f t.tbl)
 
 let stats t =
   locked t (fun () ->

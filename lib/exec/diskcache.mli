@@ -66,13 +66,6 @@ val add : t -> key:string -> string -> unit
     returns.  A key already present is a no-op.  Raises
     [Invalid_argument] on a read-only handle. *)
 
-val mem : t -> key:string -> bool
-
-val iter : t -> (string -> string -> unit) -> unit
-(** [iter t f] calls [f key value] for every indexed entry (arbitrary
-    order, under the handle's lock — [f] must not call back into
-    [t]). *)
-
 val stats : t -> stats
 
 val close : t -> unit

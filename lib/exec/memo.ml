@@ -1,5 +1,22 @@
 module Obs = Mcml_obs.Obs
 
+type key = { text : string; hash : int }
+
+(* The one pass over the text a key ever takes; every lookup after it
+   reads [hash]. *)
+let key text = { text; hash = Hashtbl.hash text }
+let text k = k.text
+
+module Tbl = Hashtbl.Make (struct
+  type t = key
+
+  (* A caller that keeps its key hands back the very record it stored,
+     so a hit costs no pass over the text.  Otherwise equal hashes still
+     compare the full text: a collision is a miss, never a wrong value. *)
+  let equal a b = a == b || (a.hash = b.hash && String.equal a.text b.text)
+  let hash k = k.hash
+end)
+
 type 'a backing = {
   load : string -> 'a option;
   store : string -> 'a -> unit;
@@ -8,15 +25,12 @@ type 'a backing = {
 type 'a t = {
   name : string;
   capacity : int;
-  hash : string -> string;
   backing : 'a backing option;
   m : Mutex.t;
-  (* digest -> bucket of (full key, value); the bucket resolves digest
-     collisions by comparing full keys *)
-  tbl : (string, (string * 'a) list) Hashtbl.t;
-  order : (string * string) Queue.t; (* (digest, full key), FIFO for eviction *)
+  tbl : 'a Tbl.t;
+  order : key Queue.t; (* FIFO for eviction *)
   (* keys a [find_or_add] caller is computing, and the waiters' wakeup *)
-  pending : (string, unit) Hashtbl.t;
+  pending : unit Tbl.t;
   settled : Condition.t;
   mutable size : int;
   mutable hits : int;
@@ -33,16 +47,15 @@ type stats = {
   backing_hits : int;
 }
 
-let create ?(capacity = 4096) ?(hash = Digest.string) ?backing ~name () =
+let create ?(capacity = 4096) ?backing ~name () =
   {
     name;
     capacity = max 1 capacity;
-    hash;
     backing;
     m = Mutex.create ();
-    tbl = Hashtbl.create 256;
+    tbl = Tbl.create 256;
     order = Queue.create ();
-    pending = Hashtbl.create 8;
+    pending = Tbl.create 8;
     settled = Condition.create ();
     size = 0;
     hits = 0;
@@ -64,11 +77,8 @@ let locked t f =
 let evict_oldest t =
   match Queue.take_opt t.order with
   | None -> ()
-  | Some (d, key) ->
-      let bucket = Option.value (Hashtbl.find_opt t.tbl d) ~default:[] in
-      (match List.filter (fun (k, _) -> k <> key) bucket with
-      | [] -> Hashtbl.remove t.tbl d
-      | rest -> Hashtbl.replace t.tbl d rest);
+  | Some key ->
+      Tbl.remove t.tbl key;
       t.size <- t.size - 1;
       t.evictions <- t.evictions + 1;
       Obs.add (t.name ^ ".evictions") 1
@@ -76,22 +86,17 @@ let evict_oldest t =
 (* Memory-tier insert (no write-through); [true] if [v] was stored.  A
    replaced value keeps its key's place in the eviction order. *)
 let insert ?(replace = fun _ -> false) t ~key v =
-  let d = t.hash key in
   locked t (fun () ->
-      let bucket = Option.value (Hashtbl.find_opt t.tbl d) ~default:[] in
-      if List.mem_assoc key bucket then
-        replace (List.assoc key bucket)
-        && (Hashtbl.replace t.tbl d ((key, v) :: List.remove_assoc key bucket);
-            true)
-      else begin
-        Hashtbl.replace t.tbl d ((key, v) :: bucket);
-        Queue.push (d, key) t.order;
-        t.size <- t.size + 1;
-        while t.size > t.capacity do
-          evict_oldest t
-        done;
-        true
-      end)
+      match Tbl.find_opt t.tbl key with
+      | Some old -> replace old && (Tbl.replace t.tbl key v; true)
+      | None ->
+          Tbl.replace t.tbl key v;
+          Queue.push key t.order;
+          t.size <- t.size + 1;
+          while t.size > t.capacity do
+            evict_oldest t
+          done;
+          true)
 
 let miss t =
   locked t (fun () -> t.misses <- t.misses + 1);
@@ -100,12 +105,7 @@ let miss t =
 let find ?(usable = fun _ -> true) t ~key =
   let timed = Obs.enabled () in
   let t0 = if timed then Obs.monotonic_s () else 0.0 in
-  let d = t.hash key in
-  let mem_hit =
-    locked t (fun () ->
-        let bucket = Option.value (Hashtbl.find_opt t.tbl d) ~default:[] in
-        List.assoc_opt key bucket)
-  in
+  let mem_hit = locked t (fun () -> Tbl.find_opt t.tbl key) in
   let r =
     match mem_hit with
     | Some v when usable v ->
@@ -119,7 +119,7 @@ let find ?(usable = fun _ -> true) t ~key =
     | None -> (
         (* the persistent tier is consulted outside the lock: disk I/O
            must not serialize unrelated lookups *)
-        match Option.bind t.backing (fun b -> b.load key) with
+        match Option.bind t.backing (fun b -> b.load key.text) with
         | Some v ->
             (* promote, and count as a hit: the answer was cached, just
                not in memory — the "misses" statistic means "had to be
@@ -136,7 +136,6 @@ let find ?(usable = fun _ -> true) t ~key =
             miss t;
             None)
   in
-  (* lookup cost includes hashing the (potentially large) key *)
   if timed then
     Obs.observe (t.name ^ ".lookup_ms") ((Obs.monotonic_s () -. t0) *. 1000.0);
   r
@@ -145,7 +144,7 @@ let add ?replace t ~key v =
   if insert ?replace t ~key v then
     (* write-through outside the memo lock; the backing store is
        expected to make its own no-op-if-present decision *)
-    Option.iter (fun b -> b.store key v) t.backing
+    Option.iter (fun b -> b.store key.text v) t.backing
 
 (* The per-key rule.  Under the lock a caller either reads the memory
    tier, waits while another caller computes its key, or claims the key.
@@ -154,18 +153,17 @@ let add ?replace t ~key v =
    each waiter wakes, finds the key absent and unclaimed, and the first
    to look claims it with its own [f]. *)
 let find_or_add t ~key f =
-  let d = t.hash key in
   let rec claim () =
-    match List.assoc_opt key (Option.value (Hashtbl.find_opt t.tbl d) ~default:[]) with
+    match Tbl.find_opt t.tbl key with
     | Some v ->
         t.hits <- t.hits + 1;
         Some v
-    | None when Hashtbl.mem t.pending key ->
+    | None when Tbl.mem t.pending key ->
         Condition.wait t.settled t.m;
         claim ()
     | None ->
         t.misses <- t.misses + 1;
-        Hashtbl.replace t.pending key ();
+        Tbl.replace t.pending key ();
         None
   in
   match locked t claim with
@@ -176,7 +174,7 @@ let find_or_add t ~key f =
       Obs.add (t.name ^ ".misses") 1;
       let settle () =
         locked t (fun () ->
-            Hashtbl.remove t.pending key;
+            Tbl.remove t.pending key;
             Condition.broadcast t.settled)
       in
       Fun.protect ~finally:settle @@ fun () ->

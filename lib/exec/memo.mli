@@ -1,11 +1,15 @@
 (** Content-addressed, bounded, thread-safe memo cache.
 
     Entries are keyed by the {e full content string} the caller
-    serializes (for the count cache: the backend and the entire CNF).
-    Internally keys are addressed by a short digest, but the full key
-    is stored and compared on lookup, so a digest collision degrades to
-    a miss — never to a wrong value ("hash-collision safety"; the test
-    suite forces collisions through [hash]).
+    serializes (for the count cache: the backend and the entire CNF),
+    wrapped once by {!key}, which hashes the text and keeps the hash.
+    A lookup reads that hash and never passes over the text to find
+    its slot.  The full text is stored and compared on lookup, so two
+    texts of equal hash degrade to a miss — never to a wrong value
+    ("hash-collision safety"; the test suite searches out two texts of
+    equal hash).  The comparison tries physical equality first: a
+    caller that keeps its key (a prepared
+    {!Mcml_counting.Counter.query}) hits without reading the text.
 
     Eviction is FIFO over insertion order, bounded by [capacity].
 
@@ -31,13 +35,24 @@
     the cache itself ({!stats}) and mirrored to [Mcml_obs] counters
     [<name>.hits] / [<name>.misses] / [<name>.evictions] /
     [<name>.disk_hits] (backing-tier hits) when a sink is installed;
-    {!find} also feeds the [<name>.lookup_ms] latency histogram (the
-    cost includes hashing the full key). *)
+    {!find} also feeds the [<name>.lookup_ms] latency histogram: the
+    table probe, the key comparison and, on a memory miss, the backing
+    load.  Hashing is not in it: {!key} did that, once. *)
 
 type 'a t
 
+type key
+(** A key text with its hash. *)
+
+val key : string -> key
+(** [key text] hashes [text] (one pass; {!Hashtbl.hash}, which reads
+    every byte of a string).  Build it once per query and keep it. *)
+
+val text : key -> string
+
 type 'a backing = {
-  load : string -> 'a option;  (** [None] = absent (not "cached absent") *)
+  load : string -> 'a option;
+      (** by the key's text; [None] = absent (not "cached absent") *)
   store : string -> 'a -> unit;
       (** must tolerate re-stores of an existing key (no-op) *)
 }
@@ -53,30 +68,22 @@ type stats = {
   backing_hits : int;  (** the subset of [hits] served by the backing tier *)
 }
 
-val create :
-  ?capacity:int ->
-  ?hash:(string -> string) ->
-  ?backing:'a backing ->
-  name:string ->
-  unit ->
-  'a t
-(** [capacity] defaults to 4096 entries.  [hash] maps a full key to
-    its short address and defaults to [Digest.string] (MD5); it is
-    injectable only so tests can force collisions. *)
+val create : ?capacity:int -> ?backing:'a backing -> name:string -> unit -> 'a t
+(** [capacity] defaults to 4096 entries. *)
 
-val find : ?usable:('a -> bool) -> 'a t -> key:string -> 'a option
+val find : ?usable:('a -> bool) -> 'a t -> key:key -> 'a option
 (** A memory-tier value that [usable] (default: every value) rejects
     reads as [None] and counts as a miss, since the caller must
     recompute it; the backing tier is not consulted for it.  A value
     loaded from the backing tier is always usable. *)
 
-val add : ?replace:('a -> bool) -> 'a t -> key:string -> 'a -> unit
+val add : ?replace:('a -> bool) -> 'a t -> key:key -> 'a -> unit
 (** First insert wins: adding an existing key is a no-op, unless
     [replace] (default: never) accepts the value present.  A replaced
     value keeps its key's place in the eviction order, and the new one
     is written through. *)
 
-val find_or_add : 'a t -> key:string -> (unit -> 'a) -> 'a
+val find_or_add : 'a t -> key:key -> (unit -> 'a) -> 'a
 (** Lookup; on a miss, compute (outside the lock) and insert.  While
     one caller computes [key], other callers of [key] block until it
     settles; if its [f] raises, the exception reaches that caller only,

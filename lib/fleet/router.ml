@@ -18,6 +18,8 @@ type config = {
 let default_config =
   { shards = 2; vnodes = 64; admission = 256; queue_cap = 128; probe_interval_s = 1.0 }
 
+type keys = { ring : string; flight : string }
+
 type t = {
   cfg : config;
   ring : Ring.t;
@@ -83,28 +85,34 @@ let record t (resp : Protocol.response) =
       Obs.add ("fleet.requests." ^ Protocol.code_name code) 1);
   resp
 
-(* --- routing key ---------------------------------------------------------- *)
+(* --- routing keys ---------------------------------------------------------- *)
 
 (* The content identity of a counting request: its canonical JSON with
-   the caller-specific fields (id, trace, deadline) removed.  Same
-   parameters => same key => same ring position => same shard, and
-   same single-flight.  The key keeps the budget, because single-flight
-   must: a follower must not inherit the timeout of a leader that ran
-   under a smaller budget.  The ring shares the key, so one query asked
-   under two budgets may land on two shards.  The shard's count cache
-   does not key by budget ({!Mcml_counting.Counter.cache}): once a
-   count finishes there, it answers any budget, and a timeout is
-   counted again only by a call with a larger budget.  Trace context
-   is caller identity, never content: two
-   identical requests from different traces must still dedup. *)
-let routing_key (req : Protocol.request) =
+   the caller-specific fields (id, trace, deadline) removed.  The ring
+   key also sets the budget to the default, so one query lands on one
+   shard whatever budget it is asked under: the shard's count cache
+   does not key by budget ({!Mcml_counting.Counter.cache}), and once a
+   count finishes there it answers any budget.  The flight key keeps
+   the budget, because a single-flight follower must not inherit the
+   timeout of a leader that ran under a smaller budget.  Trace context
+   is caller identity, never content: two identical requests from
+   different traces must still dedup. *)
+let routing_keys (req : Protocol.request) =
+  let keys wrap (q : Protocol.query) =
+    let canonical q =
+      Json.to_string
+        (Protocol.request_to_json
+           { Protocol.id = Json.Null; trace = None; deadline_ms = None; kind = wrap q })
+    in
+    Some
+      ({ ring = canonical { q with Protocol.budget = Protocol.default_budget }; flight = canonical q }
+        : keys)
+  in
   match req.Protocol.kind with
   | Protocol.Health | Protocol.Stats | Protocol.Metrics _ -> None
-  | Protocol.Count _ | Protocol.Accmc _ | Protocol.Diffmc _ ->
-      Some
-        (Json.to_string
-           (Protocol.request_to_json
-              { req with Protocol.id = Json.Null; trace = None; deadline_ms = None }))
+  | Protocol.Count q -> keys (fun q -> Protocol.Count q) q
+  | Protocol.Accmc q -> keys (fun q -> Protocol.Accmc q) q
+  | Protocol.Diffmc q -> keys (fun q -> Protocol.Diffmc q) q
 
 let shard_of_key t key = Ring.shard t.ring key
 
@@ -311,7 +319,7 @@ let with_request_trace (req : Protocol.request) f =
           f
     | None -> Obs.with_new_trace f
 
-let execute_count t key (req : Protocol.request) =
+let execute_count t (keys : keys) (req : Protocol.request) =
   if Atomic.fetch_and_add t.inflight 1 >= t.cfg.admission then begin
     Atomic.decr t.inflight;
     Protocol.err ~id:req.Protocol.id Protocol.Overloaded
@@ -322,7 +330,7 @@ let execute_count t key (req : Protocol.request) =
     Fun.protect
       ~finally:(fun () -> Atomic.decr t.inflight)
       (fun () ->
-        let shard = shard_of_key t key in
+        let shard = shard_of_key t keys.ring in
         Atomic.incr t.routed.(shard);
         let led = ref false in
         let resp = ref (Protocol.err ~id:Json.Null Protocol.Internal "unreached") in
@@ -337,7 +345,7 @@ let execute_count t key (req : Protocol.request) =
               (fun () ->
                 let r, l =
                   try
-                    (* the flight is keyed by the routing key, so every
+                    (* the flight key keeps the budget, so every
                        concurrent identical request shares this one
                        upstream call; the shared response is re-stamped
                        with each caller's own id below.  The dispatched
@@ -345,7 +353,7 @@ let execute_count t key (req : Protocol.request) =
                        the shard's serve.request span parents under
                        this fleet.route span in a merged forest
                        (followers share the leader's subtree). *)
-                    Single_flight.run t.flight ~key (fun () ->
+                    Single_flight.run t.flight ~key:keys.flight (fun () ->
                         t.dispatch shard
                           {
                             req with
@@ -364,9 +372,9 @@ let execute t (req : Protocol.request) =
     (if draining t then
        Protocol.err ~id:req.Protocol.id Protocol.Draining "fleet is draining"
      else
-       match routing_key req with
+       match routing_keys req with
        | None -> execute_admin t req
-       | Some key -> execute_count t key req)
+       | Some keys -> execute_count t keys req)
 
 (* --- connection handling ---------------------------------------------------- *)
 

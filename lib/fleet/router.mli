@@ -5,18 +5,23 @@
     [diffmc]) across shards and fans the {e admin} kinds ([health],
     [stats], [metrics]) out to all of them, merging the answers.
 
-    {b Routing.}  A counting request's {!routing_key} — its canonical
-    JSON minus the caller-specific [id], [trace] and [deadline_ms] —
-    is placed on a consistent-hash {!Ring}.  The same parameters therefore always
-    reach the same shard, whose in-memory memo and on-disk cache are
-    keyed by the same content, so the fleet's aggregate cache is
-    partitioned, not replicated.
+    {b Routing.}  A counting request's ring key ({!routing_keys}) —
+    its canonical JSON minus the caller-specific [id], [trace] and
+    [deadline_ms], with the budget set to the default — is placed on a
+    consistent-hash {!Ring}.  The same parameters therefore always
+    reach the same shard, under any budget or deadline, and that
+    shard's in-memory memo and on-disk cache are keyed by the same
+    content (with no budget either), so the fleet's aggregate cache is
+    partitioned, not replicated.  [mcml cache warm --shards] places its
+    slices by the same key.
 
     {b Single-flight.}  Before dispatching, every counting request
-    enters a {!Single_flight} table keyed by the same routing key: N
-    concurrent identical requests cost one upstream call, and each
-    caller gets the shared response re-stamped with its own [id].
-    (The leader's [deadline_ms] governs the shared call.)
+    enters a {!Single_flight} table keyed by its flight key, the ring
+    key's identity plus the budget: N concurrent identical requests
+    cost one upstream call, and each caller gets the shared response
+    re-stamped with its own [id].  A request with a larger budget does
+    not follow a leader that may time out sooner.  (The leader's
+    [deadline_ms] governs the shared call.)
 
     {b Failure containment.}  [dispatch] is expected to absorb shard
     crashes by retrying until the supervisor respawns the shard
@@ -85,10 +90,14 @@ val create : ?restarts:(unit -> int array) -> config -> dispatch:dispatch -> t
     [health]/[stats] responses ({!Proc.restarts} for a process fleet;
     defaults to none). *)
 
-val routing_key : Mcml_serve.Protocol.request -> string option
-(** The content identity a counting request is sharded and
-    single-flighted by; [None] for the fan-out (admin) kinds.
-    Exposed for tests. *)
+type keys = {
+  ring : string;  (** the shard: the request's content, without its budget *)
+  flight : string;  (** the single-flight: the same content with its budget *)
+}
+
+val routing_keys : Mcml_serve.Protocol.request -> keys option
+(** The content identities a counting request is sharded and
+    single-flighted by; [None] for the fan-out (admin) kinds. *)
 
 val execute : t -> Mcml_serve.Protocol.request -> Mcml_serve.Protocol.response
 (** Route one request synchronously: admission check, ring, flight,

@@ -113,6 +113,9 @@ val code_name : error_code -> string
 val code_of_name : string -> error_code option
 (** Inverse of {!code_name}. *)
 
+val default_budget : float
+(** The [budget_s] of a request that names none: 60 s, the CLI's. *)
+
 val request_to_json : request -> Json.t
 (** Serialize a request (the client side of the protocol).  Parsing it
     back with {!request_of_string} yields an equivalent request. *)

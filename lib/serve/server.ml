@@ -49,7 +49,7 @@ type t = {
   cache : Counter.cache option;
   disk : Mcml_exec.Diskcache.t option;
       (** persistent tier behind [cache]; owned (and closed) here *)
-  cnfs : Mcml_logic.Cnf.t Memo.t;  (** translations, see [translate] *)
+  queries : Counter.query Memo.t;  (** prepared queries, see [prepare] *)
   inflight : int Atomic.t;  (** admitted counting requests not yet finished *)
   fe : Frontend.t;
   started : float;
@@ -88,9 +88,12 @@ let register_probes t =
       | Some s -> s.Obs.p99
       | None -> 0.0)
 
-(* Translations a server keeps: the 16 study properties at scopes 3-5
-   in both symmetry and negation modes are 192 keys (DESIGN.md §8). *)
-let cnf_capacity = 256
+(* Prepared queries a server keeps: the 16 study properties at scopes
+   3-5 in both symmetry and negation modes are 192 keys per backend
+   configuration (DESIGN.md §8).  A server that also answers them under
+   a second configuration (an approximate seed, say) holds 384 and
+   evicts in FIFO order: an evicted query is translated again. *)
+let query_capacity = 256
 
 let create cfg =
   let cfg = { cfg with jobs = max 1 cfg.jobs; admission = max 0 cfg.admission } in
@@ -108,7 +111,7 @@ let create cfg =
            Some (Counter.cache_create ~capacity:cfg.cache_capacity ?disk ())
          else None);
       disk;
-      cnfs = Memo.create ~capacity:cnf_capacity ~name:"serve.cnf_memo" ();
+      queries = Memo.create ~capacity:query_capacity ~name:"serve.query_memo" ();
       inflight = Atomic.make 0;
       fe =
         Frontend.create ~conn_span:"serve.conn" ~queue_cap:cfg.queue_cap
@@ -169,16 +172,23 @@ let resolve_scope (q : Protocol.query) =
   | None ->
       Mcml.Experiments.scope_for Mcml.Experiments.fast q.prop ~symmetry:q.symmetry
 
-(* One translation per query per server: a repeated count skips Alloy
-   translation and Tseitin.  The count cache stays keyed by the CNF's
-   content, so its disk records never outlive a build that translates
-   differently. *)
-let translate t (q : Protocol.query) ~scope =
-  Memo.find_or_add t.cnfs
-    ~key:(Printf.sprintf "%s|%d|%b|%b" q.prop.Props.pred scope q.symmetry q.negate)
+(* One prepared query per (translation, backend) per server: a repeated
+   count skips Alloy translation and Tseitin, and its kept query hands
+   the count cache the key and hash it built the first time, so nothing
+   on the hit path grows with the CNF.  The backend's part of the key
+   keeps an exact and an approximate request apart.  The count cache
+   stays keyed by the CNF's content, so its disk records never outlive
+   a build that translates differently. *)
+let prepare t (q : Protocol.query) ~scope =
+  Memo.find_or_add t.queries
+    ~key:
+      (Memo.key
+         (Printf.sprintf "%s|%d|%b|%b|%s" q.prop.Props.pred scope q.symmetry q.negate
+            (Counter.backend_key q.backend)))
     (fun () ->
-      Mcml_alloy.Analyzer.cnf ~negate:q.negate ~symmetry:q.symmetry
-        (Props.analyzer ~scope) ~pred:q.prop.Props.pred)
+      Counter.query ~backend:q.backend
+        (Mcml_alloy.Analyzer.cnf ~negate:q.negate ~symmetry:q.symmetry
+           (Props.analyzer ~scope) ~pred:q.prop.Props.pred))
 
 (* The deadline-to-budget mapping: the time left until the request's
    deadline clamps the counter budget, so deadline expiry takes the
@@ -200,9 +210,7 @@ let run_count t ~deadline (q : Protocol.query) =
   | None -> Error expired
   | Some budget -> (
       let scope = resolve_scope q in
-      match
-        Counter.count ~budget ?cache:t.cache ~backend:q.backend (translate t q ~scope)
-      with
+      match Counter.count ~budget ?cache:t.cache (prepare t q ~scope) with
       | Some o ->
           Ok
             (Json.Obj

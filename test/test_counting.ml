@@ -586,7 +586,7 @@ let counter_dispatch () =
   let cnf = Cnf.make ~nvars:4 [ [| Lit.pos 1 |] ] in
   List.iter
     (fun backend ->
-      match Counter.count ~backend cnf with
+      match Counter.count (Counter.query ~backend cnf) with
       | Some o ->
           check Alcotest.string
             (Counter.name backend ^ " count")
@@ -598,9 +598,11 @@ let counter_dispatch () =
 
 let counter_exactness_flag () =
   let cnf = Cnf.make ~nvars:2 [] in
-  let o = Option.get (Counter.count ~backend:Counter.Exact cnf) in
+  let o = Option.get (Counter.count (Counter.query ~backend:Counter.Exact cnf)) in
   check Alcotest.bool "exact flag" true o.Counter.exact;
-  let o = Option.get (Counter.count ~backend:(Counter.Approx Approx.default) cnf) in
+  let o =
+    Option.get (Counter.count (Counter.query ~backend:(Counter.Approx Approx.default) cnf))
+  in
   check Alcotest.bool "approx flag" false o.Counter.exact
 
 let () =

@@ -91,9 +91,9 @@ let memo_hit_miss () =
   let m = Memo.create ~name:"test.memo" () in
   let calls = ref 0 in
   let compute () = incr calls; !calls in
-  check Alcotest.int "first: computes" 1 (Memo.find_or_add m ~key:"a" compute);
-  check Alcotest.int "second: cached" 1 (Memo.find_or_add m ~key:"a" compute);
-  check Alcotest.int "other key: computes" 2 (Memo.find_or_add m ~key:"b" compute);
+  check Alcotest.int "first: computes" 1 (Memo.find_or_add m ~key:(Memo.key "a") compute);
+  check Alcotest.int "second: cached" 1 (Memo.find_or_add m ~key:(Memo.key "a") compute);
+  check Alcotest.int "other key: computes" 2 (Memo.find_or_add m ~key:(Memo.key "b") compute);
   let s = Memo.stats m in
   check Alcotest.int "hits" 1 s.Memo.hits;
   check Alcotest.int "misses" 2 s.Memo.misses;
@@ -102,43 +102,62 @@ let memo_hit_miss () =
 
 let memo_eviction () =
   let m = Memo.create ~capacity:3 ~name:"test.memo" () in
-  List.iter (fun k -> Memo.add m ~key:k k) [ "a"; "b"; "c"; "d"; "e" ];
+  List.iter (fun k -> Memo.add m ~key:(Memo.key k) k) [ "a"; "b"; "c"; "d"; "e" ];
   let s = Memo.stats m in
   check Alcotest.int "bounded" 3 s.Memo.size;
   check Alcotest.int "evicted FIFO" 2 s.Memo.evictions;
   (* oldest gone, newest present *)
-  check Alcotest.(option string) "a evicted" None (Memo.find m ~key:"a");
-  check Alcotest.(option string) "e present" (Some "e") (Memo.find m ~key:"e")
+  check Alcotest.(option string) "a evicted" None (Memo.find m ~key:(Memo.key "a"));
+  check Alcotest.(option string) "e present" (Some "e") (Memo.find m ~key:(Memo.key "e"))
+
+(* Two distinct texts of equal [Hashtbl.hash], the hash [Memo.key]
+   keeps: a birthday search over its 30 bits takes some 2^15 texts. *)
+let colliding_texts () =
+  let seen = Hashtbl.create 65536 in
+  let rec search i =
+    let text = "k" ^ string_of_int i in
+    let h = Hashtbl.hash text in
+    match Hashtbl.find_opt seen h with
+    | Some other -> (other, text)
+    | None ->
+        Hashtbl.add seen h text;
+        search (i + 1)
+  in
+  search 0
 
 let memo_collision_safety () =
-  (* force every key onto one digest: full-key comparison must still
-     keep the entries apart *)
-  let m = Memo.create ~hash:(fun _ -> "same-digest") ~name:"test.memo" () in
-  Memo.add m ~key:"k1" 1;
-  Memo.add m ~key:"k2" 2;
-  check Alcotest.(option int) "k1" (Some 1) (Memo.find m ~key:"k1");
-  check Alcotest.(option int) "k2" (Some 2) (Memo.find m ~key:"k2");
-  check Alcotest.(option int) "k3 missing" None (Memo.find m ~key:"k3")
+  (* two texts of one hash share a slot: comparing the full text must
+     still keep the entries apart *)
+  let t1, t2 = colliding_texts () in
+  check Alcotest.int "one hash" (Hashtbl.hash t1) (Hashtbl.hash t2);
+  let m = Memo.create ~name:"test.memo" () in
+  Memo.add m ~key:(Memo.key t1) 1;
+  Memo.add m ~key:(Memo.key t2) 2;
+  check Alcotest.(option int) "first text" (Some 1) (Memo.find m ~key:(Memo.key t1));
+  check Alcotest.(option int) "second text" (Some 2) (Memo.find m ~key:(Memo.key t2));
+  check Alcotest.(option int) "a third text is absent" None
+    (Memo.find m ~key:(Memo.key "absent"));
+  check Alcotest.int "two entries" 2 (Memo.stats m).Memo.size
 
 let memo_add_first_wins () =
   let m = Memo.create ~name:"test.memo" () in
-  Memo.add m ~key:"k" 1;
-  Memo.add m ~key:"k" 2;
-  check Alcotest.(option int) "first insert wins" (Some 1) (Memo.find m ~key:"k")
+  Memo.add m ~key:(Memo.key "k") 1;
+  Memo.add m ~key:(Memo.key "k") 2;
+  check Alcotest.(option int) "first insert wins" (Some 1) (Memo.find m ~key:(Memo.key "k"))
 
 let memo_replace_usable () =
   let m = Memo.create ~capacity:2 ~name:"test.memo" () in
-  Memo.add m ~key:"a" 1;
-  Memo.add m ~key:"b" 2;
-  Memo.add m ~key:"a" 3 ~replace:(fun v -> v > 1);
-  check Alcotest.(option int) "replace declined" (Some 1) (Memo.find m ~key:"a");
-  Memo.add m ~key:"a" 3 ~replace:(fun v -> v = 1);
-  check Alcotest.(option int) "replaced" (Some 3) (Memo.find m ~key:"a");
+  Memo.add m ~key:(Memo.key "a") 1;
+  Memo.add m ~key:(Memo.key "b") 2;
+  Memo.add m ~key:(Memo.key "a") 3 ~replace:(fun v -> v > 1);
+  check Alcotest.(option int) "replace declined" (Some 1) (Memo.find m ~key:(Memo.key "a"));
+  Memo.add m ~key:(Memo.key "a") 3 ~replace:(fun v -> v = 1);
+  check Alcotest.(option int) "replaced" (Some 3) (Memo.find m ~key:(Memo.key "a"));
   check Alcotest.(option int) "unusable reads as absent" None
-    (Memo.find m ~key:"a" ~usable:(fun v -> v < 3));
+    (Memo.find m ~key:(Memo.key "a") ~usable:(fun v -> v < 3));
   (* a replaced key keeps its place: it is still the oldest *)
-  Memo.add m ~key:"c" 4;
-  check Alcotest.(option int) "a evicted first" None (Memo.find m ~key:"a");
+  Memo.add m ~key:(Memo.key "c") 4;
+  check Alcotest.(option int) "a evicted first" None (Memo.find m ~key:(Memo.key "a"));
   let s = Memo.stats m in
   check Alcotest.int "size" 2 s.Memo.size;
   check Alcotest.int "an unusable value is a miss" 2 s.Memo.misses;
@@ -176,7 +195,7 @@ let memo_one_compile_per_key () =
   in
   let ask () =
     Atomic.incr arrived;
-    Memo.find_or_add m ~key:"k" compute
+    Memo.find_or_add m ~key:(Memo.key "k") compute
   in
   let got = List.map (fun join -> join ()) (List.init n (fun _ -> spawn ask)) in
   check Alcotest.(list string) "every caller gets the value" (List.init n (fun _ -> "form")) got;
@@ -196,7 +215,7 @@ let memo_timeout_not_inherited () =
   let first =
     spawn (fun () ->
         match
-          Memo.find_or_add m ~key:"k" (fun () ->
+          Memo.find_or_add m ~key:(Memo.key "k") (fun () ->
               Atomic.set claimed true;
               wait_until (fun () -> Atomic.get waiting);
               Unix.sleepf 0.02;
@@ -209,32 +228,32 @@ let memo_timeout_not_inherited () =
   let second =
     spawn (fun () ->
         Atomic.set waiting true;
-        Memo.find_or_add m ~key:"k" (fun () -> Exact.Dnnf.compile ~budget:60.0 cnf))
+        Memo.find_or_add m ~key:(Memo.key "k") (fun () -> Exact.Dnnf.compile ~budget:60.0 cnf))
   in
   check Alcotest.bool "the first caller times out" true (first ());
   let form = second () in
   check Alcotest.string "the waiting caller compiles and answers" "6"
     (Mcml_logic.Bignat.to_string (Exact.Dnnf.total form));
   check Alcotest.bool "its form is kept" true
-    (match Memo.find m ~key:"k" with Some f -> f == form | None -> false);
+    (match Memo.find m ~key:(Memo.key "k") with Some f -> f == form | None -> false);
   check Alcotest.int "two compiles ran, one miss each" 2 (Memo.stats m).Memo.misses
 
 let memo_hit_while_compiling () =
   let m = Memo.create ~name:"test.memo" () in
-  Memo.add m ~key:"kept" 1;
+  Memo.add m ~key:(Memo.key "kept") 1;
   let started = Atomic.make false and release = Atomic.make false in
   let slow =
     spawn (fun () ->
-        Memo.find_or_add m ~key:"slow" (fun () ->
+        Memo.find_or_add m ~key:(Memo.key "slow") (fun () ->
             Atomic.set started true;
             wait_until (fun () -> Atomic.get release);
             2))
   in
   wait_until (fun () -> Atomic.get started);
   check Alcotest.int "a kept key answers while another compiles" 1
-    (Memo.find_or_add m ~key:"kept" (fun () -> Alcotest.fail "a kept key was recomputed"));
+    (Memo.find_or_add m ~key:(Memo.key "kept") (fun () -> Alcotest.fail "a kept key was recomputed"));
   check Alcotest.int "another absent key compiles meanwhile" 3
-    (Memo.find_or_add m ~key:"other" (fun () -> 3));
+    (Memo.find_or_add m ~key:(Memo.key "other") (fun () -> 3));
   Atomic.set release true;
   check Alcotest.int "the slow key" 2 (slow ())
 
@@ -408,15 +427,15 @@ let diskcache_backs_memo () =
   in
   let dc = Diskcache.open_ dir in
   let m = Memo.create ~backing:(backing dc) ~name:"test.backed" () in
-  Memo.add m ~key:"a" "1";
-  Memo.add m ~key:"b" "2";
+  Memo.add m ~key:(Memo.key "a") "1";
+  Memo.add m ~key:(Memo.key "b") "2";
   Diskcache.close dc;
   let dc2 = Diskcache.open_ dir in
   let m2 = Memo.create ~backing:(backing dc2) ~name:"test.backed" () in
-  check Alcotest.(option string) "a replayed" (Some "1") (Memo.find m2 ~key:"a");
-  check Alcotest.(option string) "b replayed" (Some "2") (Memo.find m2 ~key:"b");
+  check Alcotest.(option string) "a replayed" (Some "1") (Memo.find m2 ~key:(Memo.key "a"));
+  check Alcotest.(option string) "b replayed" (Some "2") (Memo.find m2 ~key:(Memo.key "b"));
   (* promoted: the second lookup is a memory hit, not a disk read *)
-  check Alcotest.(option string) "a promoted" (Some "1") (Memo.find m2 ~key:"a");
+  check Alcotest.(option string) "a promoted" (Some "1") (Memo.find m2 ~key:(Memo.key "a"));
   let s = Memo.stats m2 in
   check Alcotest.int "zero misses on replay" 0 s.Memo.misses;
   check Alcotest.int "hits" 3 s.Memo.hits;
@@ -430,12 +449,22 @@ let small_cnf () =
   let analyzer = Props.analyzer ~scope:3 in
   Mcml_alloy.Analyzer.cnf analyzer ~pred:prop.Props.pred
 
+(* The count-cache key texts of [small_cnf], pinned byte for byte:
+   disk records that earlier builds keyed by them must keep answering. *)
+let small_key_exact = "exact|n=10|p=1,2,3,4,5,6,7,8,9,|2 21 ;10 21 ;18 21 ;3 11 19 20 ;20 ;"
+
+let small_key_approx =
+  "approx(0x1.999999999999ap-1,0x1.999999999999ap-3,1,-,0)|n=10|p=1,2,3,4,5,6,7,8,9,|2 21 \
+   ;10 21 ;18 21 ;3 11 19 20 ;20 ;"
+
+let approx1 = Mcml_counting.(Counter.Approx { Approx.default with Approx.seed = 1 })
+
 let counter_cache_roundtrip () =
   let open Mcml_counting in
-  let cnf = small_cnf () in
+  let q = Counter.query ~backend:Counter.Exact (small_cnf ()) in
   let cache = Counter.cache_create () in
-  let o1 = Counter.count ~budget:30.0 ~cache ~backend:Counter.Exact cnf in
-  let o2 = Counter.count ~budget:30.0 ~cache ~backend:Counter.Exact cnf in
+  let o1 = Counter.count ~budget:30.0 ~cache q in
+  let o2 = Counter.count ~budget:30.0 ~cache q in
   let count o = Mcml_logic.Bignat.to_string (Option.get o).Counter.count in
   check Alcotest.string "same count" (count o1) (count o2);
   check Alcotest.(float 0.0) "hit returns the stored outcome"
@@ -444,10 +473,37 @@ let counter_cache_roundtrip () =
   check Alcotest.int "one miss" 1 s.Mcml_exec.Memo.misses;
   check Alcotest.int "one hit" 1 s.Mcml_exec.Memo.hits
 
+let counter_cache_key_pinned () =
+  let open Mcml_counting in
+  let key backend = Counter.cache_key (Counter.query ~backend (small_cnf ())) in
+  check Alcotest.string "exact" small_key_exact (key Counter.Exact);
+  check Alcotest.string "approx, seed 1" small_key_approx (key approx1);
+  (* the key is built once and kept: asking again returns the same text *)
+  let q = Counter.query ~backend:Counter.Exact (small_cnf ()) in
+  check Alcotest.bool "kept" true (Counter.cache_key q == Counter.cache_key q)
+
+let counter_cache_content_addressed () =
+  let open Mcml_counting in
+  let cache = Counter.cache_create () in
+  let count q = check Alcotest.bool "counted" true (Counter.count ~cache q <> None) in
+  (* two separately built, structurally equal CNFs: one entry *)
+  count (Counter.query ~backend:Counter.Exact (small_cnf ()));
+  count (Counter.query ~backend:Counter.Exact (small_cnf ()));
+  let s = Counter.cache_stats cache in
+  check Alcotest.int "equal CNFs: one miss" 1 s.Memo.misses;
+  check Alcotest.int "equal CNFs: the second is a hit" 1 s.Memo.hits;
+  (* one CNF under two backends: two entries *)
+  let cnf = small_cnf () in
+  count (Counter.query ~backend:Counter.Exact cnf);
+  count (Counter.query ~backend:approx1 cnf);
+  let s = Counter.cache_stats cache in
+  check Alcotest.int "exact and approx do not share" 2 s.Memo.misses;
+  check Alcotest.int "two entries" 2 s.Memo.size
+
 let counter_cache_key_distinguishes () =
   let open Mcml_counting in
   let cnf = small_cnf () in
-  let k b = Counter.cache_key ~backend:b cnf in
+  let k b = Counter.cache_key (Counter.query ~backend:b cnf) in
   let approx seed = Counter.Approx { Approx.default with Approx.seed } in
   Alcotest.(check bool)
     "backends differ" false
@@ -455,11 +511,12 @@ let counter_cache_key_distinguishes () =
   Alcotest.(check bool) "seeds differ" false (k (approx 1) = k (approx 2));
   Alcotest.(check bool)
     "same query, same key" true
-    (k Counter.Exact = Counter.cache_key ~backend:Counter.Exact cnf);
+    (k Counter.Exact = k Counter.Exact);
   (* a budget decides only whether a count finishes, so a count made
      under one budget answers a call under another *)
   let cache = Counter.cache_create () in
-  let count budget = Counter.count ~budget ~cache ~backend:Counter.Exact cnf in
+  let q = Counter.query ~backend:Counter.Exact cnf in
+  let count budget = Counter.count ~budget ~cache q in
   check Alcotest.bool "budget 30 completes" true (count 30.0 <> None);
   check Alcotest.bool "budget 31 is answered" true (count 31.0 <> None);
   let s = Counter.cache_stats cache in
@@ -474,8 +531,9 @@ let counter_cache_disk_keeps_answers () =
      restart too. *)
   let open Mcml_counting in
   let cnf = small_cnf () in
-  let key = Counter.cache_key ~backend:Counter.Exact cnf in
-  let count ~cache budget = Counter.count ~budget ~cache ~backend:Counter.Exact cnf in
+  let q = Counter.query ~backend:Counter.Exact cnf in
+  let key = Counter.cache_key q in
+  let count ~cache budget = Counter.count ~budget ~cache q in
   let dir = fresh_dir () in
   let dc = Diskcache.open_ dir in
   let cache = Counter.cache_create ~disk:dc () in
@@ -489,8 +547,8 @@ let counter_cache_disk_keeps_answers () =
   let s = Counter.cache_stats cache in
   check Alcotest.int "it replaced the timeout" 1 s.Memo.size;
   check Alcotest.int "two hits" 2 s.Memo.hits;
-  let old_timeout = Counter.cache_key ~backend:Counter.Brute cnf in
-  Diskcache.add dc ~key:old_timeout "t";
+  let brute = Counter.query ~backend:Counter.Brute cnf in
+  Diskcache.add dc ~key:(Counter.cache_key brute) "t";
   Diskcache.close dc;
   let dc2 = Diskcache.open_ dir in
   check Alcotest.bool "the completed count is kept" true
@@ -501,7 +559,7 @@ let counter_cache_disk_keeps_answers () =
   check Alcotest.int "from disk, not recounted" 1 s.Memo.backing_hits;
   check Alcotest.int "no miss" 0 s.Memo.misses;
   check Alcotest.bool "an old timeout record is counted again" true
-    (Counter.count ~budget:7.0 ~cache:cache2 ~backend:Counter.Brute cnf <> None);
+    (Counter.count ~budget:7.0 ~cache:cache2 brute <> None);
   check Alcotest.int "a miss, not a hit" 1 (Counter.cache_stats cache2).Memo.misses;
   Diskcache.close dc2
 
@@ -679,6 +737,9 @@ let () =
       ( "count-cache",
         [
           Alcotest.test_case "roundtrip" `Quick counter_cache_roundtrip;
+          Alcotest.test_case "key text pinned" `Quick counter_cache_key_pinned;
+          Alcotest.test_case "content addressed, per backend" `Quick
+            counter_cache_content_addressed;
           Alcotest.test_case "key distinguishes queries" `Quick counter_cache_key_distinguishes;
           Alcotest.test_case "disk keeps answers, not timeouts" `Quick
             counter_cache_disk_keeps_answers;

@@ -176,11 +176,12 @@ let admin_req kind =
   { Protocol.id = Json.Null; trace = None; deadline_ms = None; kind }
 
 let routing_key_properties () =
-  let key req =
-    match Router.routing_key req with
+  let keys req =
+    match Router.routing_keys req with
     | Some k -> k
     | None -> Alcotest.fail "count request has no routing key"
   in
+  let key req = (keys req).Router.ring in
   let base = key (count_req "Reflexive") in
   check Alcotest.string "id does not shard"
     base
@@ -188,6 +189,12 @@ let routing_key_properties () =
   check Alcotest.string "deadline does not shard"
     base
     (key (count_req ~deadline_ms:250.0 "Reflexive"));
+  check Alcotest.string "budget does not shard"
+    base
+    (key (count_req ~budget:20.0 "Reflexive"));
+  check Alcotest.bool "budget still parts the flights" true
+    ((keys (count_req "Reflexive")).Router.flight
+    <> (keys (count_req ~budget:20.0 "Reflexive")).Router.flight);
   check Alcotest.string "trace context does not shard"
     base
     (key
@@ -201,7 +208,7 @@ let routing_key_properties () =
   List.iter
     (fun kind ->
       check Alcotest.bool "admin kinds fan out (no routing key)" true
-        (Router.routing_key (admin_req kind) = None))
+        (Router.routing_keys (admin_req kind) = None))
     [ Protocol.Health; Protocol.Stats; Protocol.Metrics `Text ]
 
 let router_restamps_caller_id () =

@@ -171,12 +171,12 @@ let with_server ?(cfg = Server.default_config) f =
   let srv = Server.create cfg in
   Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> f srv)
 
-let count_req ?deadline_ms ?scope ?(budget = 30.0) name =
+let count_req ?deadline_ms ?scope ?symmetry ?backend ?(budget = 30.0) name =
   {
     Protocol.id = Json.Null;
     trace = None;
     deadline_ms;
-    kind = Protocol.Count (mk_query ?scope ~budget name);
+    kind = Protocol.Count (mk_query ?scope ?symmetry ?backend ~budget name);
   }
 
 let result_member resp field =
@@ -296,6 +296,46 @@ let identical_counts_translate_once () =
   in
   check Alcotest.int "one translation" 1 (occurrences "tseitin.encode" spans);
   check Alcotest.int "two counts" 2 (occurrences "count.exact" spans)
+
+let exact_and_approx_keep_apart () =
+  with_server (fun srv ->
+      let exact_flag req = result_member (Server.execute srv req) "exact" in
+      let approx = Mcml_counting.(Counter.Approx { Approx.default with Approx.seed = 1 }) in
+      check Alcotest.string "exact" "true"
+        (Json.to_string (exact_flag (count_req ~scope:3 "Reflexive")));
+      check Alcotest.string "then approximate" "false"
+        (Json.to_string (exact_flag (count_req ~scope:3 ~backend:approx "Reflexive")));
+      check Alcotest.int "two counts, no shared entry" 2 (cache_stat srv "misses"))
+
+(* Minor-heap words allocated per call of [f], over [n] calls. *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* A count-cache hit does no work that grows with its CNF: the server
+   keeps the prepared query, whose key text and hash its first lookup
+   built.  The large key (a symmetry-broken scope-5 TotalOrder) is
+   about 17 KB of text against 0.1 KB for the small one. *)
+let hit_allocation_flat () =
+  Mcml_obs.Obs.set_sink Mcml_obs.Obs.null;
+  with_server
+    ~cfg:{ Server.default_config with Server.jobs = 1 }
+    (fun srv ->
+      let per_hit req =
+        check Alcotest.string "warm" "ok" (served srv req);
+        let misses = cache_stat srv "misses" in
+        let words = words_per_call 50 (fun () -> ignore (Server.execute srv req)) in
+        check Alcotest.int "every call a hit" misses (cache_stat srv "misses");
+        words
+      in
+      let small = per_hit (count_req ~scope:3 "Reflexive") in
+      let large = per_hit (count_req ~scope:5 ~symmetry:true "TotalOrder") in
+      if Float.abs (large -. small) >= 256.0 then
+        Alcotest.failf "words per hit: %.0f on the small key, %.0f on the large one" small
+          large)
 
 (* ---------------------------------------------------------------------- *)
 (* Connections (socketpair end-to-end)                                     *)
@@ -617,6 +657,10 @@ let () =
             deadline_hits_batch_answer;
           Alcotest.test_case "a timeout answers no more budget" `Quick
             timeout_answers_no_more_budget;
+          Alcotest.test_case "exact and approximate keep apart" `Quick
+            exact_and_approx_keep_apart;
+          Alcotest.test_case "a hit allocates the same at any size" `Quick
+            hit_allocation_flat;
           Alcotest.test_case "identical counts translate once" `Quick
             identical_counts_translate_once;
         ] );
