@@ -57,6 +57,17 @@ for p in Antisymmetric Bijective Connex Equivalence Function Functional \
 done
 echo "   32/32 exact counts identical to brute enumeration"
 
+echo "== negated exact count by subtraction: a count the direct CNF cannot finish =="
+# #(¬ϕ∧S) = #S − #(ϕ∧S): Bijective at scope 5 negated is 2^25 − 5!.
+# Counting the negated CNF itself took over 20 s; the subtraction must
+# answer within a 5 s budget.
+neg="$("$MCML" count -p Bijective -s 5 --negate --budget 5)"
+echo "$neg" | grep -q '^count = 33554312 ' || {
+  echo "FAIL: Bijective scope 5 --negate --budget 5 printed: $neg" >&2
+  exit 1
+}
+echo "   Bijective scope 5 negated = 33554312 = 2^25 - 120 within 5 s"
+
 echo "== AccMC/DiffMC cross-check gate: conditioned exact vs brute Tree2CNF =="
 # exact AccMC conditions one compiled ground truth on the tree's paths
 # and exact DiffMC sums path pairs with no counter; brute force counts
@@ -410,6 +421,19 @@ same_as_direct deadlined "$out1"
 }
 echo "   10/10 deadlined answers from cache, identical to direct CLI"
 
+echo "== served negated count: #S - #(phi and S), as the CLI counts it =="
+# PreOrder at scope 5 with symmetry, negated: the server's plan
+# subtracts from the universe, like mcml count does
+want="$("$MCML" count -p PreOrder -s 5 --symmetry --negate \
+  | sed -n 's/^count = \([0-9]*\) .*/\1/p')"
+got="$(echo '{"id":"neg","kind":"count","prop":"PreOrder","scope":5,"symmetry":true,"negate":true}' \
+  | "$MCML" client --socket "$sock" | sed -n 's/.*"count":"\([0-9]*\)".*/\1/p')"
+[ "$want" = 896877 ] && [ "$got" = "$want" ] || {
+  echo "FAIL: negated PreOrder scope 5: served '$got', CLI '$want' (want 896877)" >&2
+  exit 1
+}
+echo "   served 896877 = CLI"
+
 echo "== metrics smoke gate: live scrape of the running server =="
 # the deadline gate's requests made the SLO counter families exist;
 # scrape the registry over the wire and require a well-formed
@@ -457,6 +481,42 @@ grep -q '"name":"serve.request"' "$strace" || {
 }
 rm -f "$out1" "$out2" "$strace"
 echo "   20/20 served answers identical to direct CLI; clean drain; valid trace"
+
+echo "== idle gate: an idle server wakes on no timer of its own =="
+# serve --jobs 2 with two connected clients that send nothing: readers,
+# responders, the accept loop, the flight-recorder watcher and the pool
+# all block without a timeout, so over 2 s at most one of the server's
+# threads may run: the OCaml runtime's tick thread.  Then a SIGTERM
+# must still drain the server, every thread blocked.
+isock="/tmp/mcml_idle.$$.sock"
+"$MCML" serve --socket "$isock" --jobs 2 2>/dev/null &
+idle_pid=$!
+i=0
+while [ ! -S "$isock" ] && [ $i -lt 100 ]; do sleep 0.1; i=$((i + 1)); done
+[ -S "$isock" ] || { echo "FAIL: idle serve socket never appeared" >&2; exit 1; }
+sleep 6 | "$MCML" client --socket "$isock" >/dev/null &
+ic1=$!
+sleep 6 | "$MCML" client --socket "$isock" >/dev/null &
+ic2=$!
+sleep 1
+# one line per thread: its path and "run ns, wait ns, timeslices"
+schedstats() {
+  for f in /proc/"$1"/task/*/schedstat; do echo "$f $(cat "$f" 2>/dev/null)"; done
+}
+s1="$(schedstats "$idle_pid")"
+sleep 2
+s2="$(schedstats "$idle_pid")"
+ran="$(printf '%s\n' "$s2" | grep -vxF "$s1" | wc -l)"
+[ "$ran" -le 1 ] || {
+  echo "FAIL: $ran threads of an idle server ran in 2 s (at most 1):" >&2
+  printf '%s\n' "$s2" | grep -vxF "$s1" >&2
+  exit 1
+}
+wait $ic1 || { echo "FAIL: idle client 1 exited nonzero" >&2; exit 1; }
+wait $ic2 || { echo "FAIL: idle client 2 exited nonzero" >&2; exit 1; }
+kill -TERM $idle_pid
+wait $idle_pid || { echo "FAIL: idle serve exited nonzero after SIGTERM" >&2; exit 1; }
+echo "   $ran of $(printf '%s\n' "$s2" | wc -l) threads ran in 2 s idle; SIGTERM drained"
 
 echo "== fleet smoke gate: 3 shards, kill-recovery, disk-cache replay =="
 # a 3-shard fleet with a persistent cache; 30 concurrent counts from 3

@@ -144,10 +144,11 @@ let install_process_trace ~role dir =
        (Filename.concat dir (Printf.sprintf "%s-%d.jsonl" role (Unix.getpid ()))))
 
 (* A bounded ring of the most recent events, dumped on demand.  The
-   SIGUSR1 handler only flips a flag: dumping takes the Obs lock, and a
-   signal can land on a thread already holding it — the watcher thread
-   does the actual I/O.  Returns the dump function so the serve loop
-   can also dump on a crash. *)
+   SIGUSR1 handler only writes a byte to a pipe: dumping takes the Obs
+   lock, and a signal can land on a thread already holding it — the
+   watcher thread, blocked reading that pipe, does the actual I/O.
+   Returns the dump function so the serve loop can also dump on a
+   crash. *)
 let install_flight_recorder ~role ~dir =
   let open Mcml_obs in
   let recorder = Flight.create () in
@@ -167,15 +168,23 @@ let install_flight_recorder ~role ~dir =
     | exception Sys_error msg ->
         Printf.eprintf "mcml %s: flight recorder dump failed: %s\n%!" role msg
   in
-  let requested = Atomic.make false in
+  let requests, request = Unix.pipe ~cloexec:true () in
+  (* a full pipe already holds a request: drop the byte, never block *)
+  Unix.set_nonblock request;
   Sys.set_signal Sys.sigusr1
-    (Sys.Signal_handle (fun _ -> Atomic.set requested true));
+    (Sys.Signal_handle
+       (fun _ ->
+         try ignore (Unix.write_substring request "u" 0 1)
+         with Unix.Unix_error _ -> ()));
   let (_ : Thread.t) =
     Thread.create
       (fun () ->
+        (* signals that arrive before a dump share it *)
+        let buf = Bytes.create 64 in
         while true do
-          Thread.delay 0.1;
-          if Atomic.exchange requested false then dump "SIGUSR1"
+          match Unix.read requests buf 0 (Bytes.length buf) with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+          | _ -> dump "SIGUSR1"
         done)
       ()
   in

@@ -40,7 +40,7 @@ let () =
     scope (Mcml_ml.Dataset.size train) (Mcml_ml.Dataset.size test) nprimary;
 
   let phi, not_phi = Pipeline.ground_truth prop ~scope ~symmetry:false in
-  let space = Pipeline.space_cnf ~scope ~symmetry:false in
+  let space = Mcml_alloy.Analyzer.space_cnf (Props.analyzer ~scope) in
   let backend = Mcml_counting.Counter.Exact in
 
   (* the decision tree, as in the main study *)

@@ -56,6 +56,14 @@ let formula ?(negate = false) ?(symmetry = false) t ~pred =
 let cnf ?negate ?symmetry t ~pred =
   Tseitin.cnf_of ~nprimary:(nprimary t) (formula ?negate ?symmetry t ~pred)
 
+let space_cnf ?(symmetry = false) t =
+  let n = nprimary t in
+  if not symmetry then Cnf.make ~projection:(Array.init n (fun i -> i + 1)) ~nvars:n []
+  else
+    Tseitin.cnf_of ~nprimary:n
+      (Symmetry.breaking_formula ~var_of:(fun ~field i j -> var_of t ~field i j) t.spec
+         ~scope:t.scope)
+
 (* Compile once, then read the trace, with no SAT call and no blocking
    clause.  [complete] is decided by the compile's count: a complete set is
    walked in the trace's deterministic depth-first order, and a capped
@@ -122,6 +130,16 @@ let evaluate t ~pred inst =
   in
   BSem.pred env pred
 
-let count ?negate ?symmetry ?budget ?cache ~backend t ~pred =
+let plan ~negate ~backend ~phi ~space =
+  match backend with
+  | Mcml_counting.Counter.Exact when negate ->
+      let part = phi ~negate:false in
+      Mcml_counting.Counter.Difference { whole = space (); part }
+  | _ -> Mcml_counting.Counter.One (phi ~negate)
+
+let count ?(negate = false) ?symmetry ?budget ?cache ~backend t ~pred =
   let module Counter = Mcml_counting.Counter in
-  Counter.count ?budget ?cache (Counter.query ~backend (cnf ?negate ?symmetry t ~pred))
+  Counter.run ?budget ?cache
+    (plan ~negate ~backend
+       ~phi:(fun ~negate -> Counter.query ~backend (cnf ~negate ?symmetry t ~pred))
+       ~space:(fun () -> Counter.query ~backend (space_cnf ?symmetry t)))

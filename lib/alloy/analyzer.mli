@@ -7,7 +7,8 @@
     transform) whose projection set is the primary variables, and it
     (c) enumerates all solutions off the compiled decision-DNNF
     ({!Mcml_counting.Exact.Dnnf}) and (d) counts them with a chosen
-    model counter.  Symmetry breaking mirrors
+    model counter; an exact count of a negated predicate is taken as
+    #S − #(ϕ∧S) ({!plan}).  Symmetry breaking mirrors
     Alloy's default partial scheme and can be toggled, as the study
     requires. *)
 
@@ -42,6 +43,12 @@ val formula : ?negate:bool -> ?symmetry:bool -> t -> pred:string -> Formula.t
 val cnf : ?negate:bool -> ?symmetry:bool -> t -> pred:string -> Cnf.t
 (** CNF of {!formula} with projection onto the primary variables. *)
 
+val space_cnf : ?symmetry:bool -> t -> Cnf.t
+(** The bounded space S as a CNF over the same projection: no clause
+    (all [2^nprimary] assignments), or with [symmetry] the lex-leader
+    predicate alone.  Exact AccMC's universe and the subtraction in
+    {!plan} both read it. *)
+
 val enumerate :
   ?symmetry:bool -> ?limit:int -> ?seed:int -> t -> pred:string -> Instance.t list * bool
 (** Up to [limit] (default: all) solutions of the predicate — the
@@ -59,6 +66,23 @@ val evaluate : t -> pred:string -> Instance.t -> bool
 (** The Alloy Evaluator: checks a concrete instance by constant
     propagation, no solving. *)
 
+val plan :
+  negate:bool ->
+  backend:Mcml_counting.Counter.backend ->
+  phi:(negate:bool -> Mcml_counting.Counter.query) ->
+  space:(unit -> Mcml_counting.Counter.query) ->
+  Mcml_counting.Counter.plan
+(** The counts a model count of the predicate is made of, given the
+    query of ϕ∧S or ¬ϕ∧S ([phi]; ϕ∧S is [{!cnf}]) and of the space S
+    ([space]; {!space_cnf}).  With the exact backend a negated count
+    is #S − #(ϕ∧S): the projection is the primary variables, ϕ and S
+    are functions of them and every Tseitin auxiliary is defined by
+    them, so the projected models of ¬ϕ∧S are those of S less those of
+    ϕ∧S.  The brute backend, the independent reference, and the
+    approximate one, whose two estimates would not subtract to an
+    (ε, δ) estimate, count ¬ϕ∧S itself.  {!count} and [mcml serve]
+    (which keeps its queries prepared) both take their plans here. *)
+
 val count :
   ?negate:bool ->
   ?symmetry:bool ->
@@ -68,8 +92,9 @@ val count :
   t ->
   pred:string ->
   Mcml_counting.Counter.outcome option
-(** Model count of the predicate over the bounded space.  [cache]
-    memoizes the outcome by full (backend, CNF) content
+(** Model count of the predicate over the bounded space, by its
+    {!plan} ({!Mcml_counting.Counter.run}).  [cache] memoizes each
+    query's outcome by full (backend, CNF) content
     ({!Mcml_counting.Counter.cache}).
 
     {b Thread safety.}  An analyzer value is immutable; translation,

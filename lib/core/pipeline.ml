@@ -114,19 +114,6 @@ let ground_truth (prop : Props.t) ~scope ~symmetry =
   in
   (phi, not_phi)
 
-let space_cnf ~scope ~symmetry =
-  let nprimary = scope * scope in
-  if not symmetry then
-    Cnf.make ~projection:(Array.init nprimary (fun i -> i + 1)) ~nvars:nprimary []
-  else begin
-    let analyzer = Props.analyzer ~scope in
-    let var_of ~field i j = Mcml_alloy.Analyzer.var_of analyzer ~field i j in
-    let breaking =
-      Mcml_alloy.Symmetry.breaking_formula ~var_of (Props.spec ()) ~scope
-    in
-    Tseitin.cnf_of ~nprimary breaking
-  end
-
 (* Compiled forms, kept once per process: the universe of a (scope,
    symmetry), which depends on nothing else, and the ground truth ϕ∧S of
    a (property, scope, symmetry).  The memo's per-key rule makes
@@ -150,7 +137,9 @@ let accmc ?budget ?pool ?cache ~backend ~prop ~scope ~eval_symmetry tree =
           (fun () -> Exact.Dnnf.compile ?budget (cnf ()))
       in
       Accmc.conditioned ~nprimary
-        ~space:(fun () -> form "U" (fun () -> space_cnf ~scope ~symmetry:eval_symmetry))
+        ~space:(fun () ->
+          form "U" (fun () ->
+              Mcml_alloy.Analyzer.space_cnf ~symmetry:eval_symmetry (Props.analyzer ~scope)))
         ~phi:(fun () ->
           form ("phi/" ^ prop.Props.pred) (fun () ->
               Mcml_alloy.Analyzer.cnf ~symmetry:eval_symmetry (Props.analyzer ~scope)
@@ -159,7 +148,7 @@ let accmc ?budget ?pool ?cache ~backend ~prop ~scope ~eval_symmetry tree =
   | Counter.Approx _ | Counter.Brute ->
       let phi, not_phi = ground_truth prop ~scope ~symmetry:eval_symmetry in
       Accmc.counts ?budget ?pool ?cache ~backend ~phi ~not_phi
-        ~space:(space_cnf ~scope ~symmetry:eval_symmetry)
+        ~space:(Mcml_alloy.Analyzer.space_cnf ~symmetry:eval_symmetry (Props.analyzer ~scope))
         ~nprimary tree
 
 let train_fraction_of_ratio (a, b) = float_of_int a /. float_of_int (a + b)

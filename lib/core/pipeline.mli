@@ -50,12 +50,6 @@ val ground_truth :
     both are conjoined with the lex-leader predicate (the
     symmetry-constrained evaluation universe of Tables 3 and 7). *)
 
-val space_cnf : scope:int -> symmetry:bool -> Cnf.t
-(** The evaluation universe as a CNF: trivial (full space) or the
-    symmetry-breaking predicate alone.  (Property-independent: all 16
-    properties share one spec, so the universe depends only on the
-    scope and the symmetry flag.) *)
-
 val accmc :
   ?budget:float ->
   ?pool:Mcml_exec.Pool.t ->
@@ -69,7 +63,8 @@ val accmc :
 (** AccMC of [tree] against [prop] over the evaluation universe.  With
     the exact backend it conditions compiled forms on the tree's paths
     ({!Accmc.conditioned}): [ϕ] (conjoined with the symmetry predicate
-    when [eval_symmetry]) and the universe.  Each form is translated
+    when [eval_symmetry]) and the universe
+    ({!Mcml_alloy.Analyzer.space_cnf}).  Each form is translated
     and compiled once per process, per (property, scope, symmetry) and
     per (scope, symmetry) respectively, and kept unless its compile
     times out.  Concurrent first queries of one form wait for a single

@@ -140,32 +140,88 @@ let backend_tag = function
   | Approx _ -> "approx"
   | Brute -> "brute"
 
-let count ?(budget = 5000.0) ?cache q : outcome option =
+type plan = One of query | Difference of { whole : query; part : query }
+
+(* the order a plan's queries are looked up and counted in *)
+let queries = function One q -> [ q ] | Difference { whole; part } -> [ part; whole ]
+
+let combine plan outcomes =
+  match (plan, outcomes) with
+  | One _, [ o ] -> o
+  | Difference _, [ p; w ] ->
+      { count = Bignat.sub w.count p.count; exact = p.exact && w.exact; time = p.time +. w.time }
+  | _ -> invalid_arg "Counter.combine"
+
+type pending = {
+  plan : plan;
+  found : outcome option list;  (** per query, in order: [None] = still to count *)
+  cache : cache option;
+}
+
+(* the latency an answer took, as its caller sees it, split per backend *)
+let observe plan t0 =
+  Mcml_obs.Obs.observe
+    ("counter.count." ^ backend_tag (List.hd (queries plan)).backend ^ "_ms")
+    ((Mcml_obs.Obs.monotonic_s () -. t0) *. 1000.0)
+
+let lookup ?(budget = 5000.0) c plan =
   let timed = Mcml_obs.Obs.enabled () in
   let t0 = if timed then Mcml_obs.Obs.monotonic_s () else 0.0 in
-  let outcome =
-    match cache with
-    | None -> count_uncached ~budget q
-    | Some c -> (
-        let key = memo_key q in
-        (* a timeout answers only a call with no more time than it had *)
-        let usable = function Done _ -> true | Timed_out b -> budget <= b in
-        match Memo.find ~usable c ~key with
-        | Some (Done o) -> Some o
-        | Some (Timed_out _) -> None
-        | None ->
-            let o = count_uncached ~budget q in
+  (* a timeout answers only a call with no more time than it had *)
+  let usable = function Done _ -> true | Timed_out b -> budget <= b in
+  let rec go found = function
+    | [] when List.for_all Option.is_some found ->
+        `Answer (Some (combine plan (List.rev_map Option.get found)))
+    | [] -> `Count { plan; found = List.rev found; cache = Some c }
+    | q :: rest -> (
+        match Memo.find ~usable c ~key:(memo_key q) with
+        | Some (Done o) -> go (Some o :: found) rest
+        | Some (Timed_out _) -> `Answer None
+        | None -> go (None :: found) rest)
+  in
+  let r = go [] (queries plan) in
+  (match r with `Answer _ when timed -> observe plan t0 | _ -> ());
+  r
+
+let finish ?(budget = 5000.0) { plan; found; cache } =
+  let timed = Mcml_obs.Obs.enabled () in
+  let start = Mcml_obs.Obs.monotonic_s () in
+  (* each count gets the budget the counts before it left *)
+  let left = ref budget in
+  let count q =
+    match Option.bind cache (fun c -> Memo.peek c ~key:(memo_key q)) with
+    | Some (Done o) ->
+        (* stored by a concurrent request since the lookup: the miss
+           stands, but nothing counts it again *)
+        Some o
+    | _ ->
+        let budget = !left in
+        let t0 = Mcml_obs.Obs.monotonic_s () in
+        let o = count_uncached ~budget q in
+        left := budget -. (Mcml_obs.Obs.monotonic_s () -. t0);
+        Option.iter
+          (fun c ->
             let entry = match o with Some o -> Done o | None -> Timed_out budget in
             (* a completed count replaces a timeout, a timeout a shorter one *)
-            Memo.add c ~key entry ~replace:(function
+            Memo.add c ~key:(memo_key q) entry ~replace:(function
               | Done _ -> false
-              | Timed_out b -> Option.is_some o || b < budget);
-            o)
+              | Timed_out b -> Option.is_some o || b < budget))
+          cache;
+        o
   in
-  (* the end-to-end latency of a count query as the caller sees it
-     (cache lookup included), split per backend *)
-  if timed then
-    Mcml_obs.Obs.observe
-      ("counter.count." ^ backend_tag q.backend ^ "_ms")
-      ((Mcml_obs.Obs.monotonic_s () -. t0) *. 1000.0);
-  outcome
+  let rec go outcomes = function
+    | [] -> Some (combine plan (List.rev outcomes))
+    | (_, Some o) :: rest -> go (o :: outcomes) rest
+    | (q, None) :: rest -> Option.bind (count q) (fun o -> go (o :: outcomes) rest)
+  in
+  let r = go [] (List.combine (queries plan) found) in
+  if timed then observe plan start;
+  r
+
+let run ?budget ?cache plan =
+  match cache with
+  | None -> finish ?budget { plan; found = List.map (fun _ -> None) (queries plan); cache }
+  | Some c -> (
+      match lookup ?budget c plan with `Answer a -> a | `Count p -> finish ?budget p)
+
+let count ?budget ?cache q = run ?budget ?cache (One q)

@@ -83,14 +83,51 @@ val cache_key : query -> string
     for byte, so those records keep answering.  Built once per query
     (see {!query}); exposed for tests. *)
 
+type plan =
+  | One of query
+  | Difference of { whole : query; part : query }
+      (** [#whole − #part], for a [part] whose projected models are
+          models of [whole] over the same projection: the models of
+          [whole] outside [part].  Exact when both counts are; its
+          [time] is their sum. *)
+(** The count queries one answer is made of.  A [Difference] looks up
+    and counts [part] first, then [whole]. *)
+
+type pending
+(** A plan whose cache lookups are done: each query's cached outcome,
+    or a miss still to count. *)
+
+val lookup :
+  ?budget:float -> cache -> plan -> [ `Answer of outcome option | `Count of pending ]
+(** Look each of the plan's queries up in the cache once, in order;
+    each lookup counts one hit or one miss.  [`Answer] when the
+    lookups decide the answer: every query hit a completed count, or
+    one hit a timeout kept under at least [budget] ([`Answer None]; no
+    later query is looked up).  Otherwise [`Count p]: {!finish} counts
+    the misses, and nothing looks them up again.  No counter runs. *)
+
+val finish : ?budget:float -> pending -> outcome option
+(** Count a pending plan's misses, in order, and store each outcome in
+    the cache it was looked up in.  A miss whose completed count another
+    caller stored since the lookup is taken from the cache's memory
+    tier instead, counting no hit or miss.  The counts share [budget]:
+    each gets what the ones before it left.  [None] as soon as one
+    times out. *)
+
+val run : ?budget:float -> ?cache:cache -> plan -> outcome option
+(** {!lookup}, then {!finish} what it left; with no [cache], count
+    every query.  [budget] in seconds, default 5000 like the paper. *)
+
 val count : ?budget:float -> ?cache:cache -> query -> outcome option
-(** [count q] runs [q]'s counter on its CNF; [None] on timeout
-    ([budget] in seconds, default 5000 like the paper).  With [cache],
-    the query key is looked up first: a completed count is returned
-    whatever [budget] this call carries, and a kept timeout answers
-    [None] if this call's [budget] is no larger than the one it timed
-    out under.  Otherwise the lookup is a miss, the counter runs under
-    [budget], and its outcome is stored (a timeout in memory only).
-    While telemetry is enabled, every call feeds the per-backend
-    latency histogram [counter.count.<backend>_ms] (end-to-end as the
-    caller sees it, cache lookup included). *)
+(** [count q] is [run (One q)]: [q]'s counter on its CNF; [None] on
+    timeout.  With [cache], the query key is looked up first: a
+    completed count is returned whatever [budget] this call carries,
+    and a kept timeout answers [None] if this call's [budget] is no
+    larger than the one it timed out under.  Otherwise the lookup is a
+    miss, the counter runs under [budget], and its outcome is stored (a
+    timeout in memory only).
+
+    While telemetry is enabled, every answer feeds the per-backend
+    latency histogram [counter.count.<backend>_ms] once, as its caller
+    sees it: the lookups, when they decide it ({!lookup}), otherwise
+    the counting of what missed ({!finish}). *)

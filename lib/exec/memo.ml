@@ -140,6 +140,8 @@ let find ?(usable = fun _ -> true) t ~key =
     Obs.observe (t.name ^ ".lookup_ms") ((Obs.monotonic_s () -. t0) *. 1000.0);
   r
 
+let peek t ~key = locked t (fun () -> Tbl.find_opt t.tbl key)
+
 let add ?replace t ~key v =
   if insert ?replace t ~key v then
     (* write-through outside the memo lock; the backing store is

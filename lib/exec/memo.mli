@@ -77,6 +77,13 @@ val find : ?usable:('a -> bool) -> 'a t -> key:key -> 'a option
     recompute it; the backing tier is not consulted for it.  A value
     loaded from the backing tier is always usable. *)
 
+val peek : 'a t -> key:key -> 'a option
+(** The memory tier's value for [key], if any.  Counts no hit or miss,
+    consults no backing tier and waits for no computation: for a
+    caller that must not start work, such as [mcml serve]'s connection
+    reader looking for a prepared query, or that already counted its
+    lookup, such as the count cache's [Counter.finish]. *)
+
 val add : ?replace:('a -> bool) -> 'a t -> key:key -> 'a -> unit
 (** First insert wins: adding an existing key is a no-op, unless
     [replace] (default: never) accepts the value present.  A replaced

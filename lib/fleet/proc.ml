@@ -42,6 +42,8 @@ type shard = {
 type t = {
   cfg : config;
   stopping : bool Atomic.t;
+  wake_r : Unix.file_descr;  (** readable once stopping; never read *)
+  wake_w : Unix.file_descr;
   procs : shard array;
   mutable supervisors : Thread.t array;
 }
@@ -136,7 +138,8 @@ let start cfg =
         })
   in
   Array.iter (fun s -> s.pid <- spawn cfg s) procs;
-  let t = { cfg; stopping = Atomic.make false; procs; supervisors = [||] } in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  let t = { cfg; stopping = Atomic.make false; wake_r; wake_w; procs; supervisors = [||] } in
   t.supervisors <- Array.map (fun s -> Thread.create (supervise t) s) procs;
   t
 
@@ -181,8 +184,7 @@ let attempt t (s : shard) line =
               let reader = Mcml_serve.Line_reader.create fd in
               Option.map
                 (Result.map_error (( ^ ) "malformed shard response: "))
-                (Mcml_serve.Line_reader.next reader ~stop:(fun () ->
-                     Atomic.get t.stopping)))
+                (Mcml_serve.Line_reader.next reader ~wake:t.wake_r))
 
 let call ?deadline_s t ~shard line =
   let deadline_s = Option.value deadline_s ~default:t.cfg.call_deadline_s in
@@ -214,8 +216,10 @@ let dispatch ?deadline_s t shard (req : Protocol.request) =
           Protocol.err ~id:req.Protocol.id Protocol.Internal
             ("malformed shard response: " ^ msg))
 
+(* The wake pipe outlives [stop]: a call still in flight selects on it. *)
 let stop t =
-  Atomic.set t.stopping true;
+  if not (Atomic.exchange t.stopping true) then
+    ignore (Unix.write_substring t.wake_w "s" 0 1);
   Array.iter
     (fun s ->
       Mutex.lock s.m;

@@ -77,4 +77,7 @@ val dispatch :
     the request's id — the shape {!Router.create}'s [dispatch] wants. *)
 
 val stop : t -> unit
-(** SIGTERM every shard (graceful drain), stop respawning, reap. *)
+(** SIGTERM every shard (graceful drain), stop respawning, reap.  A
+    {!call} waiting for a shard's answer returns at once: it blocks on
+    the shard's socket and a wake pipe [stop] writes, with no
+    timeout. *)

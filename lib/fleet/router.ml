@@ -12,11 +12,9 @@ type config = {
   vnodes : int;
   admission : int;
   queue_cap : int;
-  probe_interval_s : float;
 }
 
-let default_config =
-  { shards = 2; vnodes = 64; admission = 256; queue_cap = 128; probe_interval_s = 1.0 }
+let default_config = { shards = 2; vnodes = 64; admission = 256; queue_cap = 128 }
 
 type keys = { ring : string; flight : string }
 
@@ -57,9 +55,7 @@ let create ?(restarts = fun () -> [||]) cfg ~dispatch =
       shard_restarts = restarts;
       flight = Single_flight.create ~name:"fleet.singleflight" ();
       inflight = Atomic.make 0;
-      fe =
-        Frontend.create ~conn_span:"fleet.conn" ~queue_cap:cfg.queue_cap
-          ~probe_interval_s:cfg.probe_interval_s;
+      fe = Frontend.create ~conn_span:"fleet.conn" ~queue_cap:cfg.queue_cap;
       started = Obs.monotonic_s ();
       total = Atomic.make 0;
       ok = Atomic.make 0;
@@ -72,7 +68,9 @@ let create ?(restarts = fun () -> [||]) cfg ~dispatch =
 
 let frontend t = t.fe
 let draining t = Frontend.draining t.fe
-let shutdown _t = List.iter Probe.unregister probe_sources
+let shutdown t =
+  List.iter Probe.unregister probe_sources;
+  Frontend.close t.fe
 
 let record t (resp : Protocol.response) =
   Atomic.incr t.total;
@@ -381,7 +379,7 @@ let execute t (req : Protocol.request) =
 (* the front end's queue_cap bounds the request threads per connection;
    each starts under the connection span, like a pool task *)
 let admit t = function
-  | Error (id, msg) -> Fun.const (record t (Protocol.err ~id Protocol.Bad_request msg))
+  | Error (id, msg) -> Frontend.Ready (record t (Protocol.err ~id Protocol.Bad_request msg))
   | Ok req ->
       let resp = ref (Protocol.err ~id:req.Protocol.id Protocol.Internal "unreached") in
       let ctx = Obs.current_context () in
@@ -397,8 +395,9 @@ let admit t = function
                          (Printexc.to_string e))))
           ()
       in
-      fun () ->
-        Thread.join th;
-        !resp
+      Frontend.Pending
+        (fun () ->
+          Thread.join th;
+          !resp)
 
 let handle_connection t = Frontend.handle_connection t.fe ~admit:(admit t)

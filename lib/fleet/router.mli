@@ -34,7 +34,8 @@
     {b Connections.}  The router speaks to clients through the same
     {!Mcml_serve.Frontend} as a single server; each admitted request
     runs on its own systhread (router work waits on shards, it does not
-    count).
+    count), so its answer is pending; only a parse error is ready on
+    the reader.
 
     {b Telemetry.}  Spans [fleet.conn] and [fleet.route] (attrs:
     kind, shard, dedup); counters [fleet.requests.*],
@@ -74,14 +75,10 @@ type config = {
           requests are rejected with [Overloaded] *)
   queue_cap : int;
       (** per-connection cap on queued (not yet written) responses *)
-  probe_interval_s : float;
-      (** periodic {!Mcml_obs.Probe.sample} cadence in
-          {!Mcml_serve.Frontend.serve_unix} ([<= 0.] disables) *)
 }
 
 val default_config : config
-(** [shards = 2], [vnodes = 64], [admission = 256], [queue_cap = 128],
-    [probe_interval_s = 1.0]. *)
+(** [shards = 2], [vnodes = 64], [admission = 256], [queue_cap = 128]. *)
 
 type t
 
@@ -115,5 +112,6 @@ val frontend : t -> Mcml_serve.Frontend.t
     {!Mcml_serve.Frontend.serve_unix} with {!handle_connection}. *)
 
 val shutdown : t -> unit
-(** Unregister the router's probes.  Call after the connection loops
-    return (shard processes are owned by {!Proc} and stopped there). *)
+(** Unregister the router's probes and close its front end.  Call
+    after the connection loops return (shard processes are owned by
+    {!Proc} and stopped there). *)

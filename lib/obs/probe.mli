@@ -4,8 +4,8 @@
     process resource usage ([getrusage(RUSAGE_SELF)] via a C stub) and
     every registered dynamic source, and records each reading with
     {!Obs.gauge_set} — {e unconditionally}, even under the null sink.
-    Sampling is an explicit act (a [metrics] request, the server's
-    periodic ticker, the end of a bench run), not a hot path, so the
+    Sampling is an explicit act (a [metrics] request, a server's
+    drain, the end of a bench run), not a hot path, so the
     zero-overhead invariant of the instrumentation sites is untouched.
 
     Built-in gauge families written by every sample:
@@ -41,5 +41,5 @@ val unregister : string -> unit
 
 val sample : unit -> unit
 (** Take one sample: record the GC, rusage and dynamic-source gauges.
-    Cheap (microseconds), but not free — call it per scrape or per
-    ticker interval, not per request. *)
+    Cheap (microseconds), but not free — call it per scrape, not per
+    request. *)

@@ -164,12 +164,7 @@ let cf_partialorder n =
 let cf_preorder n = table_lookup topologies_table n
 let cf_reflexive n = Some (Bignat.pow2 (n * n - n))
 let cf_strictorder n = table_lookup posets_table n
-(* 2^n - 1, built additively since Bignat has no subtraction *)
-let all_ones n =
-  let rec go k acc =
-    if k = 0 then acc else go (k - 1) (Bignat.add (Bignat.shift_left acc 1) Bignat.one)
-  in
-  go n Bignat.zero
+let all_ones n = Bignat.sub (Bignat.pow2 n) Bignat.one
 
 let cf_surjective n = Some (power (all_ones n) n)
 let cf_totalorder n = Some (factorial n)

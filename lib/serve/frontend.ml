@@ -5,22 +5,30 @@ module Probe = Mcml_obs.Probe
 type t = {
   conn_span : string;
   queue_cap : int;
-  probe_interval_s : float;
   drain_flag : bool Atomic.t;
+  wake_r : Unix.file_descr;  (** readable once drained; never read *)
+  wake_w : Unix.file_descr;
 }
 
-type admit = (Protocol.request, Json.t * string) result -> unit -> Protocol.response
+type answer = Ready of Protocol.response | Pending of (unit -> Protocol.response)
+type admit = (Protocol.request, Json.t * string) result -> answer
 
-let create ~conn_span ~queue_cap ~probe_interval_s =
-  {
-    conn_span;
-    queue_cap;
-    probe_interval_s;
-    drain_flag = Atomic.make false;
-  }
+let create ~conn_span ~queue_cap =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  { conn_span; queue_cap; drain_flag = Atomic.make false; wake_r; wake_w }
 
-let drain t = Atomic.set t.drain_flag true
+(* One byte, once: the pipe stays readable, so every select on [wake_r]
+   returns from then on.  No lock, so a signal handler may call it. *)
+let drain t =
+  if not (Atomic.exchange t.drain_flag true) then
+    ignore (Unix.write_substring t.wake_w "d" 0 1)
+
 let draining t = Atomic.get t.drain_flag
+
+let close t =
+  Atomic.set t.drain_flag true;
+  Unix.close t.wake_r;
+  Unix.close t.wake_w
 
 let handle_connection t ~admit ~input ~output =
   (* the reader's span: what [admit] starts on this thread parents
@@ -31,8 +39,19 @@ let handle_connection t ~admit ~input ~output =
   let qm = Mutex.create () in
   let q_not_empty = Condition.create () in
   let q_not_full = Condition.create () in
+  (* answers queued or being written; only the reader adds to it *)
+  let unwritten = ref 0 in
   let reading_done = ref false in
   let write_failed = ref false in
+  let write resp =
+    if not !write_failed then
+      (try
+         output_string output (Protocol.response_to_string resp);
+         output_char output '\n';
+         flush output
+       with Sys_error _ -> write_failed := true);
+    incr served
+  in
   let rec respond () =
     Mutex.lock qm;
     while Queue.is_empty q && not !reading_done do
@@ -43,14 +62,10 @@ let handle_connection t ~admit ~input ~output =
       let answer = Queue.pop q in
       Condition.signal q_not_full;
       Mutex.unlock qm;
-      let resp = answer () in
-      if not !write_failed then
-        (try
-           output_string output (Protocol.response_to_string resp);
-           output_char output '\n';
-           flush output
-         with Sys_error _ -> write_failed := true);
-      incr served;
+      write (answer ());
+      Mutex.lock qm;
+      decr unwritten;
+      Mutex.unlock qm;
       respond ()
     end
   in
@@ -61,16 +76,28 @@ let handle_connection t ~admit ~input ~output =
       Condition.wait q_not_full qm
     done;
     Queue.push answer q;
+    incr unwritten;
     Condition.signal q_not_empty;
     Mutex.unlock qm
   in
+  (* A ready answer with nothing before it unwritten is written here:
+     the responder is idle, and stays idle while the reader, the only
+     one who queues, is busy writing. *)
+  let deliver = function
+    | Pending answer -> enqueue answer
+    | Ready resp ->
+        Mutex.lock qm;
+        let idle = !unwritten = 0 in
+        Mutex.unlock qm;
+        if idle then write resp else enqueue (Fun.const resp)
+  in
   let reader = Line_reader.create input in
   let rec read_loop () =
-    match Line_reader.next reader ~stop:(fun () -> draining t) with
+    match Line_reader.next reader ~wake:t.wake_r with
     | None -> ()
     | Some (Ok line) when String.trim line = "" -> read_loop ()
     | Some line ->
-        enqueue
+        deliver
           (admit
              (match line with
              | Ok line -> Protocol.request_of_string line
@@ -86,8 +113,8 @@ let handle_connection t ~admit ~input ~output =
   (try flush output with Sys_error _ -> ());
   Obs.finish ~attrs:[ ("responses", Obs.Int !served) ] conn
 
-(* Accept loop: poll the listening socket so the drain flag is noticed
-   within 50ms even when no client ever connects. *)
+(* Accept loop: block on the listening socket and the wake pipe, so
+   an idle server takes no timer wake-up and a drain is seen at once. *)
 let serve_unix t ~path handle =
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (* Child processes (a fleet's shard respawns) must not inherit these
@@ -99,40 +126,30 @@ let serve_unix t ~path handle =
   Unix.listen lfd 64;
   (* touched by this thread alone *)
   let conns = ref [] in
-  (* the accept loop doubles as the probe ticker: it already wakes
-     every 50ms to poll the drain flag, so GC/rusage/pool gauges stay
-     at most [probe_interval_s] stale even while no client scrapes *)
-  let last_probe = ref neg_infinity in
   let rec accept_loop () =
-    if not (draining t) then begin
-      (if t.probe_interval_s > 0.0 then
-         let now = Obs.monotonic_s () in
-         if now -. !last_probe >= t.probe_interval_s then begin
-           last_probe := now;
-           Probe.sample ()
-         end);
-      (match Unix.select [ lfd ] [] [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | [], _, _ -> ()
-      | _ -> (
-          match Unix.accept lfd with
-          | exception Unix.Unix_error (_, _, _) -> ()
-          | cfd, _ ->
-              Unix.set_close_on_exec cfd;
-              let th =
-                Thread.create
-                  (fun () ->
-                    let oc = Unix.out_channel_of_descr cfd in
-                    (try handle ~input:cfd ~output:oc with _ -> ());
-                    (* closes [cfd] too *)
-                    try close_out oc with Sys_error _ -> ())
-                  ()
-              in
-              conns := th :: !conns));
-      accept_loop ()
-    end
+    match Unix.select [ lfd; t.wake_r ] [] [] (-1.0) with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
+    | ready, _, _ when List.mem t.wake_r ready -> ()
+    | _ ->
+        (match Unix.accept ~cloexec:true lfd with
+        | exception Unix.Unix_error (_, _, _) -> ()
+        | cfd, _ ->
+            let th =
+              Thread.create
+                (fun () ->
+                  let oc = Unix.out_channel_of_descr cfd in
+                  (try handle ~input:cfd ~output:oc with _ -> ());
+                  (* closes [cfd] too *)
+                  try close_out oc with Sys_error _ -> ())
+                ()
+            in
+            conns := th :: !conns);
+        accept_loop ()
   in
   accept_loop ();
   Unix.close lfd;
   (try Unix.unlink path with Unix.Unix_error _ -> ());
-  List.iter Thread.join !conns
+  List.iter Thread.join !conns;
+  (* the gauges a trace ends with: scrapes sample too, but nothing
+     samples on a timer *)
+  Probe.sample ()

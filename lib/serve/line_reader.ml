@@ -39,21 +39,21 @@ let take r =
   Buffer.clear r.line;
   line
 
-let rec next r ~stop =
+let rec next r ~wake =
   match find_newline r.chunk r.pos r.len with
   | Some i ->
       let n = scan r i in
       r.pos <- i + 1;
       if r.dropping then begin
         r.dropping <- false;
-        next r ~stop
+        next r ~wake
       end
       else if n > max_line then begin
         Buffer.reset r.line;
         Some (Error overlong)
       end
       else Some (Ok (take r))
-  | None ->
+  | None -> (
       if scan r r.len > max_line then begin
         Buffer.reset r.line;
         r.dropping <- true;
@@ -62,18 +62,16 @@ let rec next r ~stop =
       else if r.eof then
         (* a final line without a trailing newline still counts *)
         if Buffer.length r.line = 0 then None else Some (Ok (take r))
-      else if stop () then None
-      else begin
-        (match Unix.select [ r.fd ] [] [] 0.05 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | [], _, _ -> ()
-        | _ -> (
-            match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+      else
+        match Unix.select [ r.fd; wake ] [] [] (-1.0) with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> next r ~wake
+        | ready, _, _ when List.mem wake ready -> None
+        | _ ->
+            (match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
             | exception Unix.Unix_error (_, _, _) -> r.eof <- true
             | 0 -> r.eof <- true
             | n ->
                 r.pos <- 0;
-                r.len <- n));
-        next r ~stop
-      end
+                r.len <- n);
+            next r ~wake)

@@ -14,7 +14,6 @@ type config = {
   queue_cap : int;
   cache : bool;
   cache_capacity : int;
-  probe_interval_s : float;
   shard_id : int option;
   cache_dir : string option;
 }
@@ -26,7 +25,6 @@ let default_config =
     queue_cap = 128;
     cache = true;
     cache_capacity = 4096;
-    probe_interval_s = 1.0;
     shard_id = None;
     cache_dir = None;
   }
@@ -49,7 +47,7 @@ type t = {
   cache : Counter.cache option;
   disk : Mcml_exec.Diskcache.t option;
       (** persistent tier behind [cache]; owned (and closed) here *)
-  queries : Counter.query Memo.t;  (** prepared queries, see [prepare] *)
+  queries : Counter.query Memo.t;  (** prepared queries, see [plan] *)
   inflight : int Atomic.t;  (** admitted counting requests not yet finished *)
   fe : Frontend.t;
   started : float;
@@ -89,10 +87,12 @@ let register_probes t =
       | None -> 0.0)
 
 (* Prepared queries a server keeps: the 16 study properties at scopes
-   3-5 in both symmetry and negation modes are 192 keys per backend
-   configuration (DESIGN.md §8).  A server that also answers them under
-   a second configuration (an approximate seed, say) holds 384 and
-   evicts in FIFO order: an evicted query is translated again. *)
+   3-5 with and without symmetry are 96 ϕ∧S keys per backend
+   configuration, and the exact backend adds the 6 universes its
+   negated counts subtract from; an approximate or brute backend keeps
+   96 ¬ϕ∧S keys instead (DESIGN.md §8).  A server that also answers
+   them under a second configuration (an approximate seed, say) evicts
+   in FIFO order past 256: an evicted query is translated again. *)
 let query_capacity = 256
 
 let create cfg =
@@ -113,9 +113,7 @@ let create cfg =
       disk;
       queries = Memo.create ~capacity:query_capacity ~name:"serve.query_memo" ();
       inflight = Atomic.make 0;
-      fe =
-        Frontend.create ~conn_span:"serve.conn" ~queue_cap:cfg.queue_cap
-          ~probe_interval_s:cfg.probe_interval_s;
+      fe = Frontend.create ~conn_span:"serve.conn" ~queue_cap:cfg.queue_cap;
       started = Obs.monotonic_s ();
       totals =
         {
@@ -138,6 +136,7 @@ let draining t = Frontend.draining t.fe
 
 let shutdown t =
   List.iter Probe.unregister probe_sources;
+  Frontend.close t.fe;
   Pool.shutdown t.pool;
   Option.iter Mcml_exec.Diskcache.close t.disk
 
@@ -172,23 +171,42 @@ let resolve_scope (q : Protocol.query) =
   | None ->
       Mcml.Experiments.scope_for Mcml.Experiments.fast q.prop ~symmetry:q.symmetry
 
-(* One prepared query per (translation, backend) per server: a repeated
-   count skips Alloy translation and Tseitin, and its kept query hands
-   the count cache the key and hash it built the first time, so nothing
-   on the hit path grows with the CNF.  The backend's part of the key
-   keeps an exact and an approximate request apart.  The count cache
-   stays keyed by the CNF's content, so its disk records never outlive
-   a build that translates differently. *)
-let prepare t (q : Protocol.query) ~scope =
-  Memo.find_or_add t.queries
-    ~key:
-      (Memo.key
-         (Printf.sprintf "%s|%d|%b|%b|%s" q.prop.Props.pred scope q.symmetry q.negate
-            (Counter.backend_key q.backend)))
-    (fun () ->
-      Counter.query ~backend:q.backend
-        (Mcml_alloy.Analyzer.cnf ~negate:q.negate ~symmetry:q.symmetry
-           (Props.analyzer ~scope) ~pred:q.prop.Props.pred))
+(* A count's plan ([Analyzer.plan]) from prepared queries: one per
+   (CNF, backend) per server, for ϕ∧S or ¬ϕ∧S per (predicate, scope,
+   symmetry, negation) and for the universe per (scope, symmetry).  A
+   repeated count skips Alloy translation and Tseitin, and its kept
+   query hands the count cache the key and hash it built the first
+   time, so nothing on the hit path grows with the CNF.  The backend's
+   part of the key keeps an exact and an approximate request apart.
+   The count cache stays keyed by the CNF's content, so its disk
+   records never outlive a build that translates differently.  [find]
+   gets a query by its memo key and its CNF. *)
+let plan (q : Protocol.query) ~scope ~find =
+  (* built per request, so no [Printf] *)
+  let key what =
+    Memo.key
+      (String.concat "|"
+         (what @ [ string_of_int scope; string_of_bool q.symmetry; Counter.backend_key q.backend ]))
+  in
+  let analyzer () = Props.analyzer ~scope in
+  Mcml_alloy.Analyzer.plan ~negate:q.negate ~backend:q.backend
+    ~phi:(fun ~negate ->
+      find
+        (key [ q.prop.Props.pred; string_of_bool negate ])
+        (fun () ->
+          Mcml_alloy.Analyzer.cnf ~negate ~symmetry:q.symmetry (analyzer ())
+            ~pred:q.prop.Props.pred))
+    ~space:(fun () ->
+      find (key [ "space" ]) (fun () ->
+          Mcml_alloy.Analyzer.space_cnf ~symmetry:q.symmetry (analyzer ())))
+
+(* translating on a miss *)
+let prepare t (q : Protocol.query) key cnf =
+  Memo.find_or_add t.queries ~key (fun () -> Counter.query ~backend:q.backend (cnf ()))
+
+(* already prepared, or [Not_found]: the reader starts no translation *)
+let prepared t key _ =
+  match Memo.peek t.queries ~key with Some query -> query | None -> raise Not_found
 
 (* The deadline-to-budget mapping: the time left until the request's
    deadline clamps the counter budget, so deadline expiry takes the
@@ -205,26 +223,49 @@ let expired = (Protocol.Timeout, "deadline expired before execution started")
 let timed_out budget =
   (Protocol.Timeout, Printf.sprintf "count timed out (budget %.3gs)" budget)
 
-let run_count t ~deadline (q : Protocol.query) =
+let count_json (q : Protocol.query) ~scope ~budget = function
+  | Some o ->
+      Ok
+        (Json.Obj
+           [
+             ("prop", Json.Str q.prop.Props.name);
+             ("scope", Json.Int scope);
+             ("symmetry", Json.Bool q.symmetry);
+             ("negate", Json.Bool q.negate);
+             ("backend", Json.Str (Counter.name q.backend));
+             ("count", Json.Str (Bignat.to_string o.Counter.count));
+             ("exact", Json.Bool o.Counter.exact);
+             ("time_s", Json.Float o.Counter.time);
+           ])
+  | None -> Error (timed_out budget)
+
+(* [looked]: the reader already looked the plan up, and these misses
+   are what is left to count *)
+let run_count t ~deadline ?looked (q : Protocol.query) =
   match clamp_budget ~deadline q.budget with
   | None -> Error expired
-  | Some budget -> (
+  | Some budget ->
       let scope = resolve_scope q in
-      match Counter.count ~budget ?cache:t.cache (prepare t q ~scope) with
-      | Some o ->
-          Ok
-            (Json.Obj
-               [
-                 ("prop", Json.Str q.prop.Props.name);
-                 ("scope", Json.Int scope);
-                 ("symmetry", Json.Bool q.symmetry);
-                 ("negate", Json.Bool q.negate);
-                 ("backend", Json.Str (Counter.name q.backend));
-                 ("count", Json.Str (Bignat.to_string o.Counter.count));
-                 ("exact", Json.Bool o.Counter.exact);
-                 ("time_s", Json.Float o.Counter.time);
-               ])
-      | None -> Error (timed_out budget))
+      count_json q ~scope ~budget
+        (match looked with
+        | Some pending -> Counter.finish ~budget pending
+        | None -> Counter.run ~budget ?cache:t.cache (plan q ~scope ~find:(prepare t q)))
+
+(* A count's lookups on the connection's reader, when its scope is
+   explicit and every query of its plan is prepared: no scope
+   selection and no translation run there.  [`Answer] when the cache
+   decides it; [`Count] leaves the misses to a pool task, which does
+   not look them up again. *)
+let look_up t ~deadline (q : Protocol.query) =
+  match (t.cache, q.scope, clamp_budget ~deadline q.budget) with
+  | Some cache, Some scope, Some budget -> (
+      match plan q ~scope ~find:(prepared t) with
+      | exception Not_found -> `Unprepared
+      | plan -> (
+          match Counter.lookup ~budget cache plan with
+          | `Answer a -> `Answer (count_json q ~scope ~budget a)
+          | `Count pending -> `Count pending))
+  | _ -> `Unprepared
 
 (* The phi section of [mcml train-eval]: the same dataset and the same
    [Pipeline.train_eval] model, so a served answer equals the CLI's. *)
@@ -369,7 +410,7 @@ let stats_json t =
     ])
 
 (* A [metrics] scrape: sample the probes first so the GC/rusage and
-   dynamic gauges in the snapshot are current, not last-tick stale. *)
+   dynamic gauges in the snapshot are current. *)
 let metrics_json fmt =
   Probe.sample ();
   let snap = Metrics.snapshot () in
@@ -390,8 +431,9 @@ let metrics_json fmt =
    overrides it: the caller's in-flight span (a fleet router) is the
    real parent, so the request span is adopted into that trace and the
    merged forest shows the cross-process edge instead of a local
-   conn-span one. *)
-let execute_in t ~deadline (req : Protocol.request) =
+   conn-span one.  [count] answers a [count] request (default
+   [run_count]). *)
+let execute_in t ~deadline ?(count = fun q -> run_count t ~deadline q) (req : Protocol.request) =
   let body = ref (Error (Protocol.Internal, "unreached")) in
   let run () =
     Obs.with_span "serve.request"
@@ -411,7 +453,7 @@ let execute_in t ~deadline (req : Protocol.request) =
              | Protocol.Health -> Ok (health_json t)
              | Protocol.Stats -> Ok (stats_json t)
              | Protocol.Metrics fmt -> metrics_json fmt
-             | Protocol.Count q -> run_count t ~deadline q
+             | Protocol.Count q -> count q
              | Protocol.Accmc q -> run_accmc t ~deadline q
              | Protocol.Diffmc q -> run_diffmc t ~deadline q
            with
@@ -450,40 +492,51 @@ let execute t req = execute_in t ~deadline:(deadline_of req) req
 
 (* --- connection handling ------------------------------------------------ *)
 
+(* Every counting request takes an admission slot and a pool task,
+   except a count its reader's lookups answered: that queues no work. *)
 let admit t parsed =
-  let now resp = Fun.const (record t resp) in
+  let now resp = Frontend.Ready (record t resp) in
   match parsed with
   | Error (id, msg) -> now (Protocol.err ~id Protocol.Bad_request msg)
   | Ok req when draining t ->
       now (Protocol.err ~id:req.Protocol.id Protocol.Draining "server is draining")
   | Ok req -> (
-      match req.Protocol.kind with
-      | Protocol.Health | Protocol.Stats | Protocol.Metrics _ ->
-          Fun.const (execute_in t ~deadline:None req)
-      | Protocol.Count _ | Protocol.Accmc _ | Protocol.Diffmc _ ->
-          (* fetch-and-add keeps the admission check exact when several
-             connection readers race *)
-          if Atomic.fetch_and_add t.inflight 1 >= t.cfg.admission then begin
-            Atomic.decr t.inflight;
-            now
-              (Protocol.err ~id:req.Protocol.id Protocol.Overloaded
-                 (Printf.sprintf "admission limit reached (%d requests in flight)"
-                    t.cfg.admission))
-          end
-          else begin
-            let deadline = deadline_of req in
-            let fut =
-              Pool.submit t.pool (fun () ->
-                  Fun.protect
-                    ~finally:(fun () -> Atomic.decr t.inflight)
-                    (fun () -> execute_in t ~deadline req))
-            in
-            fun () ->
+      let deadline = deadline_of req in
+      let submit ?count () =
+        (* fetch-and-add keeps the admission check exact when several
+           connection readers race *)
+        if Atomic.fetch_and_add t.inflight 1 >= t.cfg.admission then begin
+          Atomic.decr t.inflight;
+          now
+            (Protocol.err ~id:req.Protocol.id Protocol.Overloaded
+               (Printf.sprintf "admission limit reached (%d requests in flight)"
+                  t.cfg.admission))
+        end
+        else begin
+          let fut =
+            Pool.submit t.pool (fun () ->
+                Fun.protect
+                  ~finally:(fun () -> Atomic.decr t.inflight)
+                  (fun () -> execute_in t ~deadline ?count req))
+          in
+          Frontend.Pending
+            (fun () ->
               try Pool.await fut
               with exn ->
                 record t
                   (Protocol.err ~id:req.Protocol.id Protocol.Internal
-                     (Printexc.to_string exn))
-          end)
+                     (Printexc.to_string exn)))
+        end
+      in
+      match req.Protocol.kind with
+      | Protocol.Health | Protocol.Stats | Protocol.Metrics _ ->
+          Frontend.Ready (execute_in t ~deadline:None req)
+      | Protocol.Count q -> (
+          match look_up t ~deadline q with
+          | `Answer body ->
+              Frontend.Ready (execute_in t ~deadline ~count:(fun _ -> body) req)
+          | `Count looked -> submit ~count:(run_count t ~deadline ~looked) ()
+          | `Unprepared -> submit ())
+      | Protocol.Accmc _ | Protocol.Diffmc _ -> submit ())
 
 let handle_connection t = Frontend.handle_connection t.fe ~admit:(admit t)

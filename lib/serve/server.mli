@@ -5,17 +5,25 @@
     content-addressed count cache ({!Mcml_counting.Counter.cache}), so
     a warm process answers repeated queries without re-counting,
     whatever budget or deadline they carry, and concurrent requests
-    share both.  It also translates each (property, scope, symmetry,
-    negation) once, so a repeated count pays only for its cache lookup.
-    Connections speak the JSONL {!Protocol} through a {!Frontend}; the
-    server decides what it admits: admin kinds, parse errors and
-    rejections are answered inline, counting requests run on the pool.
+    share both.  A count is made of the queries of its
+    {!Mcml_alloy.Analyzer.plan}: an exact count of ¬ϕ∧S is #S − #(ϕ∧S),
+    two lookups.  The server translates each query once (ϕ∧S or ¬ϕ∧S
+    per property, scope, symmetry and negation; the universe S per
+    scope and symmetry), so a repeated count pays only for its cache
+    lookups.  Connections speak the JSONL {!Protocol} through a
+    {!Frontend}; the server decides what it admits.  On the
+    connection's reader it answers admin kinds, parse errors,
+    rejections, and every count with an explicit scope whose queries
+    are prepared and whose lookups decide the answer; everything else
+    runs on the pool.  A count's lookups run once: a miss on the
+    reader is counted by a pool task without a second lookup.
 
     {b Bounded admission, explicit overload.}  At most
     [config.admission] counting requests are in flight per server at
     once; a request arriving beyond that is answered immediately with
     [code = "overloaded"] — the service degrades by shedding load, not
-    by buffering it.
+    by buffering it.  A count answered on the reader queues no work and
+    takes no slot.
 
     {b Deadlines ride the budget discipline.}  A request's
     [deadline_ms] is fixed at admission; when its execution starts, the
@@ -41,27 +49,22 @@
     runtime probes first), independent of any sink flush.  At
     {!create} the server registers dynamic probe sources — pool queue
     depth, in-flight count, count-cache hit ratio and size, deadline
-    hit ratio, [serve.request] p99 — which {!shutdown} removes; the
-    front end's accept loop additionally samples every
-    [config.probe_interval_s] seconds so gauges stay fresh between
-    scrapes. *)
+    hit ratio, [serve.request] p99 — which {!shutdown} removes.
+    Nothing samples on a timer: a scrape reads current values, and
+    {!Frontend.serve_unix} samples once at drain. *)
 
 type config = {
   jobs : int;  (** pool workers; [<= 1] executes inline on the reader *)
   admission : int;
       (** max counting requests in flight server-wide; beyond it,
           requests are rejected with [Overloaded].  [0] rejects every
-          counting request (admin kinds still answer). *)
+          counting request that needs work (admin kinds still
+          answer). *)
   queue_cap : int;
       (** per-connection cap on queued (not yet written) responses;
           a full queue blocks the reader (socket backpressure) *)
   cache : bool;  (** share one count cache across all requests *)
   cache_capacity : int;  (** entries, FIFO-evicted ({!Mcml_exec.Memo}) *)
-  probe_interval_s : float;
-      (** minimum seconds between periodic {!Mcml_obs.Probe.sample}
-          ticks in {!Frontend.serve_unix}'s accept loop ([<= 0.]
-          disables the ticker; a [metrics] request still samples on
-          demand) *)
   shard_id : int option;
       (** fleet identity: when set, [health] and [stats] payloads carry
           a ["shard"] field so the router's fan-out merge stays
@@ -77,8 +80,7 @@ type config = {
 
 val default_config : config
 (** [jobs = 1], [admission = 64], [queue_cap = 128], [cache = true],
-    [cache_capacity = 4096], [probe_interval_s = 1.0],
-    [shard_id = None], [cache_dir = None]. *)
+    [cache_capacity = 4096], [shard_id = None], [cache_dir = None]. *)
 
 type t
 
@@ -105,4 +107,5 @@ val frontend : t -> Frontend.t
     {!handle_connection}. *)
 
 val shutdown : t -> unit
-(** Shut the pool down.  Call after the connection loops return. *)
+(** Shut the pool down and close the front end.  Call after the
+    connection loops return. *)

@@ -95,6 +95,23 @@ let in_order handle =
     [ "ok"; "ok"; "bad_request"; "ok" ]
     (List.map code_of rs)
 
+(* A count answered on the reader from the cache waits its turn behind
+   the uncounted one before it, and so does the health answer after
+   it. *)
+let cached_in_order handle =
+  let count id = Printf.sprintf "{\"id\":%d,\"kind\":\"count\",\"prop\":\"Transitive\",\"scope\":4}" id in
+  ignore (exchange handle [ count 0 ]);
+  let rs =
+    exchange handle
+      [
+        "{\"id\":1,\"kind\":\"count\",\"prop\":\"PreOrder\",\"scope\":4}";
+        count 2;
+        "{\"id\":3,\"kind\":\"health\"}";
+      ]
+  in
+  check Alcotest.(list string) "ids echoed in request order" [ "1"; "2"; "3" ] (ids rs);
+  check Alcotest.(list string) "outcomes" [ "ok"; "ok"; "ok" ] (List.map code_of rs)
+
 (* The loop must end on its own once drained: no EOF from the client. *)
 let drain_ends_loop handle fe =
   let conn = connect handle in

@@ -440,6 +440,9 @@ let fleet_merged_metrics () =
 let router_in_order () =
   with_real_fleet ~shards:2 (fun t -> Conn_cases.in_order (Router.handle_connection t))
 
+let router_cached_in_order () =
+  with_real_fleet ~shards:2 (fun t -> Conn_cases.cached_in_order (Router.handle_connection t))
+
 let router_drain_ends_loop () =
   with_real_fleet ~shards:2 (fun t ->
       Conn_cases.drain_ends_loop (Router.handle_connection t) (Router.frontend t))
@@ -485,6 +488,7 @@ let () =
       ( "connection",
         [
           Alcotest.test_case "responses in request order" `Quick router_in_order;
+          Alcotest.test_case "a cached count keeps its turn" `Quick router_cached_in_order;
           Alcotest.test_case "drain ends the connection loop" `Quick
             router_drain_ends_loop;
           Alcotest.test_case "overlong line, then a valid line" `Quick

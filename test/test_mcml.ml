@@ -171,7 +171,7 @@ let bnn_accmc_matches_exhaustive () =
       ~rng:(Splitmix.create 52) data.Pipeline.dataset
   in
   let phi, not_phi = Pipeline.ground_truth prop ~scope:3 ~symmetry:false in
-  let space = Pipeline.space_cnf ~scope:3 ~symmetry:false in
+  let space = Mcml_alloy.Analyzer.space_cnf (Props.analyzer ~scope:3) in
   let counts =
     Option.get (Bnn2cnf.accmc ~backend ~phi ~not_phi ~space ~nprimary:9 bnn)
   in
@@ -315,7 +315,9 @@ let accmc_conditioned_matches_brute () =
           let want =
             Option.get
               (Accmc.counts ~backend:Mcml_counting.Counter.Brute ~phi ~not_phi
-                 ~space:(Pipeline.space_cnf ~scope:3 ~symmetry:eval_symmetry)
+                 ~space:
+                   (Mcml_alloy.Analyzer.space_cnf ~symmetry:eval_symmetry
+                      (Props.analyzer ~scope:3))
                  ~nprimary:9 tree)
           in
           List.iter
@@ -345,7 +347,7 @@ let accmc_sides_sum_to_totals () =
   let module Dnnf = Mcml_counting.Exact.Dnnf in
   List.iter
     (fun scope ->
-      let space = Pipeline.space_cnf ~scope ~symmetry:true in
+      let space = Mcml_alloy.Analyzer.space_cnf ~symmetry:true (Props.analyzer ~scope) in
       let universe = Dnnf.compile space in
       check Alcotest.string
         (Printf.sprintf "scope %d: the universe's total is its count" scope)

@@ -346,6 +346,13 @@ open Conn_cases
 let connect srv = Conn_cases.connect (Server.handle_connection srv)
 let connection_in_order () = with_server (fun srv -> in_order (Server.handle_connection srv))
 
+(* two workers, so the uncounted request is still running while the
+   reader answers the cached one *)
+let connection_cached_in_order () =
+  with_server
+    ~cfg:{ Server.default_config with Server.jobs = 2 }
+    (fun srv -> cached_in_order (Server.handle_connection srv))
+
 let connection_overlong_line () =
   with_server (fun srv -> overlong_then_valid (Server.handle_connection srv))
 
@@ -394,6 +401,96 @@ let admission_zero_rejects () =
       finish conn;
       check Alcotest.string "counting request rejected" "overloaded" (code_of r1);
       check Alcotest.string "admin kind still answered" "ok" (code_of r2))
+
+(* ---------------------------------------------------------------------- *)
+(* Answers given on the reader                                             *)
+(* ---------------------------------------------------------------------- *)
+
+let with_stats_only f =
+  let module Obs = Mcml_obs.Obs in
+  Obs.set_sink (Obs.stats_only ());
+  Obs.reset_counters ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_sink Obs.null;
+      Obs.reset_counters ())
+    f
+
+let submitted () = Mcml_obs.Obs.counter_value "exec.tasks.submitted"
+
+(* Every line on one connection in one write, and every answer back. *)
+let pipelined srv lines =
+  let rs = exchange (Server.handle_connection srv) [ String.concat "\n" lines ] in
+  check Alcotest.int "one answer per request" (List.length lines) (List.length rs);
+  rs
+
+(* Fifty pipelined counts the cache holds are answered on the reader:
+   no pool task, and one lookup each. *)
+let cached_counts_on_reader () =
+  with_stats_only @@ fun () ->
+  with_server
+    ~cfg:{ Server.default_config with Server.jobs = 2 }
+    (fun srv ->
+      let line = "{\"kind\":\"count\",\"prop\":\"PartialOrder\",\"scope\":4}" in
+      check Alcotest.(list string) "cold" [ "ok" ] (List.map code_of (pipelined srv [ line ]));
+      let tasks = submitted () in
+      let hits = cache_stat srv "hits" and misses = cache_stat srv "misses" in
+      let rs = pipelined srv (List.init 50 (fun _ -> line)) in
+      check Alcotest.bool "all ok" true (List.for_all (fun r -> code_of r = "ok") rs);
+      check (Alcotest.float 0.0) "no pool task" tasks (submitted ());
+      check Alcotest.int "fifty hits" (hits + 50) (cache_stat srv "hits");
+      check Alcotest.int "no miss" misses (cache_stat srv "misses"))
+
+(* Misses the reader found travel to the pool without a second lookup,
+   yet a task that starts after another stored the count takes it.  A
+   kept timeout makes pipelined counts with more budget miss on the
+   reader; at most three run at once (two workers, and the responder
+   helping in [Pool.await]), so the eight are counted at most three
+   times. *)
+let pipelined_misses_count_once () =
+  with_stats_only @@ fun () ->
+  with_server
+    ~cfg:{ Server.default_config with Server.jobs = 2 }
+    (fun srv ->
+      let line budget =
+        Printf.sprintf
+          "{\"kind\":\"count\",\"prop\":\"PartialOrder\",\"scope\":5,\"budget_s\":%g}" budget
+      in
+      let calls () = Mcml_obs.Obs.counter_value "count.exact.calls" in
+      let looked () = cache_stat srv "hits" + cache_stat srv "misses" in
+      check Alcotest.(list string) "timed out" [ "timeout" ]
+        (List.map code_of (pipelined srv [ line 1e-9 ]));
+      let before = calls () and lookups = looked () in
+      let rs = pipelined srv (List.init 8 (fun _ -> line 30.0)) in
+      check Alcotest.bool "all ok" true (List.for_all (fun r -> code_of r = "ok") rs);
+      check Alcotest.int "one lookup each" (lookups + 8) (looked ());
+      check Alcotest.bool "counted at most three times" true (calls () -. before <= 3.0))
+
+(* #(¬ϕ∧S) = #S − #(ϕ∧S): once both are cached, a negated exact count
+   is two hits on the reader. *)
+let negated_from_two_hits () =
+  with_stats_only @@ fun () ->
+  with_server (fun srv ->
+      let count negate =
+        Printf.sprintf "{\"kind\":\"count\",\"prop\":\"PreOrder\",\"scope\":4,\"negate\":%b}"
+          negate
+      in
+      let value line =
+        match result_member (List.hd (pipelined srv [ line ])) "count" with
+        | Json.Str n -> int_of_string n
+        | v -> Alcotest.failf "count: %s" (Json.to_string v)
+      in
+      let phi = value (count false) in
+      check Alcotest.int "ϕ∧S: one miss" 1 (cache_stat srv "misses");
+      let cold = value (count true) in
+      check Alcotest.int "ϕ∧S hits, S misses" 1 (cache_stat srv "hits");
+      check Alcotest.int "two misses" 2 (cache_stat srv "misses");
+      check Alcotest.int "#(¬ϕ∧S) = 2^16 − #(ϕ∧S)" (65536 - phi) cold;
+      let tasks = submitted () in
+      check Alcotest.int "same answer" cold (value (count true));
+      check Alcotest.int "two more hits" 3 (cache_stat srv "hits");
+      check Alcotest.int "no more misses" 2 (cache_stat srv "misses");
+      check (Alcotest.float 0.0) "no pool task" tasks (submitted ()))
 
 (* ---------------------------------------------------------------------- *)
 (* Live metrics and SLO accounting                                         *)
@@ -546,7 +643,10 @@ let write fd s = ignore (Unix.write_substring fd s 0 (String.length s))
 let writer steps =
   Thread.create (fun () -> List.iter (fun step -> step ()) steps) ()
 
-let next r = Line_reader.next r ~stop:(fun () -> false)
+(* a wake descriptor that never becomes readable: nothing writes it,
+   and its write end stays open *)
+let never, _ = Unix.pipe ~cloexec:true ()
+let next r = Line_reader.next r ~wake:never
 
 let show = function
   | None -> "eof"
@@ -631,6 +731,31 @@ let lr_eof_while_dropping () =
       expect r [ overlong; "eof"; "eof" ];
       Thread.join th)
 
+(* A written wake fd stops a blocked reader, but only after the whole
+   lines already read; and it stays written. *)
+let lr_wake_stops_reader () =
+  with_reader (fun r w ->
+      let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close wake_r;
+          Unix.close wake_w)
+        (fun () ->
+          let wakes () = Line_reader.next r ~wake:wake_r in
+          write w "a\nb\npartial";
+          let th =
+            writer
+              [
+                (fun () -> Thread.delay 0.1);
+                (fun () -> ignore (Unix.write_substring wake_w "x" 0 1));
+              ]
+          in
+          check Alcotest.string "first" "ok a" (show (wakes ()));
+          check Alcotest.string "second" "ok b" (show (wakes ()));
+          check Alcotest.string "woken while blocked" "eof" (show (wakes ()));
+          Thread.join th;
+          check Alcotest.string "still woken" "eof" (show (wakes ()))))
+
 let () =
   (* a failed line-reader case closes the pair under a blocked writer *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -667,6 +792,8 @@ let () =
       ( "connection",
         [
           Alcotest.test_case "responses in request order" `Quick connection_in_order;
+          Alcotest.test_case "a cached count keeps its turn" `Quick
+            connection_cached_in_order;
           Alcotest.test_case "overlong line, then a valid line" `Quick
             connection_overlong_line;
           Alcotest.test_case "nested line, then a valid line" `Quick
@@ -677,6 +804,13 @@ let () =
             deadline_expiry_keeps_connection;
           Alcotest.test_case "admission=0 sheds counting load" `Quick
             admission_zero_rejects;
+        ] );
+      ( "reader",
+        [
+          Alcotest.test_case "cached counts skip the pool" `Quick cached_counts_on_reader;
+          Alcotest.test_case "pipelined misses count once per worker" `Quick
+            pipelined_misses_count_once;
+          Alcotest.test_case "a negated count is two hits" `Quick negated_from_two_hits;
         ] );
       ( "metrics",
         [
@@ -696,6 +830,8 @@ let () =
           Alcotest.test_case "overlong line reported once" `Quick
             lr_overlong_reported_once;
           Alcotest.test_case "EOF while dropping" `Quick lr_eof_while_dropping;
+          Alcotest.test_case "a wake fd stops a blocked reader" `Quick
+            lr_wake_stops_reader;
         ] );
       ( "drain",
         [
